@@ -3,7 +3,6 @@
 from .critic import AdamState, CriticParams, adam_step, clip_weights
 from .generator import GeneratorConfig, GeneratorParams
 from .spikedata import SpikeMatrix, WindowSpec
-from .statevec import GateOp, StateVector
 from .stats import StatReport
 from .training import Checkpoint, TrainConfig, train
 
@@ -11,12 +10,10 @@ __all__ = [
     "AdamState",
     "Checkpoint",
     "CriticParams",
-    "GateOp",
     "GeneratorConfig",
     "GeneratorParams",
     "SpikeMatrix",
     "StatReport",
-    "StateVector",
     "TrainConfig",
     "WindowSpec",
     "adam_step",

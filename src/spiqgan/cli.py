@@ -25,8 +25,9 @@ from . import training
 from .errors import (CheckpointFormatError, ConfigurationError,
                      DataFormatError, NumericalError)
 from .generator import GeneratorConfig, sample_batch
-from .spikedata import (SpikeMatrix, WindowSpec, all_windows, first_n_spec,
-                        load_spikes, save_spikes, synthesize_surrogate)
+from .spikedata import (MAX_STATE_BITS, SpikeMatrix, WindowSpec, all_windows,
+                        first_n_spec, load_spikes, save_spikes,
+                        synthesize_surrogate)
 from .training import (PURPOSE_SURROGATE, TrainConfig, generation_noise,
                        load_checkpoint, save_checkpoint, substream, train,
                        write_train_log)
@@ -336,7 +337,7 @@ def _evaluate_windows(gen_windows: np.ndarray, ref_windows: np.ndarray,
         "js_divergence": None,
     }
     n, t = gen_windows.shape[1], gen_windows.shape[2]
-    if n * t <= 20:
+    if n * t <= MAX_STATE_BITS:
         summary["js_divergence"] = stats_mod.js_divergence(
             stats_mod.state_histogram(gen_windows),
             stats_mod.state_histogram(ref_windows))

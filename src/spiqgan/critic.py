@@ -92,14 +92,6 @@ def critic_backward_batch(p: CriticParams, xs: np.ndarray, coeff: np.ndarray):
     return (gw1, gb1, gw2, gb2), input_grads
 
 
-def critic_backward(p: CriticParams, x):
-    """Exact gradients of critic_forward w.r.t. parameters and the input."""
-    x = np.asarray(x, dtype=float)
-    _check_input(p, x)
-    grads, input_grads = critic_backward_batch(p, x[None], np.ones(1))
-    return CriticParams.from_tensors(grads), input_grads[0]
-
-
 def clip_weights(p: CriticParams, c: float) -> CriticParams:
     """Clamp every parameter entry to [-c, c]."""
     if c <= 0:

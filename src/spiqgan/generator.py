@@ -1,31 +1,37 @@
-"""Patch generator: one data re-uploading circuit per timestep.
+"""Patch generator: one data re-uploading circuit per timestep, and the
+dense state-vector kernel that simulates it.
 
 Each patch (sub-generator) drives ``n_feature + n_aux`` qubits.  Every layer
 first re-uploads the noise angles with an RX on each qubit, then applies a
 trainable RY/RZ pair per qubit, then entangles neighbours with an open CNOT
 chain.  All patches share the ansatz but own independent parameters.
 
+Conventions: qubit 0 is the least-significant bit of a basis index, so basis
+state ``b`` assigns ``(b >> k) & 1`` to qubit ``k``; rotations are
+``R_A(phi) = exp(-i * phi * A / 2)`` for A in {X, Y, Z}.  Gates are applied by
+pairing amplitudes along the target qubit's stride, never by building the
+full ``2^q x 2^q`` unitary.
+
 Feature qubits are indices ``0 .. n_feature-1``; auxiliary qubits occupy the
 top indices and are discarded at readout.  Flattened outputs are patch-major:
 entry ``p * n_feature + k`` is neuron ``k`` at timestep ``p``.
 
-The per-sample entry points (``generator_forward``, ``generator_sample``,
-``param_shift_gradient``) run on :mod:`spiqgan.statevec` one circuit at a
-time.  The ``*_batch`` variants evaluate many circuit instances in one
-vectorized sweep and are what the training loop calls; tests pin both paths
-to each other.
+Every entry point evaluates many circuit instances (rows) in one vectorized
+sweep; a single sample is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import statevec
 from .errors import ConfigurationError
-from .statevec import GateOp, cnot, cnot_permutation, rx, ry, rz
+
+# 2^24 complex doubles is ~268 MB per row; more is a configuration bug.
+MAX_QUBITS = 24
 
 # Cap on elements touched per vectorized chunk (~64 MB of complex128).
 _CHUNK_ELEMS = 1 << 22
@@ -56,9 +62,9 @@ class GeneratorConfig:
             raise ConfigurationError("n_layers must be >= 1")
         if self.n_aux < 0:
             raise ConfigurationError("n_aux must be >= 0")
-        if self.n_feature + self.n_aux > statevec.MAX_QUBITS:
+        if self.n_feature + self.n_aux > MAX_QUBITS:
             raise ConfigurationError(
-                f"n_feature + n_aux must be <= {statevec.MAX_QUBITS}"
+                f"n_feature + n_aux must be <= {MAX_QUBITS}"
             )
         if not self.noise_low <= self.noise_high:
             raise ConfigurationError("noise_low must be <= noise_high")
@@ -115,105 +121,22 @@ def sample_noise(cfg: GeneratorConfig, rng: np.random.Generator,
     return rng.uniform(cfg.noise_low, cfg.noise_high, shape)
 
 
-def _patch_slices(cfg: GeneratorConfig, params_patch, z_patch):
-    th = np.asarray(params_patch, dtype=float)
-    expected = (cfg.n_layers, cfg.n_qubits, 2)
-    if th.shape != expected:
-        raise ConfigurationError(
-            f"patch parameters must have shape {expected}, got {th.shape}"
-        )
-    z = np.asarray(z_patch, dtype=float)
-    if z.shape == (cfg.n_qubits,):
-        z = np.broadcast_to(z, (cfg.n_layers, cfg.n_qubits))
-    elif z.shape != (cfg.n_layers, cfg.n_qubits):
-        raise ConfigurationError(
-            f"patch noise must have shape ({cfg.n_qubits},) or "
-            f"({cfg.n_layers}, {cfg.n_qubits}), got {z.shape}"
-        )
-    return th, z
-
-
-def build_patch_circuit(cfg: GeneratorConfig, params_patch, z_patch) -> list[GateOp]:
-    """Gate list of one patch: per layer, RX noise uploads, RY/RZ pairs, CNOT chain."""
-    th, z = _patch_slices(cfg, params_patch, z_patch)
-    q = cfg.n_qubits
-    gates: list[GateOp] = []
-    for layer in range(cfg.n_layers):
-        for k in range(q):
-            gates.append(rx(k, z[layer, k]))
-        for k in range(q):
-            gates.append(ry(k, th[layer, k, 0]))
-            gates.append(rz(k, th[layer, k, 1]))
-        for k in range(q - 1):
-            gates.append(cnot(k, k + 1))
-    return gates
-
-
-def _patch_state(cfg: GeneratorConfig, params_patch, z_patch) -> statevec.StateVector:
-    state = statevec.init_zero(cfg.n_qubits)
-    return statevec.apply_circuit(state, build_patch_circuit(cfg, params_patch, z_patch))
-
-
-def patch_probabilities(cfg: GeneratorConfig, params_patch, z_patch) -> np.ndarray:
-    """Full 2^q measurement distribution of one patch instance."""
-    return statevec.probabilities(_patch_state(cfg, params_patch, z_patch))
-
-
-def patch_marginals(cfg: GeneratorConfig, params_patch, z_patch) -> np.ndarray:
-    """P(spike) per feature qubit for one patch instance."""
-    state = _patch_state(cfg, params_patch, z_patch)
-    return np.array([statevec.marginal_one(state, k) for k in range(cfg.n_feature)])
-
-
-def _check_noise(cfg: GeneratorConfig, noise) -> np.ndarray:
-    z = np.asarray(noise, dtype=float)
-    if z.shape != cfg.noise_shape():
-        raise ConfigurationError(
-            f"noise must have shape {cfg.noise_shape()}, got {z.shape}"
-        )
-    return z
-
-
-def generator_forward(cfg: GeneratorConfig, params: GeneratorParams,
-                      noise) -> np.ndarray:
-    """Concatenated per-patch marginals; entry p*n + k is neuron k at timestep p."""
-    z = _check_noise(cfg, noise)
-    n = cfg.n_feature
-    out = np.empty(cfg.output_dim)
-    for p in range(cfg.n_patches):
-        out[p * n:(p + 1) * n] = patch_marginals(cfg, params.theta[p], z[p])
-    return out
-
-
-def generator_sample(cfg: GeneratorConfig, params: GeneratorParams, noise,
-                     rng: np.random.Generator) -> np.ndarray:
-    """One binary sample (n_feature x n_patches); auxiliary bits are discarded."""
-    z = _check_noise(cfg, noise)
-    out = np.zeros((cfg.n_feature, cfg.n_patches), dtype=np.uint8)
-    for p in range(cfg.n_patches):
-        state = _patch_state(cfg, params.theta[p], z[p])
-        bits = statevec.sample_bitstring(state, rng)
-        out[:, p] = bits[:cfg.n_feature]
-    return out
-
-
-def param_shift_gradient(cfg: GeneratorConfig, params: GeneratorParams, noise,
-                         upstream) -> np.ndarray:
-    """Chain upstream through each marginal's exact +-pi/2 shift derivative.
-
-    ``upstream`` is dL/d(generator_forward output).  Cross-patch derivatives
-    vanish identically and are never evaluated.
-    """
-    z = _check_noise(cfg, noise)
-    up = np.asarray(upstream, dtype=float)
-    if up.shape != (cfg.output_dim,):
-        raise ConfigurationError(
-            f"upstream must have shape ({cfg.output_dim},), got {up.shape}"
-        )
-    return param_shift_batch(cfg, params, z[None], up[None])
-
-
 # --- vectorized many-circuit kernels -------------------------------------
+
+@lru_cache(maxsize=None)
+def _chain_permutation(num_qubits: int) -> np.ndarray:
+    """Source indices of the whole CNOT chain, ``new[i] = old[perm[i]]``.
+
+    Composes CNOT(k, k+1) for k = 0 .. q-2 in circuit order, so a layer's
+    whole chain is one gather.
+    """
+    idx = np.arange(2**num_qubits)
+    perm = idx
+    for k in range(num_qubits - 1):
+        perm = perm[np.where((idx >> k) & 1 == 1, idx ^ (1 << (k + 1)), idx)]
+    perm.setflags(write=False)
+    return perm
+
 
 def _batch_rotate(states: np.ndarray, num_qubits: int, kind: str, target: int,
                   angles) -> np.ndarray:
@@ -252,8 +175,7 @@ def _batch_probs_chunk(cfg: GeneratorConfig, thetas: np.ndarray,
         for k in range(q):
             states = _batch_rotate(states, q, "RY", k, thetas[:, layer, k, 0])
             states = _batch_rotate(states, q, "RZ", k, thetas[:, layer, k, 1])
-        for k in range(q - 1):
-            states = states[:, cnot_permutation(q, k, k + 1)]
+        states = states[:, _chain_permutation(q)]
     return states.real**2 + states.imag**2
 
 
@@ -263,7 +185,10 @@ def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
 
     ``thetas``: (m, L, q, 2); ``z``: (m, q) or (m, L, q).  Returns (m, 2^q).
     """
-    m = thetas.shape[0]
+    m, q, layers = thetas.shape[0], cfg.n_qubits, cfg.n_layers
+    if (thetas.shape[1:] != (layers, q, 2)
+            or z.shape not in ((m, q), (m, layers, q))):
+        raise ConfigurationError("patch angles or noise do not match the config")
     if z.ndim == 2:
         z = np.broadcast_to(z[:, None, :], (m, cfg.n_layers, cfg.n_qubits))
     rows_per_chunk = max(1, _CHUNK_ELEMS // (2**cfg.n_qubits))
@@ -276,25 +201,15 @@ def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
     return out
 
 
-def _marginals_from_probs(probs: np.ndarray, num_qubits: int,
-                          n_feature: int) -> np.ndarray:
+def _marginals_from_probs(cfg: GeneratorConfig,
+                          probs: np.ndarray) -> np.ndarray:
+    """P(qubit k reads 1) per row for every feature qubit k."""
     m = probs.shape[0]
-    out = np.empty((m, n_feature))
-    for k in range(n_feature):
-        view = probs.reshape(m, 2 ** (num_qubits - 1 - k), 2, 2**k)
+    out = np.empty((m, cfg.n_feature))
+    for k in range(cfg.n_feature):
+        view = probs.reshape(m, 2 ** (cfg.n_qubits - 1 - k), 2, 2**k)
         out[:, k] = view[:, :, 1, :].sum(axis=(1, 2))
     return out
-
-
-def batch_patch_marginals(cfg: GeneratorConfig, thetas: np.ndarray,
-                          z: np.ndarray) -> np.ndarray:
-    probs = batch_patch_probs(cfg, thetas, z)
-    return _marginals_from_probs(probs, cfg.n_qubits, cfg.n_feature)
-
-
-def _noise_patch(noise_batch: np.ndarray, patch: int) -> np.ndarray:
-    # noise_batch is (B, t, q) or (B, t, L, q); slice out one patch.
-    return noise_batch[:, patch]
 
 
 def forward_batch(cfg: GeneratorConfig, params: GeneratorParams,
@@ -306,8 +221,8 @@ def forward_batch(cfg: GeneratorConfig, params: GeneratorParams,
     for p in range(cfg.n_patches):
         th = np.broadcast_to(params.theta[p],
                              (b, cfg.n_layers, cfg.n_qubits, 2))
-        out[:, p * n:(p + 1) * n] = batch_patch_marginals(
-            cfg, th, _noise_patch(noise_batch, p))
+        probs = batch_patch_probs(cfg, th, noise_batch[:, p])
+        out[:, p * n:(p + 1) * n] = _marginals_from_probs(cfg, probs)
     return out
 
 
@@ -315,15 +230,16 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
                  noise_batch: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws for a batch; ``uniforms`` has shape (B, t).
 
-    Returns a (B, n_feature, n_patches) uint8 array.  Uses the same
-    cumulative-probability rule as :func:`spiqgan.statevec.sample_bitstring`.
+    Returns a (B, n_feature, n_patches) uint8 array.  Row j of patch p reads
+    the first basis state whose cumulative probability exceeds
+    ``uniforms[j, p]``; auxiliary bits are discarded.
     """
     b = noise_batch.shape[0]
     out = np.zeros((b, cfg.n_feature, cfg.n_patches), dtype=np.uint8)
     for p in range(cfg.n_patches):
         th = np.broadcast_to(params.theta[p],
                              (b, cfg.n_layers, cfg.n_qubits, 2))
-        probs = batch_patch_probs(cfg, th, _noise_patch(noise_batch, p))
+        probs = batch_patch_probs(cfg, th, noise_batch[:, p])
         cum = np.cumsum(probs, axis=1)
         basis = (cum <= uniforms[:, p, None]).sum(axis=1)
         basis = np.minimum(basis, probs.shape[1] - 1)
@@ -352,8 +268,8 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
             shifted.reshape(1, 2 * n_shift, cfg.n_layers, cfg.n_qubits, 2),
             (b, 2 * n_shift, cfg.n_layers, cfg.n_qubits, 2),
         ).reshape(b * 2 * n_shift, cfg.n_layers, cfg.n_qubits, 2)
-        z_all = np.repeat(_noise_patch(noise_batch, p), 2 * n_shift, axis=0)
-        marg = batch_patch_marginals(cfg, th_all, z_all)
+        z_all = np.repeat(noise_batch[:, p], 2 * n_shift, axis=0)
+        marg = _marginals_from_probs(cfg, batch_patch_probs(cfg, th_all, z_all))
         marg = marg.reshape(b, 2, n_shift, n)
         deriv = 0.5 * (marg[:, 0] - marg[:, 1])
         up = upstream_batch[:, p * n:(p + 1) * n]

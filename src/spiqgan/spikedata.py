@@ -114,26 +114,23 @@ def load_spikes(path) -> SpikeMatrix:
                 raise DataFormatError(
                     f"row {i} has {len(line)} entries, expected {n_bins}"
                 )
-            for j, ch in enumerate(line):
-                if ch == "0":
-                    rows[i, j] = 0
-                elif ch == "1":
-                    rows[i, j] = 1
-                else:
-                    raise DataFormatError(
-                        f"non-binary entry {ch!r} at row {i}, column {j}"
-                    )
+            if line.count("0") + line.count("1") != n_bins:
+                j = next(j for j, ch in enumerate(line) if ch not in "01")
+                raise DataFormatError(
+                    f"non-binary entry {line[j]!r} at row {i}, column {j}")
+            rows[i] = np.frombuffer(line.encode("ascii"), np.uint8)
         if fh.read().strip():
             raise DataFormatError(
                 f"trailing content after {n_neurons} declared rows"
             )
+    rows -= ord("0")
     return SpikeMatrix(rows, bin_width=bin_width)
 
 
 def save_spikes(m: SpikeMatrix, path) -> None:
     """Write the canonical ``SPIKES v1`` representation."""
     lines = [f"{_HEADER_PREFIX} {m.n_neurons} {m.n_bins} {m.bin_width!r}"]
-    lines.extend("".join("1" if v else "0" for v in row) for row in m.data)
+    lines.extend(row.tobytes().decode("ascii") for row in m.data + ord("0"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -169,11 +166,6 @@ def flatten_windows(windows: np.ndarray) -> np.ndarray:
     """(B, n, t) windows -> (B, n*t) patch-major critic inputs."""
     b = windows.shape[0]
     return windows.transpose(0, 2, 1).reshape(b, -1).astype(float)
-
-
-def unflatten_window(vec: np.ndarray, n: int, t: int) -> np.ndarray:
-    """Inverse of the patch-major flattening for one sample."""
-    return np.asarray(vec).reshape(t, n).T
 
 
 def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
@@ -250,15 +242,3 @@ def bit_reverse_permutation(n_bits: int) -> np.ndarray:
     for k in range(n_bits):
         out |= ((values >> k) & 1) << (n_bits - 1 - k)
     return out
-
-
-def export_windows_csv(windows: np.ndarray, path) -> None:
-    """Debug dump: one row per window, columns are the flattened bits."""
-    w = np.asarray(windows)
-    if w.ndim == 3:
-        w = flatten_windows(w)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        width = w.shape[1]
-        fh.write("window," + ",".join(f"b{i}" for i in range(width)) + "\n")
-        for i, row in enumerate(w):
-            fh.write(f"{i}," + ",".join(str(int(v)) for v in row) + "\n")

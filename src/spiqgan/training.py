@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import stats as stats_mod
 from .critic import AdamState, CriticParams, adam_init, adam_step, clip_weights
 from .errors import CheckpointFormatError, ConfigurationError, NumericalError
 from .generator import GeneratorConfig, GeneratorParams
-from .spikedata import (SpikeMatrix, WindowSpec, all_windows,
+from .spikedata import (MAX_STATE_BITS, SpikeMatrix, WindowSpec, all_windows,
                         bit_reverse_permutation, first_n_spec, sample_windows)
 
 PENALTY_MODES = ("absolute", "signed")
@@ -262,7 +263,7 @@ def model_state_distribution(gen_cfg: GeneratorConfig,
     0 of timestep 0 is the most significant bit).
     """
     n = gen_cfg.n_feature
-    if n * gen_cfg.n_patches > 20:
+    if n * gen_cfg.n_patches > MAX_STATE_BITS:
         raise ConfigurationError("state distribution too large to enumerate")
     m = z_block.shape[0]
     rev = bit_reverse_permutation(n)
@@ -288,15 +289,6 @@ def generation_noise(gen_cfg: GeneratorConfig, seed: int, count: int):
     uniforms = substream(seed, PURPOSE_GENERATE_PICK).random(
         (count, gen_cfg.n_patches))
     return z, uniforms
-
-
-def expected_count_gap(gen_cfg: GeneratorConfig, params: GeneratorParams,
-                       z_block: np.ndarray,
-                       reference_flat: np.ndarray) -> float:
-    """|E[spikes per fake window] - mean spikes per reference window|."""
-    fake = gen_mod.forward_batch(gen_cfg, params, z_block).sum(axis=1).mean()
-    real = float(np.asarray(reference_flat, dtype=float).sum(axis=1).mean())
-    return abs(float(fake) - real)
 
 
 # --- the training loop ----------------------------------------------------
@@ -325,7 +317,8 @@ def train(train_cfg: TrainConfig, data: SpikeMatrix, gen_cfg: GeneratorConfig,
 
     Returns (final Checkpoint, list of LogRow).  JS against the data's
     sliding-window state distribution is logged every ``js_log_interval``
-    generator steps while the state space has at most 20 bits.
+    generator steps while the state space has at most
+    ``spikedata.MAX_STATE_BITS`` bits.
     """
     if window is None:
         if data.n_neurons < gen_cfg.n_feature:
@@ -342,7 +335,7 @@ def train(train_cfg: TrainConfig, data: SpikeMatrix, gen_cfg: GeneratorConfig,
     seed = train_cfg.seed
     state = init_trainer(train_cfg, gen_cfg)
 
-    track_js = gen_cfg.n_feature * gen_cfg.n_patches <= 20
+    track_js = gen_cfg.n_feature * gen_cfg.n_patches <= MAX_STATE_BITS
     if track_js:
         reference = stats_mod.state_histogram(all_windows(data, window))
         z_eval = gen_mod.sample_noise(
@@ -462,18 +455,54 @@ def load_checkpoint(path) -> Checkpoint:
     offset += 4
     header_len = struct.unpack_from("<I", blob, offset)[0]
     offset += 4
-    header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
-    offset += header_len
+    try:
+        header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
+        return _checkpoint_from(header, blob, offset + header_len)
+    except (CheckpointFormatError, ConfigurationError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"malformed checkpoint: {exc!r}") from exc
 
+
+def _header_config(cls, values: dict, label: str):
+    """Config dataclass from a header entry that has exactly its fields."""
+    known = {f.name for f in fields(cls)}
+    if set(values) != known:
+        raise CheckpointFormatError(
+            f"checkpoint {label} has unknown keys {sorted(set(values) - known)}"
+            f", missing keys {sorted(known - set(values))}")
+    return cls(**values)
+
+
+def _expected_manifest(gen_cfg: GeneratorConfig) -> list:
+    """[name, shape] of every tensor in save order, as gen_cfg implies."""
+    theta = [gen_cfg.n_patches, gen_cfg.n_layers, gen_cfg.n_qubits, 2]
+    h = critic_mod.HIDDEN_UNITS
+    critic = [[h, gen_cfg.output_dim], [h], [h], []]
+    return ([["gen_theta", theta]]
+            + [[f"critic_{k}", shape]
+               for k, shape in zip(("w1", "b1", "w2", "b2"), critic)]
+            + [["adam_gen_m0", theta], ["adam_gen_v0", theta]]
+            + [[f"adam_critic_{mv}{i}", shape]
+               for mv in "mv" for i, shape in enumerate(critic)])
+
+
+def _checkpoint_from(header: dict, blob: bytes, offset: int) -> Checkpoint:
+    gen_cfg = _header_config(GeneratorConfig, header["gen_cfg"], "gen_cfg")
+    train_cfg = _header_config(TrainConfig, header["train_cfg"], "train_cfg")
+    manifest = header["tensors"]
+    for got, want in zip_longest(manifest, _expected_manifest(gen_cfg)):
+        if got != want:
+            raise CheckpointFormatError(
+                f"tensor {got} does not match gen_cfg (expected {want})")
     arrays = {}
-    for name, shape in header["tensors"]:
+    for name, shape in manifest:
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += count * 8
         arrays[name] = arr.reshape(shape).astype(np.float64)
-
-    gen_cfg = GeneratorConfig(**header["gen_cfg"])
-    train_cfg = TrainConfig(**header["train_cfg"])
+    if offset != len(blob) - 4:
+        raise CheckpointFormatError("checkpoint tensor block size mismatch")
     window = WindowSpec(tuple(header["window"]["neuron_subset"]),
                         header["window"]["window_len"])
     critic = CriticParams.from_tensors(

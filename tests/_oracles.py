@@ -38,42 +38,47 @@ def cnot_unitary(num_qubits, control, target):
     return full
 
 
-def gate_unitary(gate, num_qubits):
-    if gate.kind == "CNOT":
-        return cnot_unitary(num_qubits, gate.control, gate.target)
-    return single_qubit_unitary(num_qubits, gate.target,
-                                rotation_matrix(gate.kind, gate.angle))
+def ansatz_probs(theta, z):
+    """Readout distribution of one patch from its dense unitary.
 
-
-def circuit_unitary(gates, num_qubits):
-    full = np.eye(2 ** num_qubits, dtype=complex)
-    for gate in gates:
-        full = gate_unitary(gate, num_qubits) @ full
-    return full
-
-
-def random_circuit(rng, num_qubits, n_gates):
-    from spiqgan.statevec import GateOp
+    ``theta`` is (L, q, 2) with axis 0 = RY, 1 = RZ; ``z`` is (q,) or (L, q).
+    Per layer: RX(z) on every qubit, RY then RZ on every qubit, then
+    CNOT(k, k+1) for k = 0 .. q-2.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n_layers, q, _ = theta.shape
+    z = np.broadcast_to(z, (n_layers, q))
     gates = []
-    for _ in range(n_gates):
-        kind = rng.choice(["RX", "RY", "RZ", "CNOT"])
-        if kind == "CNOT" and num_qubits >= 2:
-            control, target = rng.choice(num_qubits, size=2, replace=False)
-            gates.append(GateOp("CNOT", int(target), control=int(control)))
-        else:
-            if kind == "CNOT":
-                kind = "RY"
-            gates.append(GateOp(str(kind), int(rng.integers(num_qubits)),
-                                angle=float(rng.uniform(-2 * np.pi, 2 * np.pi))))
-    return gates
+    for layer in range(n_layers):
+        gates += [single_qubit_unitary(q, k, rotation_matrix("RX", z[layer, k]))
+                  for k in range(q)]
+        for k in range(q):
+            gates.append(single_qubit_unitary(
+                q, k, rotation_matrix("RY", theta[layer, k, 0])))
+            gates.append(single_qubit_unitary(
+                q, k, rotation_matrix("RZ", theta[layer, k, 1])))
+        gates += [cnot_unitary(q, k, k + 1) for k in range(q - 1)]
+    full = np.eye(2 ** q, dtype=complex)
+    for gate in gates:
+        full = gate @ full
+    return np.abs(full[:, 0]) ** 2
 
 
-def marginal_by_enumeration(amplitudes, num_qubits, qubit):
-    total = 0.0
-    for basis, amp in enumerate(amplitudes):
-        if (basis >> qubit) & 1:
-            total += abs(amp) ** 2
-    return total
+def ansatz_marginals(theta, z, n_feature):
+    """P(qubit k reads 1) for k < n_feature, by summing over basis states."""
+    probs = ansatz_probs(theta, z)
+    out = np.zeros(n_feature)
+    for basis, p in enumerate(probs):
+        for k in range(n_feature):
+            if (basis >> k) & 1:
+                out[k] += p
+    return out
+
+
+def oracle_forward(theta, noise, n_feature):
+    """One sample's patch-major marginals: patch p fills p*n .. p*n + n-1."""
+    return np.concatenate([ansatz_marginals(theta[p], noise[p], n_feature)
+                           for p in range(len(theta))])
 
 
 def central_difference(f, x, h=1e-5):

@@ -14,15 +14,13 @@ import pytest
 from spiqgan import cli
 from spiqgan import critic as cr
 from spiqgan import generator as gen
-from spiqgan import statevec as sv
 from spiqgan import stats
 from spiqgan import training as tr
 from spiqgan.spikedata import synthesize_surrogate
 
-from _oracles import (brute_autocorrelogram, brute_firing_rate,
+from _oracles import (ansatz_probs, brute_autocorrelogram, brute_firing_rate,
                       brute_k_probability, brute_pairwise_cov,
-                      brute_state_histogram, central_difference,
-                      circuit_unitary, random_circuit)
+                      brute_state_histogram, central_difference)
 
 
 @contextmanager
@@ -58,19 +56,21 @@ def test_criterion_1_simulator_oracle_equivalence():
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(100):
-            q = int(rng.integers(1, 5))
-            gates = random_circuit(rng, q, int(rng.integers(1, 21)))
-            state = sv.apply_circuit(sv.init_zero(q), gates)
-            expected = circuit_unitary(gates, q)[:, 0]
-            err = np.abs(state.amplitudes - expected).max()
+            cfg = gen.GeneratorConfig(
+                n_feature=int(rng.integers(1, 5)), n_patches=1,
+                n_layers=int(rng.integers(1, 5)), n_aux=int(rng.integers(0, 2)),
+                resample_noise_each_layer=bool(rng.integers(0, 2)))
+            thetas = gen.init_params(cfg, rng).theta
+            z = gen.sample_noise(cfg, rng, batch=1)[:, 0]
+            probs = gen.batch_patch_probs(cfg, thetas, z)[0]
+            err = np.abs(probs - ansatz_probs(thetas[0], z[0])).max()
             worst = max(worst, err)
             assert err < 1e-10
-            norm_drift = abs(np.vdot(state.amplitudes,
-                                     state.amplitudes).real - 1.0)
-            assert norm_drift < 1e-10
+            assert abs(probs.sum() - 1.0) < 1e-10
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0
-        info["detail"] = f"100 circuits, max amp err {worst:.2e}, {elapsed:.1f}s"
+        info["detail"] = (f"100 ansatz instances, max prob err {worst:.2e}, "
+                          f"{elapsed:.1f}s")
 
 
 def test_criterion_2_gradient_exactness():
@@ -81,14 +81,14 @@ def test_criterion_2_gradient_exactness():
         cfg = gen.GeneratorConfig(n_feature=2, n_patches=1, n_layers=2)
         rng = np.random.default_rng(21)
         params = gen.init_params(cfg, rng)
-        z = gen.sample_noise(cfg, rng)
+        z = gen.sample_noise(cfg, rng, batch=1)
         for j in range(cfg.output_dim):
-            unit = np.zeros(cfg.output_dim)
-            unit[j] = 1.0
-            shift = gen.param_shift_gradient(cfg, params, z, unit)
+            unit = np.zeros((1, cfg.output_dim))
+            unit[0, j] = 1.0
+            shift = gen.param_shift_batch(cfg, params, z, unit)
             fd = central_difference(
-                lambda th, j=j: gen.generator_forward(
-                    cfg, gen.GeneratorParams(th), z)[j],
+                lambda th, j=j: gen.forward_batch(
+                    cfg, gen.GeneratorParams(th), z)[0, j],
                 params.theta)
             np.testing.assert_allclose(shift, fd, rtol=1e-5, atol=1e-8)
 
@@ -114,10 +114,12 @@ def test_criterion_2_gradient_exactness():
             p = cr.init_critic(d, rng_c)
             x = rng_c.normal(size=d)
             assert np.abs(p.w1 @ x + p.b1).min() > 1e-4
-            grads, input_grad = cr.critic_backward(p, x)
+            grads, input_grads = cr.critic_backward_batch(p, x[None],
+                                                          np.ones(1))
             fd_x = central_difference(lambda v: cr.critic_forward(p, v), x)
-            np.testing.assert_allclose(input_grad, fd_x, rtol=1e-6, atol=1e-9)
-            for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_allclose(input_grads[0], fd_x,
+                                       rtol=1e-6, atol=1e-9)
+            for name, grad in zip(("w1", "b1", "w2", "b2"), grads):
                 def f(tensor, name=name):
                     q2 = p.copy()
                     setattr(q2, name,
@@ -125,8 +127,7 @@ def test_criterion_2_gradient_exactness():
                     return cr.critic_forward(q2, x)
                 fd = central_difference(
                     f, np.asarray(getattr(p, name), dtype=float))
-                np.testing.assert_allclose(np.asarray(getattr(grads, name)),
-                                           fd, rtol=1e-6, atol=1e-9)
+                np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0

@@ -223,6 +223,43 @@ def test_generate_version_mismatch_exits_1(tmp_path):
                    "--out", tmp_path / "gen.spk") == 1
 
 
+def rewrite_checkpoint_header(ckpt_path, out_path, edit):
+    """Copy a checkpoint with its JSON header edited and a valid CRC."""
+    import json
+    import struct
+    import zlib
+    blob = ckpt_path.read_bytes()
+    at = len(tr.CHECKPOINT_MAGIC) + 4
+    (length,) = struct.unpack_from("<I", blob, at)
+    header = json.loads(blob[at + 4:at + 4 + length])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode()
+    body = (blob[:at] + struct.pack("<I", len(text)) + text
+            + blob[at + 4 + length:-4])
+    out_path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return out_path
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda h: h["gen_cfg"].update(bogus=1), "unknown keys ['bogus']"),
+    (lambda h: h["gen_cfg"].update(n_feature=3), "gen_theta"),
+    (lambda h: h["tensors"][7][1].reverse(), "adam_critic_m0"),
+    (lambda h: h.pop("window"), "malformed checkpoint"),
+], ids=["unknown_gen_cfg_key", "n_feature_vs_theta_shape",
+        "transposed_adam_tensor", "missing_window"])
+def test_generate_inconsistent_checkpoint_header_exits_1(tmp_path, capsys,
+                                                         edit, needle):
+    bad = rewrite_checkpoint_header(trained_checkpoint(tmp_path),
+                                    tmp_path / "bad.ckpt", edit)
+    capsys.readouterr()
+    assert run_cli("generate", "--checkpoint", bad, "--count", 5,
+                   "--out", tmp_path / "gen.spk") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+    assert not (tmp_path / "gen.spk").exists()
+
+
 def test_generate_frequencies_match_model_distribution(tmp_path):
     ckpt_path = trained_checkpoint(tmp_path)
     out = tmp_path / "big.spk"

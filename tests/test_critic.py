@@ -59,9 +59,16 @@ def test_forward_batch_matches_single():
         assert batch[j] == pytest.approx(cr.critic_forward(p, xs[j]), rel=1e-12)
 
 
+def backward_one(p, x):
+    """Parameter gradients (w1, b1, w2, b2) and input gradient of C(x)."""
+    grads, input_grads = cr.critic_backward_batch(
+        p, np.asarray(x, dtype=float)[None], np.ones(1))
+    return cr.CriticParams.from_tensors(grads), input_grads[0]
+
+
 def test_backward_bias_gradient_is_one():
     p = random_params(2, seed=1)
-    grads, _ = cr.critic_backward(p, [0.2, 0.8])
+    grads, _ = backward_one(p, [0.2, 0.8])
     assert float(grads.b2) == 1.0
 
 
@@ -70,7 +77,7 @@ def test_backward_dead_units_zero_input_grad():
     p.b1 = -np.ones(cr.HIDDEN_UNITS)
     p.w1 = np.random.default_rng(2).normal(size=p.w1.shape)
     p.w2 = np.ones(cr.HIDDEN_UNITS)
-    grads, input_grad = cr.critic_backward(p, [0.0, 0.0])
+    grads, input_grad = backward_one(p, [0.0, 0.0])
     np.testing.assert_array_equal(input_grad, [0.0, 0.0])
     np.testing.assert_array_equal(grads.w1, np.zeros_like(p.w1))
 
@@ -81,7 +88,7 @@ def test_backward_matches_finite_differences(seed):
     d = int(rng.integers(2, 6))
     p = random_params(d, seed=seed)
     x = rng.normal(size=d)
-    grads, input_grad = cr.critic_backward(p, x)
+    grads, input_grad = backward_one(p, x)
 
     # keep pre-activations away from the ReLU kink so FD is clean
     pre = p.w1 @ x + p.b1

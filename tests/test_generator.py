@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from spiqgan import generator as gen
-from spiqgan import statevec as sv
 from spiqgan.errors import ConfigurationError
 
-from _oracles import central_difference
+from _oracles import (ansatz_probs, central_difference, cnot_unitary,
+                      oracle_forward, rotation_matrix, single_qubit_unitary)
 
 
 def cfg_for(n=2, t=1, layers=4, aux=0, **kw):
@@ -41,40 +41,100 @@ def test_config_validation():
         gen.GeneratorConfig(n_feature=20, n_patches=1, n_aux=5)
 
 
-def test_single_qubit_circuit_structure():
-    cfg = cfg_for(1, 1, layers=1)
-    gates = gen.build_patch_circuit(cfg, np.zeros((1, 1, 2)), np.zeros(1))
-    assert [g.kind for g in gates] == ["RX", "RY", "RZ"]
-
-
-def test_circuit_gate_count():
-    cfg = cfg_for(3, 1, layers=2)
-    gates = gen.build_patch_circuit(cfg, np.zeros((2, 3, 2)), np.zeros(3))
-    assert len(gates) == 22  # 2 * (3 RX + 3 RY + 3 RZ + 2 CNOT)
-    kinds = [g.kind for g in gates[:11]]
-    assert kinds == ["RX"] * 3 + ["RY", "RZ"] * 3 + ["CNOT"] * 2
+def one_row(theta_patch, z_patch):
+    """Batch-of-one arguments for the per-patch kernels."""
+    return np.asarray(theta_patch)[None], np.asarray(z_patch, dtype=float)[None]
 
 
 def test_zero_angles_give_zero_state():
     cfg = cfg_for(3, 1, layers=2)
-    probs = gen.patch_probabilities(cfg, np.zeros((2, 3, 2)), np.zeros(3))
-    assert probs[0] == pytest.approx(1.0, abs=1e-12)
+    probs = gen.batch_patch_probs(cfg, *one_row(np.zeros((2, 3, 2)),
+                                                np.zeros(3)))
+    assert probs[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_readout(q, gates):
+    """Basis-state probabilities after applying dense gates to |0...0>."""
+    state = np.eye(2**q, dtype=complex)[:, 0]
+    for gate in gates:
+        state = gate @ state
+    return np.abs(state) ** 2
+
+
+def rotations(q, kind, angles):
+    return [single_qubit_unitary(q, k, rotation_matrix(kind, angles[k]))
+            for k in range(q)]
+
+
+def test_single_qubit_circuit_structure():
+    # per layer on one qubit: RX(z), then RY, then RZ, and no CNOT
+    cfg = cfg_for(1, 1, layers=2)
+    th = np.array([[[1.1, 0.4]], [[0.3, 2.0]]])
+    z = 0.7
+    gates = []
+    for layer in range(2):
+        gates += [rotation_matrix("RX", z), rotation_matrix("RY", th[layer, 0, 0]),
+                  rotation_matrix("RZ", th[layer, 0, 1])]
+    probs = gen.batch_patch_probs(cfg, *one_row(th, [z]))[0]
+    np.testing.assert_allclose(probs, dense_readout(1, gates), atol=1e-12)
+    # RZ before RY would read differently
+    swapped = [gates[i] for i in (0, 2, 1, 3, 5, 4)]
+    assert np.abs(probs - dense_readout(1, swapped)).max() > 1e-3
+
+
+def test_circuit_gate_count():
+    q, layers = 3, 2
+    rng = np.random.default_rng(13)
+    th = rng.uniform(0, 2 * np.pi, (layers, q, 2))
+    z = rng.uniform(0, np.pi, q)
+    gates = []
+    for layer in range(layers):
+        gates += rotations(q, "RX", z)
+        for k in range(q):
+            gates += [single_qubit_unitary(q, k, rotation_matrix(kind, angle))
+                      for kind, angle in zip(("RY", "RZ"), th[layer, k])]
+        gates += [cnot_unitary(q, 0, 1), cnot_unitary(q, 1, 2)]
+    assert len(gates) == 22  # 2 * (3 RX + 3 RY + 3 RZ + 2 CNOT)
+    probs = gen.batch_patch_probs(cfg_for(q, 1, layers=layers),
+                                  *one_row(th, z))[0]
+    np.testing.assert_allclose(probs, dense_readout(q, gates), atol=1e-12)
+    # one CNOT fewer reads differently
+    assert np.abs(probs - dense_readout(q, gates[:-1])).max() > 1e-3
 
 
 def test_circuit_shape_mismatch():
     cfg = cfg_for(2, 1, layers=2)
     with pytest.raises(ConfigurationError):
-        gen.build_patch_circuit(cfg, np.zeros((1, 2, 2)), np.zeros(2))
+        gen.batch_patch_probs(cfg, *one_row(np.zeros((1, 2, 2)), np.zeros(2)))
     with pytest.raises(ConfigurationError):
-        gen.build_patch_circuit(cfg, np.zeros((2, 2, 2)), np.zeros(3))
+        gen.batch_patch_probs(cfg, *one_row(np.zeros((2, 2, 2)), np.zeros(3)))
+
+
+def test_chain_permutation_matches_cnot_sequence():
+    for q in (1, 2, 4, 8):
+        idx = np.arange(2**q)
+        expected = idx.copy()
+        for k in range(q - 1):
+            expected = np.where((expected >> k) & 1,
+                                expected ^ (1 << (k + 1)), expected)
+        # new[i] = old[perm[i]]: basis b is carried to position expected[b]
+        perm = gen._chain_permutation(q)
+        np.testing.assert_array_equal(perm[expected], idx)
+
+
+def patch_marginals(cfg, theta_patch, z_patch):
+    """forward_batch of a one-patch generator on one sample."""
+    params = gen.GeneratorParams(np.asarray(theta_patch, dtype=float)[None])
+    return gen.forward_batch(cfg, params,
+                             np.asarray(z_patch, dtype=float)[None, None])[0]
 
 
 def test_patch_marginals_examples():
     cfg = cfg_for(2, 1, layers=1)
-    marg = gen.patch_marginals(cfg, np.zeros((1, 2, 2)), np.zeros(2))
+    marg = patch_marginals(cfg, np.zeros((1, 2, 2)), np.zeros(2))
     np.testing.assert_allclose(marg, [0.0, 0.0], atol=1e-12)
     single = cfg_for(1, 1, layers=1)
-    marg = gen.patch_marginals(single, np.zeros((1, 1, 2)), np.array([np.pi]))
+    marg = patch_marginals(single, np.zeros((1, 1, 2)), [np.pi])
     assert marg[0] == pytest.approx(1.0)
 
 
@@ -83,8 +143,8 @@ def test_patch_marginals_match_probability_sums():
     rng = np.random.default_rng(4)
     th = rng.uniform(0, 2 * np.pi, (2, 3, 2))
     z = rng.uniform(0, np.pi, 3)
-    probs = gen.patch_probabilities(cfg, th, z)
-    marg = gen.patch_marginals(cfg, th, z)
+    probs = gen.batch_patch_probs(cfg, *one_row(th, z))[0]
+    marg = patch_marginals(cfg, th, z)
     for k in range(3):
         expected = sum(p for b, p in enumerate(probs) if (b >> k) & 1)
         assert marg[k] == pytest.approx(expected, abs=1e-12)
@@ -94,10 +154,10 @@ def test_forward_single_patch_equals_patch_marginals():
     cfg = cfg_for(2, 1)
     rng = np.random.default_rng(1)
     params = gen.init_params(cfg, rng)
-    z = gen.sample_noise(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=1)
     np.testing.assert_allclose(
-        gen.generator_forward(cfg, params, z),
-        gen.patch_marginals(cfg, params.theta[0], z[0]))
+        gen.forward_batch(cfg, params, z)[0],
+        oracle_forward(params.theta, z[0], 2), atol=1e-12)
 
 
 def test_forward_patch_independence_and_layout():
@@ -105,9 +165,9 @@ def test_forward_patch_independence_and_layout():
     rng = np.random.default_rng(2)
     params = gen.init_params(cfg, rng)
     params.theta[1] = 0.0
-    z = gen.sample_noise(cfg, rng)
-    z[1] = 0.0
-    out = gen.generator_forward(cfg, params, z)
+    z = gen.sample_noise(cfg, rng, batch=1)
+    z[0, 1] = 0.0
+    out = gen.forward_batch(cfg, params, z)[0]
     assert out.shape == (4,)
     np.testing.assert_allclose(out[2:], [0.0, 0.0], atol=1e-12)
     assert (out[:2] > 0).any()
@@ -117,32 +177,34 @@ def test_forward_shape():
     cfg = cfg_for(2, 3)
     rng = np.random.default_rng(3)
     params = gen.init_params(cfg, rng)
-    out = gen.generator_forward(cfg, params, gen.sample_noise(cfg, rng))
-    assert out.shape == (6,)
+    out = gen.forward_batch(cfg, params, gen.sample_noise(cfg, rng, batch=5))
+    assert out.shape == (5, 6)
     assert ((out >= 0) & (out <= 1)).all()
 
 
 def test_sample_deterministic_cases():
     cfg = cfg_for(2, 1)
     params = gen.GeneratorParams(np.zeros((1, 4, 2, 2)))
-    z = np.zeros((1, 2))
-    out = gen.generator_sample(cfg, params, z, np.random.default_rng(0))
-    np.testing.assert_array_equal(out, [[0], [0]])
+    uniforms = np.random.default_rng(0).random((3, 1))
+    out = gen.sample_batch(cfg, params, np.zeros((3, 1, 2)), uniforms)
+    np.testing.assert_array_equal(out, np.zeros((3, 2, 1)))
 
     single = cfg_for(1, 1, layers=1)
     params = gen.GeneratorParams(np.zeros((1, 1, 1, 2)))
-    out = gen.generator_sample(single, params, np.array([[np.pi]]),
-                               np.random.default_rng(0))
-    np.testing.assert_array_equal(out, [[1]])
+    out = gen.sample_batch(single, params, np.full((3, 1, 1), np.pi),
+                           uniforms)
+    np.testing.assert_array_equal(out, np.ones((3, 1, 1)))
 
 
 def test_sample_deterministic_given_seeded_rng():
     cfg = cfg_for(3, 2)
     rng = np.random.default_rng(14)
     params = gen.init_params(cfg, rng)
-    noise = gen.sample_noise(cfg, rng)
-    a = gen.generator_sample(cfg, params, noise, np.random.default_rng(99))
-    b = gen.generator_sample(cfg, params, noise, np.random.default_rng(99))
+    noise = gen.sample_noise(cfg, rng, batch=20)
+    a = gen.sample_batch(cfg, params, noise,
+                         np.random.default_rng(99).random((20, 2)))
+    b = gen.sample_batch(cfg, params, noise,
+                         np.random.default_rng(99).random((20, 2)))
     np.testing.assert_array_equal(a, b)
 
 
@@ -151,15 +213,12 @@ def test_sample_frequencies_match_exact_distribution():
     rng = np.random.default_rng(8)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng)
-    probs = gen.patch_probabilities(cfg, params.theta[0], z[0])
+    probs = ansatz_probs(params.theta[0], z[0])
     draws = 100_000
-    counts = np.zeros(4)
-    sampler = np.random.default_rng(123)
-    state = sv.apply_circuit(
-        sv.init_zero(2), gen.build_patch_circuit(cfg, params.theta[0], z[0]))
-    for _ in range(draws):
-        bits = sv.sample_bitstring(state, sampler)
-        counts[bits[0] + 2 * bits[1]] += 1
+    noise = np.broadcast_to(z, (draws,) + z.shape)
+    uniforms = np.random.default_rng(123).random((draws, 1))
+    bits = gen.sample_batch(cfg, params, noise, uniforms)[:, :, 0]
+    counts = np.bincount(bits[:, 0] + 2 * bits[:, 1], minlength=4)
     freq = counts / draws
     sigma = np.sqrt(probs * (1 - probs) / draws)
     assert (np.abs(freq - probs) <= 3 * sigma + 1e-12).all()
@@ -173,7 +232,7 @@ def test_batch_kernels_match_single_path():
     batch = gen.forward_batch(cfg, params, z)
     for j in range(6):
         np.testing.assert_allclose(
-            batch[j], gen.generator_forward(cfg, params, z[j]), atol=1e-12)
+            batch[j], oracle_forward(params.theta, z[j], 3), atol=1e-12)
 
 
 def test_batch_probs_match_single_path_resampled_noise():
@@ -185,30 +244,45 @@ def test_batch_probs_match_single_path_resampled_noise():
     batch = gen.forward_batch(cfg, params, z)
     for j in range(4):
         np.testing.assert_allclose(
-            batch[j], gen.generator_forward(cfg, params, z[j]), atol=1e-12)
+            batch[j], oracle_forward(params.theta, z[j], 2), atol=1e-12)
+
+
+def test_chunked_probs_match_oracle(monkeypatch):
+    cfg = cfg_for(2, 1, layers=2, aux=1)
+    rng = np.random.default_rng(12)
+    thetas = rng.uniform(0, 2 * np.pi, (5, 2, 3, 2))
+    z = rng.uniform(0, np.pi, (5, 3))
+    monkeypatch.setattr(gen, "_CHUNK_ELEMS", 16)  # two 8-amplitude rows
+    probs = gen.batch_patch_probs(cfg, thetas, z)
+    for j in range(5):
+        np.testing.assert_allclose(probs[j], ansatz_probs(thetas[j], z[j]),
+                                   atol=1e-12)
 
 
 def test_param_shift_zero_upstream():
     cfg = cfg_for(2, 2)
     rng = np.random.default_rng(7)
     params = gen.init_params(cfg, rng)
-    z = gen.sample_noise(cfg, rng)
-    grad = gen.param_shift_gradient(cfg, params, z, np.zeros(4))
+    z = gen.sample_noise(cfg, rng, batch=1)
+    grad = gen.param_shift_batch(cfg, params, z, np.zeros((1, 4)))
     np.testing.assert_array_equal(grad, np.zeros_like(params.theta))
+
+
+def loss_fd(cfg, params, z, upstream):
+    """Central differences of sum_j forward_batch(theta)[j] . upstream[j]."""
+    def loss(theta):
+        out = gen.forward_batch(cfg, gen.GeneratorParams(theta), z)
+        return float((out * upstream).sum())
+    return central_difference(loss, params.theta)
 
 
 def test_param_shift_single_qubit_analytic():
     cfg = cfg_for(1, 1, layers=1)
     params = gen.GeneratorParams(np.zeros((1, 1, 1, 2)))
-    z = np.zeros((1, 1))
-    grad = gen.param_shift_gradient(cfg, params, z, np.ones(1))
-
-    def forward(theta_flat):
-        p = gen.GeneratorParams(theta_flat.reshape(1, 1, 1, 2))
-        return gen.generator_forward(cfg, p, z)[0]
-
-    fd = central_difference(forward, params.theta.reshape(-1))
-    np.testing.assert_allclose(grad.reshape(-1), fd, atol=1e-6)
+    z = np.zeros((1, 1, 1))
+    grad = gen.param_shift_batch(cfg, params, z, np.ones((1, 1)))
+    fd = loss_fd(cfg, params, z, np.ones((1, 1)))
+    np.testing.assert_allclose(grad, fd, atol=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -217,15 +291,10 @@ def test_param_shift_matches_finite_differences(seed):
     cfg = cfg_for(int(rng.integers(1, 4)), int(rng.integers(1, 3)),
                   layers=int(rng.integers(1, 4)))
     params = gen.init_params(cfg, rng)
-    z = gen.sample_noise(cfg, rng)
-    upstream = rng.normal(size=cfg.output_dim)
-    grad = gen.param_shift_gradient(cfg, params, z, upstream)
-
-    def loss(theta):
-        p = gen.GeneratorParams(theta)
-        return float(gen.generator_forward(cfg, p, z) @ upstream)
-
-    fd = central_difference(loss, params.theta)
+    z = gen.sample_noise(cfg, rng, batch=1)
+    upstream = rng.normal(size=(1, cfg.output_dim))
+    grad = gen.param_shift_batch(cfg, params, z, upstream)
+    fd = loss_fd(cfg, params, z, upstream)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
 
@@ -236,7 +305,8 @@ def test_param_shift_batch_sums_over_samples():
     z = gen.sample_noise(cfg, rng, batch=3)
     upstream = rng.normal(size=(3, cfg.output_dim))
     batch_grad = gen.param_shift_batch(cfg, params, z, upstream)
-    summed = sum(gen.param_shift_gradient(cfg, params, z[j], upstream[j])
+    summed = sum(gen.param_shift_batch(cfg, params, z[j:j + 1],
+                                       upstream[j:j + 1])
                  for j in range(3))
     np.testing.assert_allclose(batch_grad, summed, atol=1e-12)
 
@@ -249,7 +319,7 @@ def test_sample_batch_matches_inverse_cdf_rule():
     uniforms = rng.random((64, 1))
     sampled = gen.sample_batch(cfg, params, z, uniforms)
     for j in range(64):
-        probs = gen.patch_probabilities(cfg, params.theta[0], z[j, 0])
+        probs = ansatz_probs(params.theta[0], z[j, 0])
         basis = int(np.searchsorted(np.cumsum(probs), uniforms[j, 0],
                                     side="right"))
         basis = min(basis, 3)

@@ -60,6 +60,28 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.bin_width == m.bin_width
 
 
+def test_long_raster_round_trip(tmp_path):
+    rng = np.random.default_rng(1)
+    m = sd.SpikeMatrix((rng.random((2, 1_000_000)) < 0.3).astype(np.uint8))
+    path = tmp_path / "long.spk"
+    sd.save_spikes(m, path)
+    rows = ["".join(map(str, row.tolist())) for row in m.data]
+    assert path.read_bytes() == (
+        "SPIKES v1 2 1000000 0.02\n" + "\n".join(rows) + "\n").encode()
+    np.testing.assert_array_equal(sd.load_spikes(path).data, m.data)
+
+
+def test_load_reports_bad_entry_far_into_row(tmp_path):
+    row = ["0"] * 200_000
+    row[123_456] = "x"
+    path = tmp_path / "bad.spk"
+    path.write_text("SPIKES v1 2 200000 0.02\n" + "1" * 200_000 + "\n"
+                    + "".join(row) + "\n")
+    with pytest.raises(DataFormatError,
+                       match=r"non-binary entry 'x' at row 1, column 123456$"):
+        sd.load_spikes(path)
+
+
 def test_save_is_byte_deterministic(tmp_path):
     m = sd.SpikeMatrix(np.array([[1, 0], [0, 1]]))
     a, b = tmp_path / "a.spk", tmp_path / "b.spk"
@@ -234,12 +256,3 @@ def test_all_windows_counts_and_stride():
     assert sliding.shape == (8, 1, 3)
     strided = sd.all_windows(m, spec, stride=3)
     assert strided.shape == (3, 1, 3)
-
-
-def test_export_windows_csv(tmp_path):
-    windows = np.array([[[1, 0], [0, 1]]], dtype=np.uint8)
-    out = tmp_path / "w.csv"
-    sd.export_windows_csv(windows, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "window,b0,b1,b2,b3"
-    assert lines[1] == "0,1,0,0,1"

@@ -1,171 +1,120 @@
+"""Gate-level checks of the dense state-vector kernel that simulates every
+patch (``generator.batch_patch_probs``), read out as basis-state
+probabilities.  Qubit 0 is the least-significant bit of a basis index."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiqgan import statevec as sv
+from spiqgan import generator as gen
 from spiqgan.errors import ConfigurationError
 
-from _oracles import circuit_unitary, marginal_by_enumeration, random_circuit
+from _oracles import ansatz_probs
+
+
+def cfg_for(n, layers=1, aux=0, **kw):
+    return gen.GeneratorConfig(n_feature=n, n_patches=1, n_layers=layers,
+                               n_aux=aux, **kw)
+
+
+def readout(cfg, theta, z):
+    """Basis-state probabilities of one patch instance."""
+    return gen.batch_patch_probs(cfg, np.asarray(theta, dtype=float)[None],
+                                 np.asarray(z, dtype=float)[None])[0]
 
 
 def test_init_zero_single_qubit():
-    state = sv.init_zero(1)
-    np.testing.assert_array_equal(state.amplitudes, [1, 0])
+    probs = readout(cfg_for(1), np.zeros((1, 1, 2)), [0.0])
+    np.testing.assert_array_equal(probs, [1, 0])
 
 
 def test_init_zero_two_qubits():
-    state = sv.init_zero(2)
-    np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
+    probs = readout(cfg_for(2), np.zeros((1, 2, 2)), [0.0, 0.0])
+    np.testing.assert_array_equal(probs, [1, 0, 0, 0])
 
 
 @pytest.mark.parametrize("bad", [0, 25, -3])
 def test_init_zero_guards(bad):
+    # the state needs 1 .. MAX_QUBITS qubits
     with pytest.raises(ConfigurationError):
-        sv.init_zero(bad)
+        cfg_for(bad)
 
 
 def test_rx_pi_flips_bit():
-    state = sv.apply_gate(sv.init_zero(1), sv.rx(0, np.pi))
-    np.testing.assert_allclose(state.amplitudes, [0, -1j], atol=1e-12)
-    assert sv.probabilities(state)[1] == pytest.approx(1.0)
+    probs = readout(cfg_for(1), np.zeros((1, 1, 2)), [np.pi])
+    np.testing.assert_allclose(probs, [0.0, 1.0], atol=1e-12)
 
 
 def test_ry_closed_form():
-    state = sv.apply_gate(sv.init_zero(1), sv.ry(0, np.pi / 3))
-    assert sv.probabilities(state)[1] == pytest.approx(np.sin(np.pi / 6) ** 2)
-    assert sv.probabilities(state)[1] == pytest.approx(0.25)
+    probs = readout(cfg_for(1), [[[np.pi / 3, 0.0]]], [0.0])
+    assert probs[1] == pytest.approx(np.sin(np.pi / 6) ** 2)
+    assert probs[1] == pytest.approx(0.25)
 
 
 def test_cnot_truth_table():
-    # |q1=0, q0=1> is basis index 1; CNOT(control=0, target=1) -> index 3
-    state = sv.init_zero(2)
-    state.amplitudes = np.array([0, 1, 0, 0], dtype=complex)
-    out = sv.apply_gate(state, sv.cnot(0, 1))
-    np.testing.assert_array_equal(out.amplitudes, [0, 0, 0, 1])
-
-
-def test_gate_validation():
-    state = sv.init_zero(2)
-    with pytest.raises(ConfigurationError):
-        sv.apply_gate(state, sv.rx(2, 0.1))
-    with pytest.raises(ConfigurationError):
-        sv.apply_gate(state, sv.cnot(1, 1))
-    with pytest.raises(ConfigurationError):
-        sv.apply_gate(state, sv.cnot(-1, 0))
+    # RX(pi) on qubit k sets it before the chain; CNOT(0, 1) then acts
+    cfg = cfg_for(2)
+    for z, basis in [([0, 0], 0b00), ([np.pi, 0], 0b11),
+                     ([0, np.pi], 0b10), ([np.pi, np.pi], 0b01)]:
+        probs = readout(cfg, np.zeros((1, 2, 2)), z)
+        assert probs[basis] == pytest.approx(1.0, abs=1e-12)
+    # the chain runs 0 -> 1 -> 2 in order: qubit 0 set flips both others
+    probs = readout(cfg_for(3), np.zeros((1, 3, 2)), [np.pi, 0.0, 0.0])
+    assert probs[0b111] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_circuit_matches_dense_oracle():
     rng = np.random.default_rng(7)
-    gates = random_circuit(rng, 3, 12)
-    state = sv.apply_circuit(sv.init_zero(3), gates)
-    expected = circuit_unitary(gates, 3) @ np.eye(8)[:, 0]
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-10)
-
-
-def test_apply_circuit_empty_is_identity():
-    state = sv.init_zero(3)
-    out = sv.apply_circuit(state, [])
-    np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
+    cfg = cfg_for(2, layers=3, aux=1, resample_noise_each_layer=True)
+    theta = rng.uniform(0, 2 * np.pi, (3, 3, 2))
+    z = rng.uniform(0, np.pi, (3, 3))
+    np.testing.assert_allclose(readout(cfg, theta, z), ansatz_probs(theta, z),
+                               atol=1e-10)
 
 
 def test_rx_pi_twice_returns_to_zero():
-    state = sv.apply_circuit(sv.init_zero(1), [sv.rx(0, np.pi), sv.rx(0, np.pi)])
-    assert sv.probabilities(state)[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ten_random_gates_match_oracle():
-    rng = np.random.default_rng(11)
-    gates = random_circuit(rng, 4, 10)
-    state = sv.apply_circuit(sv.init_zero(4), gates)
-    expected = circuit_unitary(gates, 4) @ np.eye(16)[:, 0]
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-10)
+    # two layers re-upload RX(pi), shared or drawn per layer
+    theta = np.zeros((2, 1, 2))
+    probs = readout(cfg_for(1, layers=2), theta, [np.pi])
+    assert probs[0] == pytest.approx(1.0, abs=1e-12)
+    per_layer = cfg_for(1, layers=2, resample_noise_each_layer=True)
+    probs = readout(per_layer, theta, [[np.pi], [np.pi]])
+    assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probabilities_basics():
-    assert sv.probabilities(sv.init_zero(1))[0] == 1.0
-    state = sv.apply_gate(sv.init_zero(1), sv.rx(0, np.pi / 2))
-    np.testing.assert_allclose(sv.probabilities(state), [0.5, 0.5], atol=1e-12)
-
-
-def test_marginal_examples():
-    assert sv.marginal_one(sv.init_zero(3), 1) == 0.0
-    state = sv.apply_gate(sv.init_zero(2), sv.ry(0, np.pi / 2))
-    assert sv.marginal_one(state, 0) == pytest.approx(0.5)
-    assert sv.marginal_one(state, 1) == pytest.approx(0.0)
-    with pytest.raises(ConfigurationError):
-        sv.marginal_one(state, 2)
-
-
-def test_marginal_matches_enumeration():
-    rng = np.random.default_rng(3)
-    gates = random_circuit(rng, 4, 15)
-    state = sv.apply_circuit(sv.init_zero(4), gates)
-    for qubit in range(4):
-        expected = marginal_by_enumeration(state.amplitudes, 4, qubit)
-        assert sv.marginal_one(state, qubit) == pytest.approx(expected, abs=1e-12)
-
-
-def test_sample_deterministic_states():
-    rng = np.random.default_rng(0)
-    bits = sv.sample_bitstring(sv.init_zero(3), rng)
-    np.testing.assert_array_equal(bits, [0, 0, 0])
-    state = sv.apply_gate(sv.init_zero(2), sv.rx(0, np.pi))
-    for _ in range(5):
-        np.testing.assert_array_equal(sv.sample_bitstring(state, rng), [1, 0])
-
-
-def test_sample_monte_carlo_frequency():
-    state = sv.apply_gate(sv.init_zero(1), sv.rx(0, np.pi / 2))
-    rng = np.random.default_rng(42)
-    draws = 100_000
-    ones = sum(int(sv.sample_bitstring(state, rng)[0]) for _ in range(draws))
-    sigma = np.sqrt(0.25 / draws)
-    assert abs(ones / draws - 0.5) < 3 * sigma
-
-
-# --- properties -------------------------------------------------------------
-
-@st.composite
-def circuits(draw, max_qubits=4, max_gates=15):
-    q = draw(st.integers(1, max_qubits))
-    n_gates = draw(st.integers(0, max_gates))
-    seed = draw(st.integers(0, 2**31))
-    return q, random_circuit(np.random.default_rng(seed), q, n_gates)
+    assert readout(cfg_for(1), np.zeros((1, 1, 2)), [0.0])[0] == 1.0
+    probs = readout(cfg_for(1), np.zeros((1, 1, 2)), [np.pi / 2])
+    np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(circuits())
-def test_norm_preserved(case):
-    q, gates = case
-    state = sv.apply_circuit(sv.init_zero(q), gates)
-    assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-10
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(["RX", "RY", "RZ"]), st.integers(0, 2))
-def test_zero_angle_is_identity(kind, target):
-    rng = np.random.default_rng(5)
-    base = sv.apply_circuit(sv.init_zero(3), random_circuit(rng, 3, 6))
-    out = sv.apply_gate(base, sv.GateOp(kind, target, angle=0.0))
-    np.testing.assert_allclose(out.amplitudes, base.amplitudes, atol=1e-14)
+@given(st.integers(1, 4), st.integers(0, 1), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2**31))
+def test_norm_preserved(n, aux, layers, per_layer, seed):
+    cfg = cfg_for(n, layers=layers, aux=aux,
+                  resample_noise_each_layer=per_layer)
+    rng = np.random.default_rng(seed)
+    theta = gen.init_params(cfg, rng).theta[0]
+    z = gen.sample_noise(cfg, rng)[0]
+    probs = readout(cfg, theta, z)
+    assert (probs >= 0).all()
+    assert abs(probs.sum() - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("kind", ["RX", "RY", "RZ"])
 def test_four_pi_identity_two_pi_phase(kind):
+    # R(phi + 2 pi) = -R(phi) and R(phi + 4 pi) = R(phi); readout sees neither
+    cfg = cfg_for(2, layers=2)
     rng = np.random.default_rng(6)
-    base = sv.apply_circuit(sv.init_zero(2), random_circuit(rng, 2, 5))
-    full = sv.apply_gate(base, sv.GateOp(kind, 0, angle=4 * np.pi))
-    np.testing.assert_allclose(full.amplitudes, base.amplitudes, atol=1e-12)
-    half = sv.apply_gate(base, sv.GateOp(kind, 0, angle=2 * np.pi))
-    np.testing.assert_allclose(half.amplitudes, -base.amplitudes, atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(0, 2 * np.pi), circuits(max_qubits=3, max_gates=8))
-def test_probabilities_global_phase_invariant(phase, case):
-    q, gates = case
-    state = sv.apply_circuit(sv.init_zero(q), gates)
-    shifted = sv.StateVector(q, state.amplitudes * np.exp(1j * phase))
-    np.testing.assert_allclose(sv.probabilities(shifted),
-                               sv.probabilities(state), atol=1e-12)
+    theta = gen.init_params(cfg, rng).theta[0]
+    z = gen.sample_noise(cfg, rng)[0]
+    base = readout(cfg, theta, z)
+    for turn in (2 * np.pi, 4 * np.pi):
+        theta2, z2 = theta.copy(), z.copy()
+        if kind == "RX":
+            z2[0] += turn
+        else:
+            theta2[0, 0, "YZ".index(kind[1])] += turn
+        np.testing.assert_allclose(readout(cfg, theta2, z2), base, atol=1e-12)

@@ -9,7 +9,7 @@ from spiqgan import training as tr
 from spiqgan.errors import CheckpointFormatError, ConfigurationError
 from spiqgan.spikedata import SpikeMatrix
 
-from _oracles import central_difference
+from _oracles import ansatz_probs, central_difference
 
 
 def tiny_data(seed=0, n=3, cols=400):
@@ -248,14 +248,6 @@ def test_train_logs_js_on_interval():
     assert all(0 <= r.js_divergence <= 1 for r in rows if r.js_divergence is not None)
 
 
-def test_expected_count_gap_helper():
-    gen_cfg = gen.GeneratorConfig(n_feature=2, n_patches=1, n_layers=2)
-    params = gen.GeneratorParams(np.zeros((1, 2, 2, 2)))
-    z = np.zeros((16, 1, 2))
-    ref = np.tile([1.0, 0.0], (8, 1))
-    assert tr.expected_count_gap(gen_cfg, params, z, ref) == pytest.approx(1.0)
-
-
 # --- model distribution -------------------------------------------------------
 
 def test_model_state_distribution_zero_params():
@@ -267,31 +259,46 @@ def test_model_state_distribution_zero_params():
     assert dist.sum() == pytest.approx(1.0)
 
 
+def brute_state_distribution(gen_cfg, theta, z):
+    """Per-patch mean readout law from the dense oracle (auxiliary bits
+    summed out), multiplied over patches state by state."""
+    from spiqgan.spikedata import state_index
+    n, t = gen_cfg.n_feature, gen_cfg.n_patches
+    means = []
+    for p in range(t):
+        law = np.zeros(2**n)
+        for j in range(z.shape[0]):
+            for basis, prob in enumerate(ansatz_probs(theta[p], z[j, p])):
+                law[basis % 2**n] += prob / z.shape[0]
+        means.append(law)
+    expected = np.zeros(2 ** (n * t))
+    for outcome in np.ndindex(*(2**n,) * t):
+        window = np.array([[(outcome[p] >> k) & 1 for p in range(t)]
+                           for k in range(n)])
+        expected[state_index(window)] += np.prod(
+            [means[p][outcome[p]] for p in range(t)])
+    return expected
+
+
 def test_model_state_distribution_matches_enumeration():
     gen_cfg = gen.GeneratorConfig(n_feature=2, n_patches=2, n_layers=2)
     rng = np.random.default_rng(15)
     params = gen.init_params(gen_cfg, rng)
     z = gen.sample_noise(gen_cfg, rng, batch=3)
     dist = tr.model_state_distribution(gen_cfg, params, z)
+    np.testing.assert_allclose(
+        dist, brute_state_distribution(gen_cfg, params.theta, z), atol=1e-12)
 
-    from spiqgan.spikedata import state_index
-    expected = np.zeros(16)
-    # brute force: per-patch mean conditional, then product over patches
-    per_draw = []
-    for j in range(3):
-        probs0 = gen.patch_probabilities(gen_cfg, params.theta[0], z[j, 0])
-        probs1 = gen.patch_probabilities(gen_cfg, params.theta[1], z[j, 1])
-        per_draw.append((probs0, probs1))
-    mean0 = np.mean([p[0] for p in per_draw], axis=0)
-    mean1 = np.mean([p[1] for p in per_draw], axis=0)
-    for state in range(16):
-        for f0 in range(4):
-            for f1 in range(4):
-                window = np.array([[(f0 >> 0) & 1, (f1 >> 0) & 1],
-                                   [(f0 >> 1) & 1, (f1 >> 1) & 1]])
-                if state_index(window) == state:
-                    expected[state] += mean0[f0] * mean1[f1]
-    np.testing.assert_allclose(dist, expected, atol=1e-12)
+
+def test_model_state_distribution_aux_and_resampled_noise():
+    gen_cfg = gen.GeneratorConfig(n_feature=2, n_patches=2, n_layers=2,
+                                  n_aux=1, resample_noise_each_layer=True)
+    rng = np.random.default_rng(17)
+    params = gen.init_params(gen_cfg, rng)
+    z = gen.sample_noise(gen_cfg, rng, batch=3)
+    dist = tr.model_state_distribution(gen_cfg, params, z)
+    np.testing.assert_allclose(
+        dist, brute_state_distribution(gen_cfg, params.theta, z), atol=1e-12)
 
 
 # --- checkpointing --------------------------------------------------------------
