@@ -8,16 +8,17 @@ chain.  All patches share the ansatz but own independent parameters.
 
 Conventions: qubit 0 is the least-significant bit of a basis index, so basis
 state ``b`` assigns ``(b >> k) & 1`` to qubit ``k``; rotations are
-``R_A(phi) = exp(-i * phi * A / 2)`` for A in {X, Y, Z}.  Gates are applied by
-pairing amplitudes along the target qubit's stride, never by building the
-full ``2^q x 2^q`` unitary.
+``R_A(phi) = exp(-i * phi * A / 2)`` for A in {X, Y, Z}.  Per layer each
+qubit gets one fused 2x2 gate ``RZ RY RX(z)``, applied by pairing amplitudes
+along its stride, and the CNOT chain is one composed gather: q passes plus
+one gather per layer, never the full ``2^q x 2^q`` unitary.
 
 Feature qubits are indices ``0 .. n_feature-1``; auxiliary qubits occupy the
 top indices and are discarded at readout.  Flattened outputs are patch-major:
 entry ``p * n_feature + k`` is neuron ``k`` at timestep ``p``.
 
-Every entry point evaluates many circuit instances (rows) in one vectorized
-sweep; a single sample is a batch of one.
+Every entry point stacks its (sample, patch) circuits on the kernel's row
+axis and reduces them a cache-sized block of samples at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from .errors import ConfigurationError
 # 2^24 complex doubles is ~268 MB per row; more is a configuration bug.
 MAX_QUBITS = 24
 
-# Cap on elements touched per vectorized chunk (~64 MB of complex128).
-_CHUNK_ELEMS = 1 << 22
+# Amplitudes per kernel chunk: 2^14 complex128 is 256 KB, so a chunk's state
+# and the few same-sized temporaries of a gate pass stay in a core's L2 cache
+# through all L(q+1) passes instead of streaming through memory on each.
+_CHUNK_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -138,29 +141,19 @@ def _chain_permutation(num_qubits: int) -> np.ndarray:
     return perm
 
 
-def _batch_rotate(states: np.ndarray, num_qubits: int, kind: str, target: int,
-                  angles) -> np.ndarray:
-    """Rotate one qubit of every row; one angle per row."""
-    m = states.shape[0]
-    view = states.reshape(m, 2 ** (num_qubits - 1 - target), 2, 2**target)
-    a0 = view[:, :, 0, :]
-    a1 = view[:, :, 1, :]
-    half = 0.5 * np.asarray(angles, dtype=float)[:, None, None]
-    out = np.empty_like(view)
-    if kind == "RX":
-        c = np.cos(half)
-        s = 1j * np.sin(half)
-        out[:, :, 0, :] = c * a0 - s * a1
-        out[:, :, 1, :] = c * a1 - s * a0
-    elif kind == "RY":
-        c = np.cos(half)
-        s = np.sin(half)
-        out[:, :, 0, :] = c * a0 - s * a1
-        out[:, :, 1, :] = c * a1 + s * a0
-    else:
-        out[:, :, 0, :] = np.exp(-1j * half) * a0
-        out[:, :, 1, :] = np.exp(1j * half) * a1
-    return out.reshape(m, -1)
+def _fused_gates(z: np.ndarray, thetas: np.ndarray):
+    """Entries ``(a, b)`` of each qubit's layer gate RZ(phi) RY(theta) RX(z).
+
+    ``z``: (m, q), ``thetas``: (m, q, 2).  The product is the SU(2) matrix
+    ``[[a, -conj(b)], [b, conj(a)]]``; a and b come out (m, q, 1, 1), ready
+    to broadcast over one qubit's amplitude pairs.
+    """
+    cx, sx = np.cos(0.5 * z), np.sin(0.5 * z)
+    cy, sy = np.cos(0.5 * thetas[..., 0]), np.sin(0.5 * thetas[..., 0])
+    phase = np.exp(-0.5j * thetas[..., 1])
+    a = phase * (cy * cx + 1j * sy * sx)
+    b = phase.conj() * (sy * cx - 1j * cy * sx)
+    return a[..., None, None], b[..., None, None]
 
 
 def _batch_probs_chunk(cfg: GeneratorConfig, thetas: np.ndarray,
@@ -170,11 +163,14 @@ def _batch_probs_chunk(cfg: GeneratorConfig, thetas: np.ndarray,
     states = np.zeros((m, 2**q), dtype=np.complex128)
     states[:, 0] = 1.0
     for layer in range(cfg.n_layers):
+        a, b = _fused_gates(z[:, layer], thetas[:, layer])
+        ca, cb = a.conj(), b.conj()
         for k in range(q):
-            states = _batch_rotate(states, q, "RX", k, z[:, layer, k])
-        for k in range(q):
-            states = _batch_rotate(states, q, "RY", k, thetas[:, layer, k, 0])
-            states = _batch_rotate(states, q, "RZ", k, thetas[:, layer, k, 1])
+            view = states.reshape(m, 2 ** (q - 1 - k), 2, 2**k)
+            a0, a1 = view[:, :, 0], view[:, :, 1]
+            new0 = a[:, k] * a0 - cb[:, k] * a1
+            view[:, :, 1] = b[:, k] * a0 + ca[:, k] * a1
+            view[:, :, 0] = new0
         states = states[:, _chain_permutation(q)]
     return states.real**2 + states.imag**2
 
@@ -201,28 +197,49 @@ def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
     return out
 
 
+def patch_blocks(cfg: GeneratorConfig, variants: np.ndarray,
+                 noise_batch: np.ndarray):
+    """Patch distributions for a batch, a block of whole samples at a time.
+
+    Stacks every (sample j, patch p, variant s) on the kernel's row axis:
+    the row runs angles ``variants[p, s]`` with noise ``noise_batch[j, p]``.
+    ``variants`` is (t, S, L, q, 2).  Yields ``(lo, hi, probs)`` with probs
+    (hi - lo, t, S, 2^q) for samples ``lo:hi``; a block holds as many samples
+    as fit in one kernel chunk, and at least one.
+    """
+    lead = variants.shape[:2]
+    per_sample = lead[0] * lead[1]
+    step = max(1, _CHUNK_ELEMS // (per_sample * 2**cfg.n_qubits))
+    for lo in range(0, noise_batch.shape[0], step):
+        hi = min(lo + step, noise_batch.shape[0])
+        rows = (hi - lo) * per_sample
+        thetas = np.broadcast_to(variants, (hi - lo,) + variants.shape)
+        z = np.broadcast_to(noise_batch[lo:hi, :, None],
+                            (hi - lo,) + lead + noise_batch.shape[2:])
+        probs = batch_patch_probs(
+            cfg, thetas.reshape((rows,) + variants.shape[2:]),
+            z.reshape((rows,) + noise_batch.shape[2:]))
+        yield lo, hi, probs.reshape((hi - lo,) + lead + (-1,))
+
+
 def _marginals_from_probs(cfg: GeneratorConfig,
                           probs: np.ndarray) -> np.ndarray:
-    """P(qubit k reads 1) per row for every feature qubit k."""
-    m = probs.shape[0]
-    out = np.empty((m, cfg.n_feature))
+    """P(qubit k reads 1) for every feature qubit k: (..., 2^q) -> (..., n)."""
+    lead = probs.shape[:-1]
+    out = np.empty(lead + (cfg.n_feature,))
     for k in range(cfg.n_feature):
-        view = probs.reshape(m, 2 ** (cfg.n_qubits - 1 - k), 2, 2**k)
-        out[:, k] = view[:, :, 1, :].sum(axis=(1, 2))
+        view = probs.reshape(lead + (2 ** (cfg.n_qubits - 1 - k), 2, 2**k))
+        out[..., k] = view[..., 1, :].sum(axis=(-2, -1))
     return out
 
 
 def forward_batch(cfg: GeneratorConfig, params: GeneratorParams,
                   noise_batch: np.ndarray) -> np.ndarray:
     """Marginals for a batch of samples, flattened patch-major: (B, n*t)."""
-    b = noise_batch.shape[0]
-    n = cfg.n_feature
-    out = np.empty((b, cfg.output_dim))
-    for p in range(cfg.n_patches):
-        th = np.broadcast_to(params.theta[p],
-                             (b, cfg.n_layers, cfg.n_qubits, 2))
-        probs = batch_patch_probs(cfg, th, noise_batch[:, p])
-        out[:, p * n:(p + 1) * n] = _marginals_from_probs(cfg, probs)
+    out = np.empty((noise_batch.shape[0], cfg.output_dim))
+    for lo, hi, probs in patch_blocks(cfg, params.theta[:, None], noise_batch):
+        out[lo:hi] = _marginals_from_probs(cfg, probs[:, :, 0]).reshape(
+            hi - lo, -1)
     return out
 
 
@@ -234,17 +251,14 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
     the first basis state whose cumulative probability exceeds
     ``uniforms[j, p]``; auxiliary bits are discarded.
     """
-    b = noise_batch.shape[0]
-    out = np.zeros((b, cfg.n_feature, cfg.n_patches), dtype=np.uint8)
-    for p in range(cfg.n_patches):
-        th = np.broadcast_to(params.theta[p],
-                             (b, cfg.n_layers, cfg.n_qubits, 2))
-        probs = batch_patch_probs(cfg, th, noise_batch[:, p])
-        cum = np.cumsum(probs, axis=1)
-        basis = (cum <= uniforms[:, p, None]).sum(axis=1)
-        basis = np.minimum(basis, probs.shape[1] - 1)
-        for k in range(cfg.n_feature):
-            out[:, k, p] = (basis >> k) & 1
+    out = np.empty((noise_batch.shape[0], cfg.n_feature, cfg.n_patches),
+                   dtype=np.uint8)
+    qubit = np.arange(cfg.n_feature)[:, None]
+    for lo, hi, probs in patch_blocks(cfg, params.theta[:, None], noise_batch):
+        cum = np.cumsum(probs[:, :, 0], axis=-1)
+        basis = (cum <= uniforms[lo:hi, :, None]).sum(axis=-1)
+        basis = np.minimum(basis, cum.shape[-1] - 1)
+        out[lo:hi] = (basis[:, None, :] >> qubit) & 1
     return out
 
 
@@ -253,26 +267,19 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
                       upstream_batch: np.ndarray) -> np.ndarray:
     """Sum of per-sample parameter-shift gradients, theta-shaped.
 
-    Evaluates all +-pi/2 shifts of one patch in a single vectorized sweep;
-    reduction order is fixed, so results are reproducible.
+    Every angle's +-pi/2 shifts of every patch run as variants in one
+    stacked sweep; reduction order is fixed, so results are reproducible.
     """
-    b = noise_batch.shape[0]
-    n = cfg.n_feature
-    n_shift = cfg.params_per_patch
-    grad = np.zeros_like(params.theta)
+    t, n, n_shift = cfg.n_patches, cfg.n_feature, cfg.params_per_patch
+    flat = params.theta.reshape(t, 1, n_shift)
     eye = np.eye(n_shift) * (math.pi / 2.0)
-    for p in range(cfg.n_patches):
-        flat = params.theta[p].reshape(n_shift)
-        shifted = np.concatenate([flat + eye, flat - eye], axis=0)
-        th_all = np.broadcast_to(
-            shifted.reshape(1, 2 * n_shift, cfg.n_layers, cfg.n_qubits, 2),
-            (b, 2 * n_shift, cfg.n_layers, cfg.n_qubits, 2),
-        ).reshape(b * 2 * n_shift, cfg.n_layers, cfg.n_qubits, 2)
-        z_all = np.repeat(noise_batch[:, p], 2 * n_shift, axis=0)
-        marg = _marginals_from_probs(cfg, batch_patch_probs(cfg, th_all, z_all))
-        marg = marg.reshape(b, 2, n_shift, n)
-        deriv = 0.5 * (marg[:, 0] - marg[:, 1])
-        up = upstream_batch[:, p * n:(p + 1) * n]
-        grad[p] = np.einsum("jsn,jn->s", deriv, up).reshape(
-            cfg.n_layers, cfg.n_qubits, 2)
-    return grad
+    variants = np.concatenate([flat + eye, flat - eye], axis=1).reshape(
+        t, 2 * n_shift, cfg.n_layers, cfg.n_qubits, 2)
+    upstream = upstream_batch.reshape(-1, t, n)
+    grad = np.zeros((t, n_shift))
+    for lo, hi, probs in patch_blocks(cfg, variants, noise_batch):
+        marg = _marginals_from_probs(cfg, probs).reshape(
+            hi - lo, t, 2, n_shift, n)
+        deriv = 0.5 * (marg[:, :, 0] - marg[:, :, 1])
+        grad += np.einsum("jpsn,jpn->ps", deriv, upstream[lo:hi])
+    return grad.reshape(params.theta.shape)

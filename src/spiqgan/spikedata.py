@@ -38,11 +38,11 @@ class SpikeMatrix:
             raise ConfigurationError(
                 f"spike matrix must be 2-D and non-empty, got shape {arr.shape}"
             )
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ConfigurationError("spike matrix entries must be 0 or 1")
         if not self.bin_width > 0:
             raise ConfigurationError("bin_width must be > 0")
-        self.data = arr.astype(np.uint8)
+        self.data = arr.astype(np.uint8, copy=False)
 
     @property
     def n_neurons(self) -> int:

@@ -86,14 +86,14 @@ def autocorrelogram(samples, max_lag: int) -> np.ndarray:
     so the first entry is exactly 1.
     """
     arr = _stack(samples)
-    _, n, t = arr.shape
+    b, n, t = arr.shape
     if max_lag < 0 or max_lag >= t:
         raise ConfigurationError(
             f"max_lag must satisfy 0 <= max_lag < {t}, got {max_lag}"
         )
     mu = arr.mean(axis=(0, 2))
     centered = arr - mu[None, :, None]
-    var = (centered**2).mean(axis=(0, 2))
+    var = np.einsum("bnt,bnt->n", centered, centered) / (b * t)
     alive = var > 0
     if not alive.any():
         raise ConfigurationError(
@@ -101,9 +101,8 @@ def autocorrelogram(samples, max_lag: int) -> np.ndarray:
         )
     out = np.empty(max_lag + 1)
     for lag in range(max_lag + 1):
-        lead = centered[:, :, :t - lag] if lag else centered
-        trail = centered[:, :, lag:]
-        cov = (lead * trail).mean(axis=(0, 2))
+        cov = np.einsum("bnt,bnt->n", centered[:, :, :t - lag],
+                        centered[:, :, lag:]) / (b * (t - lag))
         out[lag] = (cov[alive] / var[alive]).mean()
     return out
 

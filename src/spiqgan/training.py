@@ -12,6 +12,7 @@ import json
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
+from functools import reduce
 from itertools import zip_longest
 from typing import Optional
 
@@ -262,23 +263,16 @@ def model_state_distribution(gen_cfg: GeneratorConfig,
     given noise block.  Indexing follows the state_index convention (neuron
     0 of timestep 0 is the most significant bit).
     """
-    n = gen_cfg.n_feature
-    if n * gen_cfg.n_patches > MAX_STATE_BITS:
+    n, t = gen_cfg.n_feature, gen_cfg.n_patches
+    if n * t > MAX_STATE_BITS:
         raise ConfigurationError("state distribution too large to enumerate")
-    m = z_block.shape[0]
-    rev = bit_reverse_permutation(n)
-    dist = None
-    for p in range(gen_cfg.n_patches):
-        th = np.broadcast_to(params.theta[p],
-                             (m, gen_cfg.n_layers, gen_cfg.n_qubits, 2))
-        probs = gen_mod.batch_patch_probs(gen_cfg, th, z_block[:, p])
-        if gen_cfg.n_aux > 0:
-            probs = probs.reshape(m, 2**gen_cfg.n_aux, 2**n).sum(axis=1)
-        patch = probs.mean(axis=0)
-        reindexed = np.empty_like(patch)
-        reindexed[rev] = patch
-        dist = reindexed if dist is None else np.kron(dist, reindexed)
-    return dist
+    total = np.zeros((t, 2**n))
+    for lo, hi, probs in gen_mod.patch_blocks(gen_cfg, params.theta[:, None],
+                                              z_block):
+        total += probs.reshape(hi - lo, t, 2**gen_cfg.n_aux, 2**n).sum(
+            axis=(0, 2))
+    patches = total[:, bit_reverse_permutation(n)] / z_block.shape[0]
+    return reduce(np.kron, patches)
 
 
 def generation_noise(gen_cfg: GeneratorConfig, seed: int, count: int):

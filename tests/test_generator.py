@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,66 @@ def test_chunked_probs_match_oracle(monkeypatch):
     for j in range(5):
         np.testing.assert_allclose(probs[j], ansatz_probs(thetas[j], z[j]),
                                    atol=1e-12)
+
+
+# Kernel chunk sizes, in amplitudes, for a q=3 (two features, one aux), t=2
+# batch of five samples.  At 8 a chunk holds one row, so every sample's rows
+# span several chunks; at 32 forward and sampling blocks hold two samples; at
+# 800 parameter-shift blocks (48 rows of 8 amplitudes per sample) hold two.
+BLOCK_LAYOUTS = {8: ([1] * 5, [1] * 5), 32: ([2, 2, 1], [1] * 5),
+                 800: ([5], [2, 2, 1])}
+
+
+@pytest.mark.parametrize("chunk", sorted(BLOCK_LAYOUTS))
+def test_sample_blocks_match_oracles(monkeypatch, chunk):
+    cfg = cfg_for(2, 2, layers=2, aux=1, resample_noise_each_layer=True)
+    rng = np.random.default_rng(21)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=5)
+    uniforms = rng.random((5, 2))
+    upstream = rng.normal(size=(5, cfg.output_dim))
+    monkeypatch.setattr(gen, "_CHUNK_ELEMS", chunk)
+    shifts = np.zeros((2, 2 * cfg.params_per_patch, 2, 3, 2))
+    layout = tuple([hi - lo for lo, hi, _ in gen.patch_blocks(cfg, v, z)]
+                   for v in (params.theta[:, None], shifts))
+    assert layout == BLOCK_LAYOUTS[chunk]
+
+    forward = gen.forward_batch(cfg, params, z)
+    sampled = gen.sample_batch(cfg, params, z, uniforms)
+    for j in range(5):
+        np.testing.assert_allclose(
+            forward[j], oracle_forward(params.theta, z[j], 2), atol=1e-12)
+        for p in range(2):
+            cum = np.cumsum(ansatz_probs(params.theta[p], z[j, p]))
+            basis = min(int(np.searchsorted(cum, uniforms[j, p],
+                                            side="right")), 7)
+            np.testing.assert_array_equal(sampled[j, :, p],
+                                          [basis & 1, (basis >> 1) & 1])
+    grad = gen.param_shift_batch(cfg, params, z, upstream)
+    np.testing.assert_allclose(grad, loss_fd(cfg, params, z, upstream),
+                               rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("call, n, t, batch", [
+    ("sample_batch", 2, 30, 25_000),
+    ("param_shift_batch", 8, 2, 32),
+])
+def test_kernel_memory_stays_chunk_sized(call, n, t, batch):
+    """Peak allocation is the output plus a few chunks, never a stacked
+    copy of angles, states or probabilities for the whole batch."""
+    cfg = cfg_for(n, t)
+    rng = np.random.default_rng(22)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=batch)
+    extra = (rng.random((batch, t)) if call == "sample_batch"
+             else rng.normal(size=(batch, cfg.output_dim)))
+    tracemalloc.start()
+    try:
+        out = getattr(gen, call)(cfg, params, z, extra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 16 * gen._CHUNK_ELEMS * 16
 
 
 def test_param_shift_zero_upstream():
