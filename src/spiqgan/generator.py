@@ -18,7 +18,9 @@ top indices and are discarded at readout.  Flattened outputs are patch-major:
 entry ``p * n_feature + k`` is neuron ``k`` at timestep ``p``.
 
 Every entry point stacks its (sample, patch) circuits on the kernel's row
-axis and reduces them a cache-sized block of samples at a time.
+axis and reduces them a cache-sized block of samples at a time.  The
+generator gradient is an adjoint sweep over the same rows: one forward pass,
+then one backward pass that un-computes each layer.
 """
 
 from __future__ import annotations
@@ -141,6 +143,14 @@ def _chain_permutation(num_qubits: int) -> np.ndarray:
     return perm
 
 
+@lru_cache(maxsize=None)
+def _inverse_chain_permutation(num_qubits: int) -> np.ndarray:
+    """Source indices that undo the CNOT chain, ``old[i] = new[inv[i]]``."""
+    inv = np.argsort(_chain_permutation(num_qubits))
+    inv.setflags(write=False)
+    return inv
+
+
 def _fused_gates(z: np.ndarray, thetas: np.ndarray):
     """Entries ``(a, b)`` of each qubit's layer gate RZ(phi) RY(theta) RX(z).
 
@@ -156,23 +166,45 @@ def _fused_gates(z: np.ndarray, thetas: np.ndarray):
     return a[..., None, None], b[..., None, None]
 
 
-def _batch_probs_chunk(cfg: GeneratorConfig, thetas: np.ndarray,
-                       z: np.ndarray) -> np.ndarray:
+def _apply_gates(states: np.ndarray, q: int, a: np.ndarray,
+                 b: np.ndarray) -> None:
+    """Apply each row's gate ``[[a, -conj(b)], [b, conj(a)]]`` on qubit k to
+    ``states`` (m, 2^q) in place, for every qubit k; ``a``, ``b`` are
+    (m, q, 1, 1)."""
+    m = states.shape[0]
+    ca, cb = a.conj(), b.conj()
+    for k in range(q):
+        view = states.reshape(m, 2 ** (q - 1 - k), 2, 2**k)
+        a0, a1 = view[:, :, 0], view[:, :, 1]
+        new0 = a[:, k] * a0 - cb[:, k] * a1
+        view[:, :, 1] = b[:, k] * a0 + ca[:, k] * a1
+        view[:, :, 0] = new0
+
+
+def _forward_states(cfg: GeneratorConfig, thetas: np.ndarray,
+                    z: np.ndarray) -> np.ndarray:
+    """Final state vectors (m, 2^q) of rows ``thetas`` (m, L, q, 2) with
+    per-layer noise ``z`` (m, L, q)."""
     q = cfg.n_qubits
-    m = thetas.shape[0]
-    states = np.zeros((m, 2**q), dtype=np.complex128)
+    states = np.zeros((thetas.shape[0], 2**q), dtype=np.complex128)
     states[:, 0] = 1.0
     for layer in range(cfg.n_layers):
-        a, b = _fused_gates(z[:, layer], thetas[:, layer])
-        ca, cb = a.conj(), b.conj()
-        for k in range(q):
-            view = states.reshape(m, 2 ** (q - 1 - k), 2, 2**k)
-            a0, a1 = view[:, :, 0], view[:, :, 1]
-            new0 = a[:, k] * a0 - cb[:, k] * a1
-            view[:, :, 1] = b[:, k] * a0 + ca[:, k] * a1
-            view[:, :, 0] = new0
+        _apply_gates(states, q, *_fused_gates(z[:, layer], thetas[:, layer]))
         states = states[:, _chain_permutation(q)]
+    return states
+
+
+def _batch_probs_chunk(cfg: GeneratorConfig, thetas: np.ndarray,
+                       z: np.ndarray) -> np.ndarray:
+    states = _forward_states(cfg, thetas, z)
     return states.real**2 + states.imag**2
+
+
+def _chunks(count: int, row_elems: int) -> list[slice]:
+    """Consecutive slices of ``count`` rows, each as many rows of
+    ``row_elems`` amplitudes as fit in one kernel chunk, and at least one."""
+    step = max(1, _CHUNK_ELEMS // row_elems)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
@@ -186,40 +218,36 @@ def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
             or z.shape not in ((m, q), (m, layers, q))):
         raise ConfigurationError("patch angles or noise do not match the config")
     if z.ndim == 2:
-        z = np.broadcast_to(z[:, None, :], (m, cfg.n_layers, cfg.n_qubits))
-    rows_per_chunk = max(1, _CHUNK_ELEMS // (2**cfg.n_qubits))
-    if m <= rows_per_chunk:
+        z = np.broadcast_to(z[:, None, :], (m, layers, q))
+    chunks = _chunks(m, 2**q)
+    if len(chunks) == 1:  # no copy; callers' sums see the kernel's layout
         return _batch_probs_chunk(cfg, thetas, z)
-    out = np.empty((m, 2**cfg.n_qubits))
-    for lo in range(0, m, rows_per_chunk):
-        hi = min(lo + rows_per_chunk, m)
-        out[lo:hi] = _batch_probs_chunk(cfg, thetas[lo:hi], z[lo:hi])
+    out = np.empty((m, 2**q))
+    for rows in chunks:
+        out[rows] = _batch_probs_chunk(cfg, thetas[rows], z[rows])
     return out
 
 
-def patch_blocks(cfg: GeneratorConfig, variants: np.ndarray,
-                 noise_batch: np.ndarray):
-    """Patch distributions for a batch, a block of whole samples at a time.
+def patch_blocks(cfg: GeneratorConfig, theta: np.ndarray,
+                 noise_batch: np.ndarray, states_per_row: int = 1):
+    """Kernel rows for a batch, a block of whole samples at a time.
 
-    Stacks every (sample j, patch p, variant s) on the kernel's row axis:
-    the row runs angles ``variants[p, s]`` with noise ``noise_batch[j, p]``.
-    ``variants`` is (t, S, L, q, 2).  Yields ``(lo, hi, probs)`` with probs
-    (hi - lo, t, S, 2^q) for samples ``lo:hi``; a block holds as many samples
-    as fit in one kernel chunk, and at least one.
+    Stacks every (sample j, patch p) on the kernel's row axis: for samples
+    ``lo:hi``, row ``(j - lo) * t + p`` runs angles ``theta[p]`` with noise
+    ``noise_batch[j, p]``.  Yields ``(lo, hi, thetas, z)`` with thetas
+    (rows, L, q, 2) and z (rows, L, q); a block holds as many samples as fit
+    ``states_per_row`` state vectors per row in one kernel chunk, and at
+    least one.
     """
-    lead = variants.shape[:2]
-    per_sample = lead[0] * lead[1]
-    step = max(1, _CHUNK_ELEMS // (per_sample * 2**cfg.n_qubits))
-    for lo in range(0, noise_batch.shape[0], step):
-        hi = min(lo + step, noise_batch.shape[0])
-        rows = (hi - lo) * per_sample
-        thetas = np.broadcast_to(variants, (hi - lo,) + variants.shape)
-        z = np.broadcast_to(noise_batch[lo:hi, :, None],
-                            (hi - lo,) + lead + noise_batch.shape[2:])
-        probs = batch_patch_probs(
-            cfg, thetas.reshape((rows,) + variants.shape[2:]),
-            z.reshape((rows,) + noise_batch.shape[2:]))
-        yield lo, hi, probs.reshape((hi - lo,) + lead + (-1,))
+    t, layers, q = cfg.n_patches, cfg.n_layers, cfg.n_qubits
+    for block in _chunks(noise_batch.shape[0], states_per_row * t * 2**q):
+        count = block.stop - block.start
+        thetas = np.broadcast_to(theta, (count,) + theta.shape).reshape(
+            (count * t,) + theta.shape[1:])
+        z = noise_batch[block].reshape((count * t,) + noise_batch.shape[2:])
+        if z.ndim == 2:
+            z = np.broadcast_to(z[:, None, :], (count * t, layers, q))
+        yield block.start, block.stop, thetas, z
 
 
 def _marginals_from_probs(cfg: GeneratorConfig,
@@ -237,9 +265,10 @@ def forward_batch(cfg: GeneratorConfig, params: GeneratorParams,
                   noise_batch: np.ndarray) -> np.ndarray:
     """Marginals for a batch of samples, flattened patch-major: (B, n*t)."""
     out = np.empty((noise_batch.shape[0], cfg.output_dim))
-    for lo, hi, probs in patch_blocks(cfg, params.theta[:, None], noise_batch):
-        out[lo:hi] = _marginals_from_probs(cfg, probs[:, :, 0]).reshape(
-            hi - lo, -1)
+    for lo, hi, thetas, z in patch_blocks(cfg, params.theta, noise_batch):
+        probs = batch_patch_probs(cfg, thetas, z).reshape(
+            hi - lo, cfg.n_patches, -1)
+        out[lo:hi] = _marginals_from_probs(cfg, probs).reshape(hi - lo, -1)
     return out
 
 
@@ -254,32 +283,76 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
     out = np.empty((noise_batch.shape[0], cfg.n_feature, cfg.n_patches),
                    dtype=np.uint8)
     qubit = np.arange(cfg.n_feature)[:, None]
-    for lo, hi, probs in patch_blocks(cfg, params.theta[:, None], noise_batch):
-        cum = np.cumsum(probs[:, :, 0], axis=-1)
+    for lo, hi, thetas, z in patch_blocks(cfg, params.theta, noise_batch):
+        cum = np.cumsum(batch_patch_probs(cfg, thetas, z), axis=-1).reshape(
+            hi - lo, cfg.n_patches, -1)
         basis = (cum <= uniforms[lo:hi, :, None]).sum(axis=-1)
         basis = np.minimum(basis, cum.shape[-1] - 1)
         out[lo:hi] = (basis[:, None, :] >> qubit) & 1
     return out
 
 
+def _adjoint_chunk(cfg: GeneratorConfig, thetas: np.ndarray, z: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
+    """Each row's gradient of <psi|diag(weights)|psi> w.r.t. its angles.
+
+    ``weights`` is (m, 2^q); returns (m, L, q, 2).  Walks the layers
+    backwards from the final psi and lam = diag(weights) psi.  Per layer it
+    undoes the CNOT chain, reads every qubit's derivatives from the pair sums
+    ``s_ab = sum conj(lam_a) psi_b`` over the qubit's amplitude pairs (a, b
+    its bit values), then un-applies the layer's gates on psi and lam.
+    With phi the RZ angle, d/dphi = Im(s00 - s11) and
+    d/dtheta = Re(e^{i phi} s10) - Re(e^{-i phi} s01).
+    """
+    q, m = cfg.n_qubits, thetas.shape[0]
+    psi = _forward_states(cfg, thetas, z)
+    lam = weights * psi
+    grad = np.empty(thetas.shape)
+    inverse = _inverse_chain_permutation(q)
+    for layer in reversed(range(cfg.n_layers)):
+        psi, lam = psi[:, inverse], lam[:, inverse]
+        bra = lam.conj()
+        phase = np.exp(1j * thetas[:, layer, :, 1])
+        for k in range(q):
+            shape = (m, 2 ** (q - 1 - k), 2, 2**k)
+            s = np.einsum("mxay,mxby->mab", bra.reshape(shape),
+                          psi.reshape(shape))
+            grad[:, layer, k, 1] = (s[:, 0, 0] - s[:, 1, 1]).imag
+            grad[:, layer, k, 0] = ((phase[:, k] * s[:, 1, 0]).real
+                                    - (phase[:, k].conj() * s[:, 0, 1]).real)
+        if layer:  # the states before the first layer are not needed
+            a, b = _fused_gates(z[:, layer], thetas[:, layer])
+            _apply_gates(psi, q, a.conj(), -b)
+            _apply_gates(lam, q, a.conj(), -b)
+    return grad
+
+
 def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
                       noise_batch: np.ndarray,
                       upstream_batch: np.ndarray) -> np.ndarray:
-    """Sum of per-sample parameter-shift gradients, theta-shaped.
+    """Sum over samples of the gradient of ``forward . upstream``,
+    theta-shaped.
 
-    Every angle's +-pi/2 shifts of every patch run as variants in one
-    stacked sweep; reduction order is fixed, so results are reproducible.
+    This is the exact gradient that the +-pi/2 parameter-shift rule gives,
+    and keeps that rule's name for the callers that look it up by it.  It
+    is computed by adjoint differentiation (Jones & Gacon,
+    arXiv:2009.02823): each (sample, patch) row's loss is <psi|O|psi> with
+    the diagonal observable O = sum_k u_k |1><1|_k over the feature qubits,
+    so one forward pass and one backward sweep per row give every angle's
+    derivative, instead of two shifted circuits per angle.  Rows come from
+    ``patch_blocks`` with psi and lam sharing each chunk; the reduction
+    order is fixed, so results are reproducible.
     """
-    t, n, n_shift = cfg.n_patches, cfg.n_feature, cfg.params_per_patch
-    flat = params.theta.reshape(t, 1, n_shift)
-    eye = np.eye(n_shift) * (math.pi / 2.0)
-    variants = np.concatenate([flat + eye, flat - eye], axis=1).reshape(
-        t, 2 * n_shift, cfg.n_layers, cfg.n_qubits, 2)
+    t, n, q = cfg.n_patches, cfg.n_feature, cfg.n_qubits
+    bits = ((np.arange(2**q)[None, :] >> np.arange(n)[:, None]) & 1).astype(
+        float)
     upstream = upstream_batch.reshape(-1, t, n)
-    grad = np.zeros((t, n_shift))
-    for lo, hi, probs in patch_blocks(cfg, variants, noise_batch):
-        marg = _marginals_from_probs(cfg, probs).reshape(
-            hi - lo, t, 2, n_shift, n)
-        deriv = 0.5 * (marg[:, :, 0] - marg[:, :, 1])
-        grad += np.einsum("jpsn,jpn->ps", deriv, upstream[lo:hi])
-    return grad.reshape(params.theta.shape)
+    grad = np.zeros(params.theta.shape)
+    for lo, hi, thetas, z in patch_blocks(cfg, params.theta, noise_batch, 2):
+        rows_upstream = upstream[lo:hi].reshape(-1, n)
+        rows = np.empty(thetas.shape)
+        for chunk in _chunks(len(rows), 2 * 2**q):
+            rows[chunk] = _adjoint_chunk(cfg, thetas[chunk], z[chunk],
+                                         rows_upstream[chunk] @ bits)
+        grad += rows.reshape((hi - lo,) + grad.shape).sum(axis=0)
+    return grad

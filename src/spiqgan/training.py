@@ -9,6 +9,7 @@ parallel.  Training is therefore a pure function of (configs, data, seed).
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -267,8 +268,9 @@ def model_state_distribution(gen_cfg: GeneratorConfig,
     if n * t > MAX_STATE_BITS:
         raise ConfigurationError("state distribution too large to enumerate")
     total = np.zeros((t, 2**n))
-    for lo, hi, probs in gen_mod.patch_blocks(gen_cfg, params.theta[:, None],
-                                              z_block):
+    for lo, hi, thetas, z in gen_mod.patch_blocks(gen_cfg, params.theta,
+                                                  z_block):
+        probs = gen_mod.batch_patch_probs(gen_cfg, thetas, z)
         total += probs.reshape(hi - lo, t, 2**gen_cfg.n_aux, 2**n).sum(
             axis=(0, 2))
     patches = total[:, bit_reverse_permutation(n)] / z_block.shape[0]
@@ -403,7 +405,10 @@ def _checkpoint_tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Versioned container: magic, version, JSON header, little-endian
-    float64 tensor block, trailing CRC-32."""
+    float64 tensor block, trailing CRC-32.
+
+    Written to a temporary file beside ``path`` and renamed over it, so an
+    interrupted save leaves any previous checkpoint at ``path`` intact."""
     tensors = _checkpoint_tensors(ckpt)
     header = {
         "gen_cfg": asdict(ckpt.gen_cfg),
@@ -425,8 +430,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     for _, t in tensors:
         blob += np.ascontiguousarray(t, dtype="<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

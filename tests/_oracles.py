@@ -38,12 +38,21 @@ def cnot_unitary(num_qubits, control, target):
     return full
 
 
-def ansatz_probs(theta, z):
-    """Readout distribution of one patch from its dense unitary.
+def dense_readout(gates):
+    """Basis-state probabilities after applying dense gates to |0...0>."""
+    state = np.eye(gates[0].shape[0], dtype=complex)[:, 0]
+    for gate in gates:
+        state = gate @ state
+    return np.abs(state) ** 2
+
+
+def ansatz_gates(theta, z):
+    """Dense gates of one patch in circuit order.
 
     ``theta`` is (L, q, 2) with axis 0 = RY, 1 = RZ; ``z`` is (q,) or (L, q).
     Per layer: RX(z) on every qubit, RY then RZ on every qubit, then
-    CNOT(k, k+1) for k = 0 .. q-2.
+    CNOT(k, k+1) for k = 0 .. q-2.  So the gate of angle ``theta[l, k, a]``
+    sits at index ``l * (4q - 1) + q + 2k + a``.
     """
     theta = np.asarray(theta, dtype=float)
     n_layers, q, _ = theta.shape
@@ -58,15 +67,16 @@ def ansatz_probs(theta, z):
             gates.append(single_qubit_unitary(
                 q, k, rotation_matrix("RZ", theta[layer, k, 1])))
         gates += [cnot_unitary(q, k, k + 1) for k in range(q - 1)]
-    full = np.eye(2 ** q, dtype=complex)
-    for gate in gates:
-        full = gate @ full
-    return np.abs(full[:, 0]) ** 2
+    return gates
 
 
-def ansatz_marginals(theta, z, n_feature):
+def ansatz_probs(theta, z):
+    """Readout distribution of one patch through its dense gates."""
+    return dense_readout(ansatz_gates(theta, z))
+
+
+def marginals_of(probs, n_feature):
     """P(qubit k reads 1) for k < n_feature, by summing over basis states."""
-    probs = ansatz_probs(theta, z)
     out = np.zeros(n_feature)
     for basis, p in enumerate(probs):
         for k in range(n_feature):
@@ -75,10 +85,45 @@ def ansatz_marginals(theta, z, n_feature):
     return out
 
 
+def ansatz_marginals(theta, z, n_feature):
+    return marginals_of(ansatz_probs(theta, z), n_feature)
+
+
 def oracle_forward(theta, noise, n_feature):
     """One sample's patch-major marginals: patch p fills p*n .. p*n + n-1."""
     return np.concatenate([ansatz_marginals(theta[p], noise[p], n_feature)
                            for p in range(len(theta))])
+
+
+def param_shift_oracle(theta, z, upstream):
+    """Sum over samples of d(marginals . upstream)/d theta, theta-shaped.
+
+    ``theta`` is (t, L, q, 2), ``z`` one noise tensor per sample (B, t, ...)
+    and ``upstream`` (B, n*t), patch-major.  Each angle's RY or RZ gate is
+    rebuilt at the angle +-pi/2 in the patch's dense gate list, and the
+    exact derivative of each marginal is half the difference of the two
+    readouts.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n_patches, _, q, _ = theta.shape
+    n_feature = upstream.shape[1] // n_patches
+    grad = np.zeros_like(theta)
+    for j in range(len(z)):
+        for p in range(n_patches):
+            gates = ansatz_gates(theta[p], z[j, p])
+            weights = upstream[j, p * n_feature:(p + 1) * n_feature]
+            for layer, k, axis in np.ndindex(theta.shape[1:]):
+                at = layer * (4 * q - 1) + q + 2 * k + axis
+                reads = []
+                for shift in (np.pi / 2, -np.pi / 2):
+                    shifted = list(gates)
+                    shifted[at] = single_qubit_unitary(q, k, rotation_matrix(
+                        ("RY", "RZ")[axis], theta[p, layer, k, axis] + shift))
+                    reads.append(marginals_of(dense_readout(shifted),
+                                              n_feature))
+                grad[p, layer, k, axis] += 0.5 * np.dot(reads[0] - reads[1],
+                                                        weights)
+    return grad
 
 
 def central_difference(f, x, h=1e-5):

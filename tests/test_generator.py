@@ -7,7 +7,8 @@ from spiqgan import generator as gen
 from spiqgan.errors import ConfigurationError
 
 from _oracles import (ansatz_probs, central_difference, cnot_unitary,
-                      oracle_forward, rotation_matrix, single_qubit_unitary)
+                      dense_readout, oracle_forward, param_shift_oracle,
+                      rotation_matrix, single_qubit_unitary)
 
 
 def cfg_for(n=2, t=1, layers=4, aux=0, **kw):
@@ -55,14 +56,6 @@ def test_zero_angles_give_zero_state():
     assert probs[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
-def dense_readout(q, gates):
-    """Basis-state probabilities after applying dense gates to |0...0>."""
-    state = np.eye(2**q, dtype=complex)[:, 0]
-    for gate in gates:
-        state = gate @ state
-    return np.abs(state) ** 2
-
-
 def rotations(q, kind, angles):
     return [single_qubit_unitary(q, k, rotation_matrix(kind, angles[k]))
             for k in range(q)]
@@ -78,10 +71,10 @@ def test_single_qubit_circuit_structure():
         gates += [rotation_matrix("RX", z), rotation_matrix("RY", th[layer, 0, 0]),
                   rotation_matrix("RZ", th[layer, 0, 1])]
     probs = gen.batch_patch_probs(cfg, *one_row(th, [z]))[0]
-    np.testing.assert_allclose(probs, dense_readout(1, gates), atol=1e-12)
+    np.testing.assert_allclose(probs, dense_readout(gates), atol=1e-12)
     # RZ before RY would read differently
     swapped = [gates[i] for i in (0, 2, 1, 3, 5, 4)]
-    assert np.abs(probs - dense_readout(1, swapped)).max() > 1e-3
+    assert np.abs(probs - dense_readout(swapped)).max() > 1e-3
 
 
 def test_circuit_gate_count():
@@ -99,9 +92,9 @@ def test_circuit_gate_count():
     assert len(gates) == 22  # 2 * (3 RX + 3 RY + 3 RZ + 2 CNOT)
     probs = gen.batch_patch_probs(cfg_for(q, 1, layers=layers),
                                   *one_row(th, z))[0]
-    np.testing.assert_allclose(probs, dense_readout(q, gates), atol=1e-12)
+    np.testing.assert_allclose(probs, dense_readout(gates), atol=1e-12)
     # one CNOT fewer reads differently
-    assert np.abs(probs - dense_readout(q, gates[:-1])).max() > 1e-3
+    assert np.abs(probs - dense_readout(gates[:-1])).max() > 1e-3
 
 
 def test_circuit_shape_mismatch():
@@ -262,11 +255,14 @@ def test_chunked_probs_match_oracle(monkeypatch):
 
 
 # Kernel chunk sizes, in amplitudes, for a q=3 (two features, one aux), t=2
-# batch of five samples.  At 8 a chunk holds one row, so every sample's rows
-# span several chunks; at 32 forward and sampling blocks hold two samples; at
-# 800 parameter-shift blocks (48 rows of 8 amplitudes per sample) hold two.
+# batch of five samples: (forward and sampling blocks, gradient blocks), in
+# samples.  A forward row is one 8-amplitude state, a gradient row two (psi
+# and lam).  At 8 a chunk holds one forward row and half a gradient row, so
+# every sample's rows span several chunks on both paths; at 32 forward
+# blocks hold two samples and gradient blocks one; at 64 gradient blocks
+# hold two; at 800 one block holds the whole batch.
 BLOCK_LAYOUTS = {8: ([1] * 5, [1] * 5), 32: ([2, 2, 1], [1] * 5),
-                 800: ([5], [2, 2, 1])}
+                 64: ([4, 1], [2, 2, 1]), 800: ([5], [5])}
 
 
 @pytest.mark.parametrize("chunk", sorted(BLOCK_LAYOUTS))
@@ -278,9 +274,9 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
     uniforms = rng.random((5, 2))
     upstream = rng.normal(size=(5, cfg.output_dim))
     monkeypatch.setattr(gen, "_CHUNK_ELEMS", chunk)
-    shifts = np.zeros((2, 2 * cfg.params_per_patch, 2, 3, 2))
-    layout = tuple([hi - lo for lo, hi, _ in gen.patch_blocks(cfg, v, z)]
-                   for v in (params.theta[:, None], shifts))
+    layout = tuple([hi - lo for lo, hi, _, _ in
+                    gen.patch_blocks(cfg, params.theta, z, states)]
+                   for states in (1, 2))
     assert layout == BLOCK_LAYOUTS[chunk]
 
     forward = gen.forward_batch(cfg, params, z)
@@ -297,11 +293,15 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
     grad = gen.param_shift_batch(cfg, params, z, upstream)
     np.testing.assert_allclose(grad, loss_fd(cfg, params, z, upstream),
                                rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(
+        grad, param_shift_oracle(params.theta, z, upstream), rtol=0,
+        atol=1e-10)
 
 
 @pytest.mark.parametrize("call, n, t, batch", [
     ("sample_batch", 2, 30, 25_000),
     ("param_shift_batch", 8, 2, 32),
+    ("param_shift_batch", 10, 2, 32),
 ])
 def test_kernel_memory_stays_chunk_sized(call, n, t, batch):
     """Peak allocation is the output plus a few chunks, never a stacked
@@ -358,6 +358,44 @@ def test_param_shift_matches_finite_differences(seed):
     grad = gen.param_shift_batch(cfg, params, z, upstream)
     fd = loss_fd(cfg, params, z, upstream)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+
+def random_instance(rng, max_qubits=6):
+    """Generator config, angles, noise and upstream of a random batch:
+    1 to ``max_qubits`` qubits with 0-1 of them auxiliary, 1-4 layers, 1-3
+    patches, both noise shapes and 1-4 samples."""
+    q = int(rng.integers(1, max_qubits + 1))
+    aux = int(rng.integers(0, 2)) if q > 1 else 0
+    cfg = cfg_for(q - aux, int(rng.integers(1, 4)),
+                  layers=int(rng.integers(1, 5)), aux=aux,
+                  resample_noise_each_layer=bool(rng.integers(0, 2)))
+    params = gen.init_params(cfg, rng)
+    batch = int(rng.integers(1, 5))
+    z = gen.sample_noise(cfg, rng, batch=batch)
+    return cfg, params, z, rng.normal(size=(batch, cfg.output_dim))
+
+
+def test_param_shift_matches_shift_rule_oracle():
+    """The adjoint sweep gives the exact parameter-shift gradient."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        cfg, params, z, upstream = random_instance(rng)
+        np.testing.assert_allclose(
+            gen.param_shift_batch(cfg, params, z, upstream),
+            param_shift_oracle(params.theta, z, upstream), rtol=0,
+            atol=1e-10)
+
+
+def test_inert_angles_have_zero_gradient():
+    """The last layer's RZ angles, and its RY angles on auxiliary qubits,
+    act just before the CNOT chain and the feature-bit readout, so they
+    cannot move any output."""
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        cfg, params, z, upstream = random_instance(rng, max_qubits=8)
+        last = gen.param_shift_batch(cfg, params, z, upstream)[:, -1]
+        assert np.abs(last[:, :, 1]).max() <= 1e-14
+        assert np.abs(last[:, cfg.n_feature:, 0]).max(initial=0.0) <= 1e-14
 
 
 def test_param_shift_batch_sums_over_samples():

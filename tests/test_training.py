@@ -350,6 +350,38 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
+    first, second = run_small_training(seed=16), run_small_training(seed=17)
+    path = tmp_path / "model.ckpt"
+    tr.save_checkpoint(first, path)
+    saved = path.read_bytes()
+
+    class HalfWrite:
+        """A file that takes half of what it is given, then fails."""
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("No space left on device")
+
+    monkeypatch.setattr(tr, "open", lambda *a, **kw: HalfWrite(open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        tr.save_checkpoint(second, path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    assert path.read_bytes() == saved
+    np.testing.assert_array_equal(tr.load_checkpoint(path).gen_params.theta,
+                                  first.gen_params.theta)
+
+
 def test_checkpoint_truncated_fails_checksum(tmp_path):
     ckpt = run_small_training()
     path = tmp_path / "model.ckpt"
