@@ -24,6 +24,7 @@ from . import stats as stats_mod
 from . import training
 from .errors import (CheckpointFormatError, ConfigurationError,
                      DataFormatError, NumericalError)
+from .fileio import atomic_path
 from .generator import GeneratorConfig, sample_batch
 from .spikedata import (MAX_STATE_BITS, SpikeMatrix, WindowSpec, all_windows,
                         first_n_spec, load_spikes, save_spikes,
@@ -49,6 +50,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip() != "")
+
+
+def _parse_flag(conv, text: str, flag: str):
+    """``conv(text)`` for a command-line flag, as a validation error."""
+    try:
+        return conv(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad value for {flag}: {text!r}") from exc
 
 
 _REQUIRED = object()
@@ -177,7 +186,8 @@ def _write_snapshot(path: Path, sections: dict[str, dict]) -> None:
         for key, value in values.items():
             lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
-    path.write_text("\n".join(lines), encoding="utf-8")
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
 
 
 # --- resolved run configuration ---------------------------------------------
@@ -310,7 +320,7 @@ def cmd_generate(args) -> int:
 
 
 def _parse_neuron_arg(text: str) -> tuple[int, ...]:
-    parts = _parse_int_list(text)
+    parts = _parse_flag(_parse_int_list, text, "--neurons")
     if len(parts) == 1 and "," not in text:
         return tuple(range(parts[0]))
     return parts
@@ -345,7 +355,8 @@ def _evaluate_windows(gen_windows: np.ndarray, ref_windows: np.ndarray,
 
 
 def _write_summary(path: Path, summary: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
+                                        newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metric", "value"])
         for key, value in summary.items():
@@ -401,7 +412,8 @@ def cmd_surrogate(args) -> int:
 
     n = int(pick(args.neurons, "neurons"))
     cols = int(pick(args.cols, "cols"))
-    rates = _parse_float_list(args.rates) if args.rates else from_cfg["rates"]
+    rates = (_parse_flag(_parse_float_list, args.rates, "--rates")
+             if args.rates else from_cfg["rates"])
     if not rates:
         raise ConfigurationError("missing surrogate parameter 'rates'")
     if len(rates) == 1:
@@ -455,7 +467,8 @@ def _sweep_cell_task(packed):
 
 
 def _write_sweep_results(path: Path, results: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
+                                        newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "t", "K", "seed", "mse_kprob", "mse_rate", "js"])
         for row in results:
@@ -474,7 +487,8 @@ def _write_loss_diff(path: Path, results: list[dict]) -> None:
     if not {0.0, 1.0} <= k_values:
         return
     cells = sorted({(row["n"], row["t"]) for row in results})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
+                                        newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "t", "kprob_mse_diff", "rate_mse_diff"])
         for n, t in cells:
@@ -552,8 +566,8 @@ def cmd_sweep(args) -> int:
     }
     _write_snapshot(out / "resolved_config.ini", snapshot)
     if failures:
-        with open(out / "sweep_failures.csv", "w", encoding="utf-8",
-                  newline="") as fh:
+        with atomic_path(out / "sweep_failures.csv") as tmp, open(
+                tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "t", "K", "seed", "error"])
             writer.writerows(failures)

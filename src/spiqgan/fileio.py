@@ -1,0 +1,25 @@
+"""Atomic replacement of output files."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+
+
+@contextmanager
+def atomic_path(path):
+    """Yield a temporary path beside ``path`` to write the new contents to.
+
+    When the block completes, the temporary file is renamed over ``path``;
+    if it raises, the temporary file is removed and ``path`` keeps its
+    previous contents, so an interrupted write never leaves a truncated
+    artifact behind.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

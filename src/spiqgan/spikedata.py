@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataFormatError
+from .fileio import atomic_path
 
 _HEADER_PREFIX = "SPIKES v1"
 # State indices cover 2^(n*t) outcomes; past 20 bits the histogram is
@@ -131,7 +132,8 @@ def save_spikes(m: SpikeMatrix, path) -> None:
     """Write the canonical ``SPIKES v1`` representation."""
     lines = [f"{_HEADER_PREFIX} {m.n_neurons} {m.n_bins} {m.bin_width!r}"]
     lines.extend(row.tobytes().decode("ascii") for row in m.data + ord("0"))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
+                                        newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -180,9 +182,14 @@ def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
     induces positive pairwise covariance and bursting whenever
     ``burst_gain > 1``; with ``burst_gain == 1`` rows are i.i.d. Bernoulli.
     """
-    rates = np.broadcast_to(np.asarray(rates, dtype=float), (n,)).copy()
     if n < 1 or cols < 1:
         raise ConfigurationError("n and cols must be >= 1")
+    rates = np.asarray(rates, dtype=float).reshape(-1)
+    if rates.size not in (1, n):
+        raise ConfigurationError(
+            f"rates has {rates.size} entries; give one or one per neuron ({n})"
+        )
+    rates = np.broadcast_to(rates, (n,)).copy()
     if not ((rates > 0) & (rates < 1)).all():
         raise ConfigurationError("rates must lie strictly in (0, 1)")
     if burst_gain <= 0 or burst_gain * rates.max() > 1:

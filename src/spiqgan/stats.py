@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
+from .fileio import atomic_path
 from .spikedata import MAX_STATE_BITS, state_indices
 
 
@@ -173,7 +174,8 @@ def build_report(samples, bin_width: float, max_lag: int) -> StatReport:
 
 
 def _write_stat_csv(path: Path, name: str, values: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
+                                        newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["stat", "index", "value"])
         for i, v in enumerate(values):
@@ -193,7 +195,8 @@ def write_report_csvs(report: StatReport, out_dir) -> None:
         _write_stat_csv(out / "autocorrelogram.csv", "autocorrelogram",
                         report.autocorrelogram)
     meta = report.sample_meta
-    with open(out / "meta.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_path(out / "meta.csv") as tmp, open(
+            tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["key", "value"])
         writer.writerow(["neurons", meta.n_neurons])

@@ -9,7 +9,6 @@ parallel.  Training is therefore a pure function of (configs, data, seed).
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -24,6 +23,7 @@ from . import generator as gen_mod
 from . import stats as stats_mod
 from .critic import AdamState, CriticParams, adam_init, adam_step, clip_weights
 from .errors import CheckpointFormatError, ConfigurationError, NumericalError
+from .fileio import atomic_path
 from .generator import GeneratorConfig, GeneratorParams
 from .spikedata import (MAX_STATE_BITS, SpikeMatrix, WindowSpec, all_windows,
                         bit_reverse_permutation, first_n_spec, sample_windows)
@@ -299,7 +299,8 @@ class LogRow:
 
 
 def write_train_log(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
+                                        newline="\n") as fh:
         fh.write("step,loss_critic,loss_gen,count_gap,js_divergence\n")
         for row in rows:
             js = "" if row.js_divergence is None else repr(row.js_divergence)
@@ -430,15 +431,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     for _, t in tensors:
         blob += np.ascontiguousarray(t, dtype="<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(bytes(blob))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(bytes(blob))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -39,15 +39,21 @@ def cnot_unitary(num_qubits, control, target):
 
 
 def dense_readout(gates):
-    """Basis-state probabilities after applying dense gates to |0...0>."""
-    state = np.eye(gates[0].shape[0], dtype=complex)[:, 0]
+    """Basis-state probabilities after applying dense gates to |0...0>.
+
+    ``gates`` may be any iterable, so a wide circuit's gates need not all be
+    held at once.
+    """
+    state = None
     for gate in gates:
+        if state is None:
+            state = np.eye(gate.shape[0], dtype=complex)[:, 0]
         state = gate @ state
     return np.abs(state) ** 2
 
 
 def ansatz_gates(theta, z):
-    """Dense gates of one patch in circuit order.
+    """Dense gates of one patch in circuit order, one at a time.
 
     ``theta`` is (L, q, 2) with axis 0 = RY, 1 = RZ; ``z`` is (q,) or (L, q).
     Per layer: RX(z) on every qubit, RY then RZ on every qubit, then
@@ -57,17 +63,16 @@ def ansatz_gates(theta, z):
     theta = np.asarray(theta, dtype=float)
     n_layers, q, _ = theta.shape
     z = np.broadcast_to(z, (n_layers, q))
-    gates = []
     for layer in range(n_layers):
-        gates += [single_qubit_unitary(q, k, rotation_matrix("RX", z[layer, k]))
-                  for k in range(q)]
         for k in range(q):
-            gates.append(single_qubit_unitary(
-                q, k, rotation_matrix("RY", theta[layer, k, 0])))
-            gates.append(single_qubit_unitary(
-                q, k, rotation_matrix("RZ", theta[layer, k, 1])))
-        gates += [cnot_unitary(q, k, k + 1) for k in range(q - 1)]
-    return gates
+            yield single_qubit_unitary(q, k, rotation_matrix("RX", z[layer, k]))
+        for k in range(q):
+            yield single_qubit_unitary(
+                q, k, rotation_matrix("RY", theta[layer, k, 0]))
+            yield single_qubit_unitary(
+                q, k, rotation_matrix("RZ", theta[layer, k, 1]))
+        for k in range(q - 1):
+            yield cnot_unitary(q, k, k + 1)
 
 
 def ansatz_probs(theta, z):
@@ -110,7 +115,7 @@ def param_shift_oracle(theta, z, upstream):
     grad = np.zeros_like(theta)
     for j in range(len(z)):
         for p in range(n_patches):
-            gates = ansatz_gates(theta[p], z[j, p])
+            gates = list(ansatz_gates(theta[p], z[j, p]))
             weights = upstream[j, p * n_feature:(p + 1) * n_feature]
             for layer, k, axis in np.ndindex(theta.shape[1:]):
                 at = layer * (4 * q - 1) + q + 2 * k + axis

@@ -79,6 +79,29 @@ def test_surrogate_via_config_file(tmp_path):
     assert m.data.shape == (2, 50)
 
 
+# --- bad input -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{cfg}", "--set", "generator.noise_high=inf"],
+    ["surrogate", "--neurons", "2", "--cols", "10", "--rates", "abc",
+     "--out", "{out}"],
+    ["surrogate", "--neurons", "2", "--cols", "10", "--rates", "0.1,0.2,0.3",
+     "--out", "{out}"],
+    ["evaluate", "--generated", "{data}", "--reference", "{data}",
+     "--neurons", "1,x", "--timesteps", "1", "--out", "{out}"],
+], ids=["infinite-noise-bound", "unparsable-rates", "rates-per-neuron-mismatch",
+        "unparsable-neuron-list"])
+def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
+    data = make_surrogate(tmp_path, cols=100)
+    cfg = write_train_config(tmp_path, data, tmp_path / "run")
+    capsys.readouterr()
+    code = run_cli(*[arg.format(cfg=cfg, data=data, out=tmp_path / "out")
+                     for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- train ---------------------------------------------------------------------
 
 def test_train_missing_data_exits_2(tmp_path):

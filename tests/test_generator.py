@@ -42,6 +42,9 @@ def test_config_validation():
         cfg_for(2, 0)
     with pytest.raises(ConfigurationError):
         gen.GeneratorConfig(n_feature=20, n_patches=1, n_aux=5)
+    for low, high in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            cfg_for(2, 1, noise_low=low, noise_high=high)
 
 
 def one_row(theta_patch, z_patch):
@@ -254,6 +257,30 @@ def test_chunked_probs_match_oracle(monkeypatch):
                                    atol=1e-12)
 
 
+# (qubits, aux qubits, layers, per-layer noise) for every width from 1 to 10,
+# so the per-qubit passes and the Kronecker-factored layers both meet the
+# oracle on either side of gen._KRON_QUBITS; odd widths split into factors of
+# unequal size, and every width from 6 up has a layer after the first.
+WIDTHS = [(1, 0, 1, False), (2, 1, 4, True), (3, 0, 3, False),
+          (4, 1, 2, True), (5, 0, 1, True), (6, 1, 4, False),
+          (7, 0, 3, True), (8, 1, 2, False), (9, 0, 4, True),
+          (10, 1, 3, False)]
+
+
+@pytest.mark.parametrize("q, aux, layers, resample", WIDTHS)
+def test_batch_probs_match_dense_oracle_at_every_width(q, aux, layers,
+                                                       resample):
+    cfg = cfg_for(q - aux, 1, layers=layers, aux=aux,
+                  resample_noise_each_layer=resample)
+    rng = np.random.default_rng(40 + q)
+    thetas = rng.uniform(0, 2 * np.pi, (2, layers, q, 2))
+    z = rng.uniform(0, np.pi, (2, layers, q) if resample else (2, q))
+    probs = gen.batch_patch_probs(cfg, thetas, z)
+    for j in range(2):
+        np.testing.assert_allclose(probs[j], ansatz_probs(thetas[j], z[j]),
+                                   rtol=0, atol=1e-10)
+
+
 # Kernel chunk sizes, in amplitudes, for a q=3 (two features, one aux), t=2
 # batch of five samples: (forward and sampling blocks, gradient blocks), in
 # samples.  A forward row is one 8-amplitude state, a gradient row two (psi
@@ -300,6 +327,7 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
 
 @pytest.mark.parametrize("call, n, t, batch", [
     ("sample_batch", 2, 30, 25_000),
+    ("sample_batch", 10, 2, 1000),
     ("param_shift_batch", 8, 2, 32),
     ("param_shift_batch", 10, 2, 32),
 ])
@@ -360,14 +388,15 @@ def test_param_shift_matches_finite_differences(seed):
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
 
-def random_instance(rng, max_qubits=6):
+def random_instance(rng, max_qubits=6, min_qubits=1, min_layers=1):
     """Generator config, angles, noise and upstream of a random batch:
-    1 to ``max_qubits`` qubits with 0-1 of them auxiliary, 1-4 layers, 1-3
-    patches, both noise shapes and 1-4 samples."""
-    q = int(rng.integers(1, max_qubits + 1))
+    ``min_qubits`` to ``max_qubits`` qubits with 0-1 of them auxiliary,
+    ``min_layers`` to 4 layers, 1-3 patches, both noise shapes and 1-4
+    samples."""
+    q = int(rng.integers(min_qubits, max_qubits + 1))
     aux = int(rng.integers(0, 2)) if q > 1 else 0
     cfg = cfg_for(q - aux, int(rng.integers(1, 4)),
-                  layers=int(rng.integers(1, 5)), aux=aux,
+                  layers=int(rng.integers(min_layers, 5)), aux=aux,
                   resample_noise_each_layer=bool(rng.integers(0, 2)))
     params = gen.init_params(cfg, rng)
     batch = int(rng.integers(1, 5))
@@ -376,10 +405,15 @@ def random_instance(rng, max_qubits=6):
 
 
 def test_param_shift_matches_shift_rule_oracle():
-    """The adjoint sweep gives the exact parameter-shift gradient."""
+    """The adjoint sweep gives the exact parameter-shift gradient, on 40
+    instances up to 6 qubits and one each at 6, 7 and 8 qubits with a
+    layer after the first, around the Kronecker-factored kernel's
+    threshold."""
     rng = np.random.default_rng(31)
-    for _ in range(40):
-        cfg, params, z, upstream = random_instance(rng)
+    instances = [random_instance(rng) for _ in range(40)]
+    instances += [random_instance(rng, max_qubits=q, min_qubits=q,
+                                  min_layers=2) for q in (6, 7, 8)]
+    for cfg, params, z, upstream in instances:
         np.testing.assert_allclose(
             gen.param_shift_batch(cfg, params, z, upstream),
             param_shift_oracle(params.theta, z, upstream), rtol=0,

@@ -5,6 +5,7 @@ import pytest
 
 from spiqgan import critic as cr
 from spiqgan import generator as gen
+from spiqgan import spikedata
 from spiqgan import training as tr
 from spiqgan.errors import CheckpointFormatError, ConfigurationError
 from spiqgan.spikedata import SpikeMatrix
@@ -350,29 +351,36 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+class HalfWrite:
+    """A file that takes half of what it is given, then fails."""
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("No space left on device")
+
+
+def fail_writes_in(monkeypatch, module):
+    """Make every file that ``module`` opens a HalfWrite."""
+    monkeypatch.setattr(module, "open",
+                        lambda *a, **kw: HalfWrite(open(*a, **kw)),
+                        raising=False)
+
+
 def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
     first, second = run_small_training(seed=16), run_small_training(seed=17)
     path = tmp_path / "model.ckpt"
     tr.save_checkpoint(first, path)
     saved = path.read_bytes()
 
-    class HalfWrite:
-        """A file that takes half of what it is given, then fails."""
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            self.fh.write(data[:len(data) // 2])
-            raise OSError("No space left on device")
-
-    monkeypatch.setattr(tr, "open", lambda *a, **kw: HalfWrite(open(*a, **kw)),
-                        raising=False)
+    fail_writes_in(monkeypatch, tr)
     with pytest.raises(OSError, match="No space"):
         tr.save_checkpoint(second, path)
     monkeypatch.undo()
@@ -380,6 +388,26 @@ def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
     assert path.read_bytes() == saved
     np.testing.assert_array_equal(tr.load_checkpoint(path).gen_params.theta,
                                   first.gen_params.theta)
+
+
+def test_log_and_spikes_failed_write_keep_previous(tmp_path, monkeypatch):
+    log, spikes = tmp_path / "train_log.csv", tmp_path / "generated.spk"
+    rows = [tr.LogRow(1, 0.5, -0.25, 0.1, 0.3), tr.LogRow(2, 0.4, -0.2, 0.1)]
+    tr.write_train_log(rows, log)
+    spikedata.save_spikes(tiny_data(seed=1), spikes)
+    saved = {path: path.read_bytes() for path in (log, spikes)}
+
+    fail_writes_in(monkeypatch, tr)
+    fail_writes_in(monkeypatch, spikedata)
+    with pytest.raises(OSError, match="No space"):
+        tr.write_train_log(rows[::-1], log)
+    with pytest.raises(OSError, match="No space"):
+        spikedata.save_spikes(tiny_data(seed=2), spikes)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "generated.spk", "train_log.csv"]
+    for path, data in saved.items():
+        assert path.read_bytes() == data
 
 
 def test_checkpoint_truncated_fails_checksum(tmp_path):
