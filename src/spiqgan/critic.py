@@ -59,14 +59,6 @@ def _check_input(p: CriticParams, x: np.ndarray) -> None:
         )
 
 
-def critic_forward(p: CriticParams, x) -> float:
-    """w2 . relu(w1 x + b1) + b2; accepts binary samples and marginals alike."""
-    x = np.asarray(x, dtype=float)
-    _check_input(p, x)
-    h = np.maximum(p.w1 @ x + p.b1, 0.0)
-    return float(p.w2 @ h + p.b2)
-
-
 def critic_forward_batch(p: CriticParams, xs: np.ndarray) -> np.ndarray:
     _check_input(p, xs)
     h = np.maximum(xs @ p.w1.T + p.b1, 0.0)

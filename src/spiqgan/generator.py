@@ -10,13 +10,16 @@ Conventions: qubit 0 is the least-significant bit of a basis index, so basis
 state ``b`` assigns ``(b >> k) & 1`` to qubit ``k``; rotations are
 ``R_A(phi) = exp(-i * phi * A / 2)`` for A in {X, Y, Z}.  Per layer each
 qubit gets one fused 2x2 gate ``RZ RY RX(z)`` and the CNOT chain is one
-composed gather; the full ``2^q x 2^q`` unitary is never formed.  Below
-``_KRON_QUBITS`` qubits a layer's gates are q strided passes, each pairing
-amplitudes along one qubit's stride; from it up, each state is a
-``2^hi x 2^lo`` matrix S over its top and bottom halves of qubits, and the
-layer is two batched matmuls ``G_hi S G_lo^T`` with the Kronecker products
-of those halves' gates.  The first layer acts on |0...0>, so its output is
-the Kronecker product of the gates' first columns.
+composed gather; the full ``2^q x 2^q`` unitary is never formed.  The gates
+come from two tables: the RZ RY coefficients of every (patch, layer, qubit),
+built once per call and shared by all rows of a patch, and each row's
+cos/sin of its half noise angles, taken once per row (per layer only when
+the noise is resampled).  Below ``_KRON_QUBITS`` qubits a layer's gates are q
+strided passes, each pairing amplitudes along one qubit's stride; from it
+up, each state is a ``2^hi x 2^lo`` matrix S over its top and bottom halves
+of qubits, and the layer is two batched matmuls ``G_hi S G_lo^T`` with the
+Kronecker products of those halves' gates.  The first layer acts on |0...0>,
+so its output is the Kronecker product of the gates' first columns.
 
 Feature qubits are indices ``0 .. n_feature-1``; auxiliary qubits occupy the
 top indices and are discarded at readout.  Flattened outputs are patch-major:
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,11 +53,12 @@ _CHUNK_ELEMS = 1 << 14
 # Qubit count from which _apply_gates applies a layer as two batched matmuls
 # of Kronecker-factored gates instead of one strided pass per qubit.  The
 # crossover, measured with forward_batch, sample_batch (1024 samples) and the
-# gradient (128 samples) at t=2 on one CPU, median of 9 alternating calls:
-# at q=6 the strided passes win (forward 27 vs 31 ms), at q=7 the two are
-# within run-to-run spread (forward 53-59 vs 51-57 ms, sampling 55-64 vs
-# 63-69 ms, gradient 30-35 vs 26-30 ms), and from q=8 the matmuls win
-# (forward 121 -> 90 ms, gradient 75 -> 56 ms; q=9: 292 -> 173 ms).
+# gradient (128 samples) at t=2 on one CPU, median of 9 alternating calls,
+# two runs: at q=6 the strided passes win (forward 33-36 vs 37-41 ms,
+# sampling 32-34 vs 37-40 ms, gradient 14-15 vs 15-16 ms), at q=7 they win
+# forward (64-65 vs 72 ms) and sampling (55 vs 66-68 ms) and lose the
+# gradient (34-36 vs 29 ms), and from q=8 the matmuls win (forward 129-135
+# -> 99-102 ms, sampling 124-131 -> 101-109 ms, gradient 81-83 -> 54 ms).
 _KRON_QUBITS = 8
 
 
@@ -169,18 +174,51 @@ def _inverse_chain_permutation(num_qubits: int) -> np.ndarray:
     return inv
 
 
-def _fused_gates(z: np.ndarray, thetas: np.ndarray):
-    """Entries ``(a, b)`` of each qubit's layer gate RZ(phi) RY(theta) RX(z).
+class _Rows(NamedTuple):
+    """Kernel rows: row i runs gate-table column ``patch[i]`` with noise
+    ``cos[i]``, ``sin[i]`` = cos(z/2), sin(z/2), each (L, q) per row."""
 
-    ``z``: (m, q), ``thetas``: (m, q, 2).  The product is the SU(2) matrix
-    ``[[a, -conj(b)], [b, conj(a)]]``; a and b come out (m, q).
-    """
-    cx, sx = np.cos(0.5 * z), np.sin(0.5 * z)
-    cy, sy = np.cos(0.5 * thetas[..., 0]), np.sin(0.5 * thetas[..., 0])
-    phase = np.exp(-0.5j * thetas[..., 1])
-    a = phase * (cy * cx + 1j * sy * sx)
-    b = phase.conj() * (sy * cx - 1j * cy * sx)
-    return a, b
+    table: np.ndarray
+    patch: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+    def chunks(self, row_elems: int):
+        """``(slice, rows)`` per kernel chunk; rows keep their own column."""
+        for part in _chunks(len(self.patch), row_elems):
+            yield part, self._replace(patch=self.patch[part],
+                                      cos=self.cos[part], sin=self.sin[part])
+
+
+def _gate_table(theta: np.ndarray) -> np.ndarray:
+    """Coefficients of each RZ(phi) RY(theta) pair, for angles ``theta``
+    (T, L, q, 2), as an (L, 2, T, q) complex table of
+    ``A = e^{-i phi/2} cos(theta/2)`` and ``B = i e^{-i phi/2} sin(theta/2)``;
+    a layer's A and B rows are contiguous, so rows gather them cheaply."""
+    half = 0.5 * theta.transpose(1, 3, 0, 2)
+    phase = np.exp(-1j * half[:, 1])
+    return np.stack([phase * np.cos(half[:, 0]),
+                     1j * phase * np.sin(half[:, 0])], axis=1)
+
+
+def _noise_table(cfg: GeneratorConfig, z: np.ndarray):
+    """cos(z/2) and sin(z/2) of each row's noise ``z`` (m, q) or (m, L, q),
+    as (m, L, q) views: taken once per row, not once per layer unless the
+    noise is resampled per layer."""
+    half = 0.5 * z.reshape(len(z), -1, cfg.n_qubits)
+    shape = (len(z), cfg.n_layers, cfg.n_qubits)
+    return np.broadcast_to(np.cos(half), shape), np.broadcast_to(
+        np.sin(half), shape)
+
+
+def _layer_gates(rows: _Rows, layer: int):
+    """Entries ``(a, b)`` of each row's gate RZ(phi) RY(theta) RX(z) in
+    ``layer``, each (m, q).  The gate is the SU(2) matrix
+    ``[[a, -conj(b)], [b, conj(a)]]`` with ``a = A cx + B sx`` and
+    ``b = i conj(B cx - A sx)``, where cx, sx = cos(z/2), sin(z/2)."""
+    big_a, big_b = np.take(rows.table[layer], rows.patch, axis=1)
+    cx, sx = rows.cos[:, layer], rows.sin[:, layer]
+    return big_a * cx + big_b * sx, 1j * (big_b * cx - big_a * sx).conj()
 
 
 def _kron_rows(factors: np.ndarray) -> np.ndarray:
@@ -229,29 +267,20 @@ def _apply_gates(states: np.ndarray, q: int, a: np.ndarray,
     return states
 
 
-def _forward_states(cfg: GeneratorConfig, thetas: np.ndarray,
-                    z: np.ndarray) -> np.ndarray:
-    """Final state vectors (m, 2^q) of rows ``thetas`` (m, L, q, 2) with
-    per-layer noise ``z`` (m, L, q).
+def _forward_states(cfg: GeneratorConfig, rows: _Rows) -> np.ndarray:
+    """Final state vectors (m, 2^q) of ``rows``.
 
     The first layer acts on |0...0>, so its output is the Kronecker product
     of the gates' first columns ``(a_k, b_k)``.
     """
-    q, m = cfg.n_qubits, thetas.shape[0]
-    a, b = _fused_gates(z[:, 0], thetas[:, 0])
+    q, m = cfg.n_qubits, len(rows.patch)
+    a, b = _layer_gates(rows, 0)
     states = _kron_rows(np.stack([a, b], axis=-1)[..., None]).reshape(m, -1)
     states = states[:, _chain_permutation(q)]
     for layer in range(1, cfg.n_layers):
-        states = _apply_gates(states, q,
-                              *_fused_gates(z[:, layer], thetas[:, layer]))
+        states = _apply_gates(states, q, *_layer_gates(rows, layer))
         states = states[:, _chain_permutation(q)]
     return states
-
-
-def _batch_probs_chunk(cfg: GeneratorConfig, thetas: np.ndarray,
-                       z: np.ndarray) -> np.ndarray:
-    states = _forward_states(cfg, thetas, z)
-    return states.real**2 + states.imag**2
 
 
 def _chunks(count: int, row_elems: int) -> list[slice]:
@@ -259,6 +288,16 @@ def _chunks(count: int, row_elems: int) -> list[slice]:
     ``row_elems`` amplitudes as fit in one kernel chunk, and at least one."""
     step = max(1, _CHUNK_ELEMS // row_elems)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def row_probs(cfg: GeneratorConfig, rows: _Rows) -> np.ndarray:
+    """Measurement distributions (m, 2^q) of ``rows``, a chunk at a time."""
+    out = np.empty((len(rows.patch), 2**cfg.n_qubits))
+    for part, chunk in rows.chunks(2**cfg.n_qubits):
+        states, probs = _forward_states(cfg, chunk), out[part]
+        np.square(states.real, out=probs)
+        probs += np.square(states.imag)
+    return out
 
 
 def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
@@ -271,15 +310,8 @@ def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
     if (thetas.shape[1:] != (layers, q, 2)
             or z.shape not in ((m, q), (m, layers, q))):
         raise ConfigurationError("patch angles or noise do not match the config")
-    if z.ndim == 2:
-        z = np.broadcast_to(z[:, None, :], (m, layers, q))
-    chunks = _chunks(m, 2**q)
-    if len(chunks) == 1:  # no copy; callers' sums see the kernel's layout
-        return _batch_probs_chunk(cfg, thetas, z)
-    out = np.empty((m, 2**q))
-    for rows in chunks:
-        out[rows] = _batch_probs_chunk(cfg, thetas[rows], z[rows])
-    return out
+    return row_probs(cfg, _Rows(_gate_table(thetas), np.arange(m),
+                                *_noise_table(cfg, z)))
 
 
 def patch_blocks(cfg: GeneratorConfig, theta: np.ndarray,
@@ -287,21 +319,19 @@ def patch_blocks(cfg: GeneratorConfig, theta: np.ndarray,
     """Kernel rows for a batch, a block of whole samples at a time.
 
     Stacks every (sample j, patch p) on the kernel's row axis: for samples
-    ``lo:hi``, row ``(j - lo) * t + p`` runs angles ``theta[p]`` with noise
-    ``noise_batch[j, p]``.  Yields ``(lo, hi, thetas, z)`` with thetas
-    (rows, L, q, 2) and z (rows, L, q); a block holds as many samples as fit
-    ``states_per_row`` state vectors per row in one kernel chunk, and at
-    least one.
+    ``lo:hi``, row ``(j - lo) * t + p`` runs patch p's column of the gate
+    table of ``theta``, built once per call, with noise
+    ``noise_batch[j, p]``.  Yields ``(lo, hi, rows)``; a block holds as many
+    samples as fit ``states_per_row`` state vectors per row in one kernel
+    chunk, and at least one.
     """
-    t, layers, q = cfg.n_patches, cfg.n_layers, cfg.n_qubits
+    t, q = cfg.n_patches, cfg.n_qubits
+    table = _gate_table(theta)
     for block in _chunks(noise_batch.shape[0], states_per_row * t * 2**q):
         count = block.stop - block.start
-        thetas = np.broadcast_to(theta, (count,) + theta.shape).reshape(
-            (count * t,) + theta.shape[1:])
         z = noise_batch[block].reshape((count * t,) + noise_batch.shape[2:])
-        if z.ndim == 2:
-            z = np.broadcast_to(z[:, None, :], (count * t, layers, q))
-        yield block.start, block.stop, thetas, z
+        yield block.start, block.stop, _Rows(
+            table, np.arange(count * t) % t, *_noise_table(cfg, z))
 
 
 def _marginals_from_probs(cfg: GeneratorConfig,
@@ -319,9 +349,8 @@ def forward_batch(cfg: GeneratorConfig, params: GeneratorParams,
                   noise_batch: np.ndarray) -> np.ndarray:
     """Marginals for a batch of samples, flattened patch-major: (B, n*t)."""
     out = np.empty((noise_batch.shape[0], cfg.output_dim))
-    for lo, hi, thetas, z in patch_blocks(cfg, params.theta, noise_batch):
-        probs = batch_patch_probs(cfg, thetas, z).reshape(
-            hi - lo, cfg.n_patches, -1)
+    for lo, hi, rows in patch_blocks(cfg, params.theta, noise_batch):
+        probs = row_probs(cfg, rows).reshape(hi - lo, cfg.n_patches, -1)
         out[lo:hi] = _marginals_from_probs(cfg, probs).reshape(hi - lo, -1)
     return out
 
@@ -337,8 +366,8 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
     out = np.empty((noise_batch.shape[0], cfg.n_feature, cfg.n_patches),
                    dtype=np.uint8)
     qubit = np.arange(cfg.n_feature)[:, None]
-    for lo, hi, thetas, z in patch_blocks(cfg, params.theta, noise_batch):
-        cum = np.cumsum(batch_patch_probs(cfg, thetas, z), axis=-1).reshape(
+    for lo, hi, rows in patch_blocks(cfg, params.theta, noise_batch):
+        cum = np.cumsum(row_probs(cfg, rows), axis=-1).reshape(
             hi - lo, cfg.n_patches, -1)
         basis = (cum <= uniforms[lo:hi, :, None]).sum(axis=-1)
         basis = np.minimum(basis, cum.shape[-1] - 1)
@@ -346,27 +375,28 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
     return out
 
 
-def _adjoint_chunk(cfg: GeneratorConfig, thetas: np.ndarray, z: np.ndarray,
+def _adjoint_chunk(cfg: GeneratorConfig, rows: _Rows, rz_phase: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
     """Each row's gradient of <psi|diag(weights)|psi> w.r.t. its angles.
 
-    ``weights`` is (m, 2^q); returns (m, L, q, 2).  Walks the layers
-    backwards from the final psi and lam = diag(weights) psi.  Per layer it
+    ``rz_phase`` is e^{i phi} per table column (T, L, q) and ``weights``
+    (m, 2^q); returns (m, L, q, 2).  Walks the layers backwards from the
+    final psi and lam = diag(weights) psi.  Per layer it
     undoes the CNOT chain, reads every qubit's derivatives from the pair sums
     ``s_ab = sum conj(lam_a) psi_b`` over the qubit's amplitude pairs (a, b
     its bit values), then un-applies the layer's gates on psi and lam.
     With phi the RZ angle, d/dphi = Im(s00 - s11) and
     d/dtheta = Re(e^{i phi} s10) - Re(e^{-i phi} s01).
     """
-    q, m = cfg.n_qubits, thetas.shape[0]
-    psi = _forward_states(cfg, thetas, z)
+    q, m = cfg.n_qubits, len(rows.patch)
+    psi = _forward_states(cfg, rows)
     states = np.stack([psi, weights * psi])  # psi and lam, one array
-    grad = np.empty(thetas.shape)
+    grad = np.empty((m, cfg.n_layers, q, 2))
     inverse = _inverse_chain_permutation(q)
     for layer in reversed(range(cfg.n_layers)):
         states = states[..., inverse]
         psi, bra = states[0], states[1].conj()
-        phase = np.exp(1j * thetas[:, layer, :, 1])
+        phase = np.take(rz_phase[:, layer], rows.patch, axis=0)
         for k in range(q):
             shape = (m, 2 ** (q - 1 - k), 2, 2**k)
             s = np.einsum("mxay,mxby->mab", bra.reshape(shape),
@@ -375,7 +405,7 @@ def _adjoint_chunk(cfg: GeneratorConfig, thetas: np.ndarray, z: np.ndarray,
             grad[:, layer, k, 0] = ((phase[:, k] * s[:, 1, 0]).real
                                     - (phase[:, k].conj() * s[:, 0, 1]).real)
         if layer:  # the states before the first layer are not needed
-            a, b = _fused_gates(z[:, layer], thetas[:, layer])
+            a, b = _layer_gates(rows, layer)
             states = _apply_gates(states, q, a.conj(), -b)
     return grad
 
@@ -401,11 +431,12 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
         float)
     upstream = upstream_batch.reshape(-1, t, n)
     grad = np.zeros(params.theta.shape)
-    for lo, hi, thetas, z in patch_blocks(cfg, params.theta, noise_batch, 2):
+    rz_phase = np.exp(1j * params.theta[..., 1])
+    for lo, hi, rows in patch_blocks(cfg, params.theta, noise_batch, 2):
         rows_upstream = upstream[lo:hi].reshape(-1, n)
-        rows = np.empty(thetas.shape)
-        for chunk in _chunks(len(rows), 2 * 2**q):
-            rows[chunk] = _adjoint_chunk(cfg, thetas[chunk], z[chunk],
-                                         rows_upstream[chunk] @ bits)
-        grad += rows.reshape((hi - lo,) + grad.shape).sum(axis=0)
+        row_grad = np.empty((len(rows.patch),) + grad.shape[1:])
+        for part, chunk in rows.chunks(2 * 2**q):
+            row_grad[part] = _adjoint_chunk(cfg, chunk, rz_phase,
+                                            rows_upstream[part] @ bits)
+        grad += row_grad.reshape((hi - lo,) + grad.shape).sum(axis=0)
     return grad

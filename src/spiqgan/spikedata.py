@@ -164,12 +164,6 @@ def all_windows(m: SpikeMatrix, spec: WindowSpec, stride: int = 1) -> np.ndarray
     return sub[:, cols].transpose(1, 0, 2)
 
 
-def flatten_windows(windows: np.ndarray) -> np.ndarray:
-    """(B, n, t) windows -> (B, n*t) patch-major critic inputs."""
-    b = windows.shape[0]
-    return windows.transpose(0, 2, 1).reshape(b, -1).astype(float)
-
-
 def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
                          burst_gain: float, rng: np.random.Generator,
                          bin_width: float = 0.02) -> SpikeMatrix:
@@ -208,29 +202,13 @@ def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
     return SpikeMatrix(data, bin_width=bin_width)
 
 
-def state_index(window) -> int:
-    """Map an n x t binary window to its state number.
+def state_indices(windows: np.ndarray) -> np.ndarray:
+    """State number of each (n, t) binary window of a (B, n, t) stack.
 
     Bits are read patch-major with neuron 0 of timestep 0 as the most
     significant bit, so for n=2, t=1 the states 00,01,10,11 carry indices
     0,1,2,3 with index 2 meaning "neuron 0 fired".
     """
-    w = np.asarray(window)
-    if w.ndim != 2:
-        raise ConfigurationError(f"window must be 2-D, got shape {w.shape}")
-    n, t = w.shape
-    if n * t > MAX_STATE_BITS:
-        raise ConfigurationError(
-            f"state space 2^{n * t} too large (max {MAX_STATE_BITS} bits)"
-        )
-    value = 0
-    for bit in w.T.reshape(-1):
-        value = (value << 1) | int(bit)
-    return value
-
-
-def state_indices(windows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`state_index` over a (B, n, t) stack."""
     w = np.asarray(windows)
     b, n, t = w.shape
     if n * t > MAX_STATE_BITS:

@@ -261,16 +261,15 @@ def model_state_distribution(gen_cfg: GeneratorConfig,
 
     Patch noise is independent, so the model distribution factorizes over
     patches; each factor is estimated exactly per draw and averaged over the
-    given noise block.  Indexing follows the state_index convention (neuron
-    0 of timestep 0 is the most significant bit).
+    given noise block.  Indexing follows the state_indices convention
+    (neuron 0 of timestep 0 is the most significant bit).
     """
     n, t = gen_cfg.n_feature, gen_cfg.n_patches
     if n * t > MAX_STATE_BITS:
         raise ConfigurationError("state distribution too large to enumerate")
     total = np.zeros((t, 2**n))
-    for lo, hi, thetas, z in gen_mod.patch_blocks(gen_cfg, params.theta,
-                                                  z_block):
-        probs = gen_mod.batch_patch_probs(gen_cfg, thetas, z)
+    for lo, hi, rows in gen_mod.patch_blocks(gen_cfg, params.theta, z_block):
+        probs = gen_mod.row_probs(gen_cfg, rows)
         total += probs.reshape(hi - lo, t, 2**gen_cfg.n_aux, 2**n).sum(
             axis=(0, 2))
     patches = total[:, bit_reverse_permutation(n)] / z_block.shape[0]

@@ -147,6 +147,38 @@ def central_difference(f, x, h=1e-5):
     return grad
 
 
+# --- naive critic and window layout ------------------------------------------
+
+def critic_forward(p, x):
+    """One input's critic score w2 . relu(w1 x + b1) + b2, unit by unit."""
+    x = np.asarray(x, dtype=float)
+    hidden = [max(float(np.dot(w, x) + b), 0.0) for w, b in zip(p.w1, p.b1)]
+    return float(np.dot(p.w2, hidden) + p.b2)
+
+
+def flatten_windows(windows):
+    """(B, n, t) windows -> (B, n*t) rows, patch-major: entry p*n + k is
+    neuron k at timestep p."""
+    b, n, t = np.shape(windows)
+    out = np.zeros((b, n * t))
+    for j in range(b):
+        for p in range(t):
+            for k in range(n):
+                out[j, p * n + k] = windows[j][k][p]
+    return out
+
+
+def state_index(window):
+    """State number of one n x t binary window: bits are read timestep by
+    timestep, neuron 0 of timestep 0 the most significant."""
+    window = np.asarray(window)
+    value = 0
+    for p in range(window.shape[1]):
+        for k in range(window.shape[0]):
+            value = (value << 1) | int(window[k, p])
+    return value
+
+
 # --- naive spike statistics -------------------------------------------------
 
 def brute_firing_rate(samples, bin_width):

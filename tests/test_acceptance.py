@@ -20,7 +20,8 @@ from spiqgan.spikedata import synthesize_surrogate
 
 from _oracles import (ansatz_probs, brute_autocorrelogram, brute_firing_rate,
                       brute_k_probability, brute_pairwise_cov,
-                      brute_state_histogram, central_difference)
+                      brute_state_histogram, central_difference,
+                      critic_forward)
 
 
 @contextmanager
@@ -116,7 +117,7 @@ def test_criterion_2_gradient_exactness():
             assert np.abs(p.w1 @ x + p.b1).min() > 1e-4
             grads, input_grads = cr.critic_backward_batch(p, x[None],
                                                           np.ones(1))
-            fd_x = central_difference(lambda v: cr.critic_forward(p, v), x)
+            fd_x = central_difference(lambda v: critic_forward(p, v), x)
             np.testing.assert_allclose(input_grads[0], fd_x,
                                        rtol=1e-6, atol=1e-9)
             for name, grad in zip(("w1", "b1", "w2", "b2"), grads):
@@ -124,7 +125,7 @@ def test_criterion_2_gradient_exactness():
                     q2 = p.copy()
                     setattr(q2, name,
                             tensor.reshape(np.shape(getattr(p, name))))
-                    return cr.critic_forward(q2, x)
+                    return critic_forward(q2, x)
                 fd = central_difference(
                     f, np.asarray(getattr(p, name), dtype=float))
                 np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)

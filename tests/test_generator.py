@@ -301,7 +301,7 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
     uniforms = rng.random((5, 2))
     upstream = rng.normal(size=(5, cfg.output_dim))
     monkeypatch.setattr(gen, "_CHUNK_ELEMS", chunk)
-    layout = tuple([hi - lo for lo, hi, _, _ in
+    layout = tuple([hi - lo for lo, hi, _ in
                     gen.patch_blocks(cfg, params.theta, z, states)]
                    for states in (1, 2))
     assert layout == BLOCK_LAYOUTS[chunk]
@@ -323,6 +323,40 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
     np.testing.assert_allclose(
         grad, param_shift_oracle(params.theta, z, upstream), rtol=0,
         atol=1e-10)
+
+
+# (features, aux qubits, per-layer noise) on either side of gen._KRON_QUBITS,
+# with kernel chunks of 2 forward rows (1 gradient row) or 4 forward rows (2
+# gradient rows).  With t=3, a chunk of two rows starts mid-sample, so a row
+# whose patch were counted from its chunk's start would run another patch's
+# gates.
+@pytest.mark.parametrize("forward_rows", [2, 4])
+@pytest.mark.parametrize("n, aux, resample", [(2, 1, True), (8, 0, False)])
+def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
+                                                   resample, forward_rows):
+    cfg = cfg_for(n, 3, layers=2, aux=aux,
+                  resample_noise_each_layer=resample)
+    rng = np.random.default_rng(23)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=2)
+    uniforms = rng.random((2, 3))
+    upstream = rng.normal(size=(2, cfg.output_dim))
+    monkeypatch.setattr(gen, "_CHUNK_ELEMS", forward_rows * 2**cfg.n_qubits)
+    forward = gen.forward_batch(cfg, params, z)
+    sampled = gen.sample_batch(cfg, params, z, uniforms)
+    for j in range(2):
+        np.testing.assert_allclose(
+            forward[j], oracle_forward(params.theta, z[j], n), rtol=0,
+            atol=1e-10)
+        for p in range(3):
+            cum = np.cumsum(ansatz_probs(params.theta[p], z[j, p]))
+            basis = min(int(np.searchsorted(cum, uniforms[j, p],
+                                            side="right")), len(cum) - 1)
+            np.testing.assert_array_equal(sampled[j, :, p],
+                                          (basis >> np.arange(n)) & 1)
+    np.testing.assert_allclose(
+        gen.param_shift_batch(cfg, params, z, upstream),
+        param_shift_oracle(params.theta, z, upstream), rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("call, n, t, batch", [

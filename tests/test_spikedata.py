@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from spiqgan import spikedata as sd
 from spiqgan.errors import ConfigurationError, DataFormatError
 
+from _oracles import flatten_windows, state_index
+
 
 def test_load_simple_file(tmp_path):
     path = tmp_path / "tiny.spk"
@@ -107,7 +109,7 @@ def test_windows_full_width():
     spec = sd.WindowSpec((0, 1), 3)
     out = sd.sample_windows(m, spec, 4, np.random.default_rng(0))
     assert out.shape == (4, 6)
-    expected = sd.flatten_windows(m.data[None])[0]
+    expected = flatten_windows(m.data[None])[0]
     for row in out:
         np.testing.assert_array_equal(row, expected)
 
@@ -212,14 +214,15 @@ def test_surrogate_validation():
 
 
 def test_state_index_examples():
-    assert sd.state_index(np.zeros((2, 2), dtype=int)) == 0
-    assert sd.state_index(np.array([[1], [0]])) == 2
-    assert sd.state_index(np.ones((2, 2), dtype=int)) == 15
+    windows = [np.zeros((2, 2), dtype=int), np.array([[1], [0]]),
+               np.ones((2, 2), dtype=int)]
+    assert [sd.state_indices(w[None])[0] for w in windows] == [0, 2, 15]
+    assert [state_index(w) for w in windows] == [0, 2, 15]
 
 
 def test_state_index_guard():
     with pytest.raises(ConfigurationError):
-        sd.state_index(np.zeros((3, 7), dtype=int))
+        sd.state_indices(np.zeros((1, 3, 7), dtype=int))
 
 
 @pytest.mark.parametrize("n,t", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 5), (3, 4)])
@@ -228,7 +231,7 @@ def test_state_index_bijection(n, t):
     for value in range(2 ** (n * t)):
         bits = [(value >> i) & 1 for i in range(n * t - 1, -1, -1)]
         window = np.array(bits).reshape(t, n).T
-        idx = sd.state_index(window)
+        idx = sd.state_indices(window[None])[0]
         assert idx == value
         seen.add(idx)
     assert len(seen) == 2 ** (n * t)
@@ -239,7 +242,7 @@ def test_state_indices_vectorized_matches_scalar():
     windows = (rng.random((50, 3, 4)) < 0.4).astype(np.uint8)
     vec = sd.state_indices(windows)
     for j in range(50):
-        assert vec[j] == sd.state_index(windows[j])
+        assert vec[j] == state_index(windows[j])
 
 
 def test_bit_reverse_permutation():

@@ -10,7 +10,7 @@ from spiqgan import training as tr
 from spiqgan.errors import CheckpointFormatError, ConfigurationError
 from spiqgan.spikedata import SpikeMatrix
 
-from _oracles import ansatz_probs, central_difference
+from _oracles import ansatz_probs, central_difference, state_index
 
 
 def tiny_data(seed=0, n=3, cols=400):
@@ -263,7 +263,6 @@ def test_model_state_distribution_zero_params():
 def brute_state_distribution(gen_cfg, theta, z):
     """Per-patch mean readout law from the dense oracle (auxiliary bits
     summed out), multiplied over patches state by state."""
-    from spiqgan.spikedata import state_index
     n, t = gen_cfg.n_feature, gen_cfg.n_patches
     means = []
     for p in range(t):
