@@ -1,9 +1,12 @@
 """Command-line surface: train, generate, evaluate, sweep, surrogate.
 
 Configuration comes from flat key=value INI files with CLI-flag overrides
-(``--set section.key=value``).  Every command writes a resolved snapshot
-next to its outputs so each artifact is self-describing, and every command
-is byte-deterministic given ``--seed``.
+(``--set section.key=value``).  A value is taken from, in order of
+precedence: a dedicated flag (``train --seed``), ``--set``, the file, the
+default.  The ``[generator]`` and ``[training]`` keys and defaults are the
+fields of ``GeneratorConfig`` and ``TrainConfig``.  Every command writes a
+resolved snapshot next to its outputs so each artifact is self-describing,
+and every command is byte-deterministic given ``--seed``.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
 """
@@ -14,14 +17,16 @@ import argparse
 import configparser
 import csv
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from itertools import product
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import stats as stats_mod
-from . import training
 from .errors import (CheckpointFormatError, ConfigurationError,
                      DataFormatError, NumericalError)
 from .fileio import atomic_path
@@ -41,7 +46,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise ConfigurationError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -52,40 +57,38 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip() != "")
 
 
-def _parse_flag(conv, text: str, flag: str):
-    """``conv(text)`` for a command-line flag, as a validation error."""
-    try:
-        return conv(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad value for {flag}: {text!r}") from exc
-
-
 _REQUIRED = object()
 
-_GENERATOR_SCHEMA = {
-    "neurons": (int, _REQUIRED),
-    "timesteps": (int, _REQUIRED),
-    "layers": (int, 4),
-    "aux_qubits": (int, 0),
-    "noise_low": (float, 0.0),
-    "noise_high": (float, float(np.pi)),
-    "resample_noise_each_layer": (_parse_bool, False),
-}
+# Converter of a config dataclass field, by its annotation.
+_CONVERTERS = {int: int, float: float, bool: _parse_bool, str: str}
 
-_TRAINING_SCHEMA = {
-    "total_gen_steps": (int, _REQUIRED),
-    "seed": (int, 0),
-    "batch_size": (int, 32),
-    "lr_gen": (float, 0.05),
-    "lr_critic": (float, 0.002),
-    "k_coeff": (float, 1.0),
-    "critic_steps_per_gen": (int, 2),
-    "clip_c": (float, 0.01),
-    "clip_enabled": (_parse_bool, True),
-    "js_log_interval": (int, 25),
-    "js_noise_draws": (int, 2048),
-    "penalty_mode": (str, "absolute"),
-}
+# INI keys whose config dataclass field has another name.
+_INI_TO_FIELD = {"neurons": "n_feature", "timesteps": "n_patches",
+                 "layers": "n_layers", "aux_qubits": "n_aux"}
+
+
+def _schema_of(cls) -> dict:
+    """INI schema of a config dataclass: one key per field, in field order;
+    fields without a default are required."""
+    ini_key = {name: key for key, name in _INI_TO_FIELD.items()}
+    types = get_type_hints(cls)
+    return {
+        ini_key.get(f.name, f.name): (
+            _CONVERTERS[types[f.name]],
+            _REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls)
+    }
+
+
+def _fields_of(section: dict) -> dict:
+    """Config dataclass keyword arguments from a resolved INI section."""
+    return {_INI_TO_FIELD.get(key, key): value
+            for key, value in section.items()}
+
+
+_GENERATOR_SCHEMA = _schema_of(GeneratorConfig)
+
+_TRAINING_SCHEMA = _schema_of(TrainConfig)
 
 _WINDOW_SCHEMA = {
     "neuron_subset": (_parse_int_list, ()),
@@ -106,25 +109,32 @@ _SWEEP_SCHEMA = {
 }
 
 _SURROGATE_SCHEMA = {
-    "neurons": (int, None),
-    "cols": (int, None),
-    "rates": (_parse_float_list, None),
-    "burst_prob": (float, None),
-    "burst_gain": (float, None),
-    "bin_width": (float, None),
+    "neurons": (int, _REQUIRED),
+    "cols": (int, _REQUIRED),
+    "rates": (_parse_float_list, _REQUIRED),
+    "burst_prob": (float, 0.9),
+    "burst_gain": (float, 2.0),
+    "bin_width": (float, 0.02),
 }
 
 
 def _read_config(path: str | None, overrides: list[str],
-                 allowed: dict[str, dict]) -> dict[str, dict]:
-    """Parse an INI file plus ``section.key=value`` overrides against a schema."""
-    raw: dict[str, dict[str, str]] = {}
+                 allowed: dict[str, dict],
+                 flags: dict | None = None) -> dict[str, dict]:
+    """Resolve every section of ``allowed`` against its schema.
+
+    Each layer overrides the one before: the schema default, the INI file at
+    ``path``, the ``section.key=value`` strings in ``overrides``, and then
+    ``flags``, a ``section.key`` -> value map of command-line flags whose
+    ``None`` entries were not given.
+    """
+    raw: dict[str, dict] = {}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"bad config file {path}: {exc}") from exc
         for section in parser.sections():
             raw[section] = dict(parser.items(section))
@@ -136,13 +146,17 @@ def _read_config(path: str | None, overrides: list[str],
         dotted, value = item.split("=", 1)
         section, key = dotted.split(".", 1)
         raw.setdefault(section.strip(), {})[key.strip()] = value.strip()
+    for dotted, value in (flags or {}).items():
+        if value is not None:
+            section, key = dotted.split(".")
+            raw.setdefault(section, {})[key] = value
 
     for section in raw:
         if section not in allowed:
             raise ConfigurationError(f"unknown config section [{section}]")
     resolved: dict[str, dict] = {}
     for section, schema in allowed.items():
-        values = dict(raw.get(section, {}))
+        values = raw.get(section, {})
         out: dict = {}
         for key in values:
             if key not in schema:
@@ -153,8 +167,6 @@ def _read_config(path: str | None, overrides: list[str],
             if key in values:
                 try:
                     out[key] = conv(values[key])
-                except ConfigurationError:
-                    raise
                 except ValueError as exc:
                     raise ConfigurationError(
                         f"bad value for {section}.{key}: {values[key]!r}"
@@ -197,47 +209,20 @@ class RunConfig:
     gen_cfg: GeneratorConfig
     train_cfg: TrainConfig
     window: WindowSpec
-    data_path: str
-    out_dir: str
-    checkpoint_path: str
-
-
-def _gen_cfg_from(section: dict) -> GeneratorConfig:
-    return GeneratorConfig(
-        n_feature=section["neurons"],
-        n_patches=section["timesteps"],
-        n_layers=section["layers"],
-        n_aux=section["aux_qubits"],
-        noise_low=section["noise_low"],
-        noise_high=section["noise_high"],
-        resample_noise_each_layer=section["resample_noise_each_layer"],
-    )
-
-
-def _train_cfg_from(section: dict) -> TrainConfig:
-    return TrainConfig(**section)
-
-
-def _apply_common_flags(cfg: dict[str, dict], args) -> None:
-    if getattr(args, "seed", None) is not None and "training" in cfg:
-        cfg["training"]["seed"] = args.seed
-    if getattr(args, "out", None) is not None and "paths" in cfg:
-        cfg["paths"]["out"] = args.out
+    sections: dict[str, dict]  # the resolved config, as its snapshot
 
 
 def load_run_config(config_path: str | None, overrides: list[str],
-                    args=None) -> RunConfig:
+                    flags: dict | None = None) -> RunConfig:
     allowed = {
         "generator": _GENERATOR_SCHEMA,
         "training": _TRAINING_SCHEMA,
         "window": _WINDOW_SCHEMA,
         "paths": _PATHS_SCHEMA,
     }
-    cfg = _read_config(config_path, overrides, allowed)
-    if args is not None:
-        _apply_common_flags(cfg, args)
-    gen_cfg = _gen_cfg_from(cfg["generator"])
-    train_cfg = _train_cfg_from(cfg["training"])
+    cfg = _read_config(config_path, overrides, allowed, flags)
+    gen_cfg = GeneratorConfig(**_fields_of(cfg["generator"]))
+    train_cfg = TrainConfig(**cfg["training"])
     subset = cfg["window"]["neuron_subset"]
     if not subset:
         subset = tuple(range(gen_cfg.n_feature))
@@ -247,50 +232,22 @@ def load_run_config(config_path: str | None, overrides: list[str],
             f"window.neuron_subset has {len(window.neuron_subset)} entries, "
             f"generator.neurons is {gen_cfg.n_feature}"
         )
-    return RunConfig(
-        gen_cfg=gen_cfg,
-        train_cfg=train_cfg,
-        window=window,
-        data_path=cfg["paths"]["data"],
-        out_dir=cfg["paths"]["out"],
-        checkpoint_path=cfg["paths"]["checkpoint"],
-    )
-
-
-def _run_config_sections(run: RunConfig) -> dict[str, dict]:
-    g = run.gen_cfg
-    t = run.train_cfg
-    return {
-        "generator": {
-            "neurons": g.n_feature,
-            "timesteps": g.n_patches,
-            "layers": g.n_layers,
-            "aux_qubits": g.n_aux,
-            "noise_low": g.noise_low,
-            "noise_high": g.noise_high,
-            "resample_noise_each_layer": g.resample_noise_each_layer,
-        },
-        "training": {key: getattr(t, key) for key in _TRAINING_SCHEMA},
-        "window": {"neuron_subset": run.window.neuron_subset},
-        "paths": {
-            "data": run.data_path,
-            "out": run.out_dir,
-            "checkpoint": run.checkpoint_path,
-        },
-    }
+    cfg["window"]["neuron_subset"] = window.neuron_subset
+    return RunConfig(gen_cfg, train_cfg, window, cfg)
 
 
 # --- commands ---------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    run = load_run_config(args.config, args.set, args)
-    data = load_spikes(run.data_path)
+    run = load_run_config(args.config, args.set,
+                          {"training.seed": args.seed, "paths.out": args.out})
+    data = load_spikes(run.sections["paths"]["data"])
     ckpt, rows = train(run.train_cfg, data, run.gen_cfg, run.window)
-    out = Path(run.out_dir)
+    out = Path(run.sections["paths"]["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_train_log(rows, out / "train_log.csv")
     save_checkpoint(ckpt, out / "checkpoint.ckpt")
-    _write_snapshot(out / "resolved_config.ini", _run_config_sections(run))
+    _write_snapshot(out / "resolved_config.ini", run.sections)
     print(f"trained {run.train_cfg.total_gen_steps} generator steps -> {out}")
     return 0
 
@@ -320,7 +277,10 @@ def cmd_generate(args) -> int:
 
 
 def _parse_neuron_arg(text: str) -> tuple[int, ...]:
-    parts = _parse_flag(_parse_int_list, text, "--neurons")
+    try:
+        parts = _parse_int_list(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad value for --neurons: {text!r}") from exc
     if len(parts) == 1 and "," not in text:
         return tuple(range(parts[0]))
     return parts
@@ -398,52 +358,32 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    from_cfg = _read_config(args.config, args.set,
-                            {"surrogate": _SURROGATE_SCHEMA})["surrogate"]
-
-    def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        if from_cfg[key] is not None:
-            return from_cfg[key]
-        if default is not None:
-            return default
-        raise ConfigurationError(f"missing surrogate parameter {key!r}")
-
-    n = int(pick(args.neurons, "neurons"))
-    cols = int(pick(args.cols, "cols"))
-    rates = (_parse_flag(_parse_float_list, args.rates, "--rates")
-             if args.rates else from_cfg["rates"])
-    if not rates:
-        raise ConfigurationError("missing surrogate parameter 'rates'")
-    if len(rates) == 1:
-        rates = rates * n
-    burst_prob = float(pick(args.burst_prob, "burst_prob", 0.9))
-    burst_gain = float(pick(args.burst_gain, "burst_gain", 2.0))
-    bin_width = float(pick(args.bin_width, "bin_width", 0.02))
+    flags = {f"surrogate.{key}": getattr(args, key)
+             for key in _SURROGATE_SCHEMA}
+    cfg = _read_config(args.config, args.set,
+                       {"surrogate": _SURROGATE_SCHEMA}, flags)["surrogate"]
+    n = cfg["neurons"]
+    if len(cfg["rates"]) == 1:
+        cfg["rates"] = cfg["rates"] * n
     matrix = synthesize_surrogate(
-        n, cols, rates, burst_prob, burst_gain,
-        substream(args.seed, PURPOSE_SURROGATE), bin_width=bin_width)
+        n, cfg["cols"], cfg["rates"], cfg["burst_prob"], cfg["burst_gain"],
+        substream(args.seed, PURPOSE_SURROGATE), bin_width=cfg["bin_width"])
     save_spikes(matrix, args.out_file)
     _write_snapshot(Path(str(args.out_file) + ".config.ini"), {
-        "surrogate": {
-            "neurons": n, "cols": cols, "rates": tuple(rates),
-            "burst_prob": burst_prob, "burst_gain": burst_gain,
-            "bin_width": bin_width, "seed": args.seed,
-            "out": str(args.out_file),
-        },
+        "surrogate": {**cfg, "seed": args.seed, "out": str(args.out_file)},
     })
-    print(f"surrogate raster {n}x{cols} -> {args.out_file}")
+    print(f"surrogate raster {n}x{cfg['cols']} -> {args.out_file}")
     return 0
 
 
 # --- sweep -------------------------------------------------------------------
 
-def _sweep_cell(data: SpikeMatrix, base_gen: dict, base_train: dict,
+def _sweep_cell(data: SpikeMatrix, gen_section: dict, train_section: dict,
                 n: int, t: int, k: float, seed: int,
                 eval_samples: int) -> dict:
-    gen_cfg = GeneratorConfig(n_feature=n, n_patches=t, **base_gen)
-    train_cfg = TrainConfig(**{**base_train, "seed": seed, "k_coeff": k})
+    gen_cfg = GeneratorConfig(
+        **_fields_of({**gen_section, "neurons": n, "timesteps": t}))
+    train_cfg = TrainConfig(**train_section, seed=seed, k_coeff=k)
     window = first_n_spec(n, t)
     ckpt, rows = train(train_cfg, data, gen_cfg, window)
     z, uniforms = generation_noise(gen_cfg, seed, eval_samples)
@@ -461,9 +401,16 @@ def _sweep_cell(data: SpikeMatrix, base_gen: dict, base_train: dict,
     }
 
 
-def _sweep_cell_task(packed):
-    data, base_gen, base_train, n, t, k, seed, eval_samples = packed
-    return _sweep_cell(data, base_gen, base_train, n, t, k, seed, eval_samples)
+def _submit(pool, task):
+    """The ``result`` of ``task`` run in ``pool``; if the pool broke while
+    tasks were still being submitted, the call raises that instead."""
+    from concurrent.futures import BrokenExecutor, Future
+    try:
+        return pool.submit(_sweep_cell, *task).result
+    except BrokenExecutor as exc:
+        failed = Future()
+        failed.set_exception(exc)
+        return failed.result
 
 
 def _write_sweep_results(path: Path, results: list[dict]) -> None:
@@ -515,56 +462,32 @@ def cmd_sweep(args) -> int:
                      if k not in ("seed", "k_coeff")},
         "paths": _PATHS_SCHEMA,
     }
-    cfg = _read_config(args.config, args.set, allowed)
-    if args.out is not None:
-        cfg["paths"]["out"] = args.out
+    cfg = _read_config(args.config, args.set, allowed, {"paths.out": args.out})
     sweep = cfg["sweep"]
-    base_gen = {
-        "n_layers": cfg["generator"]["layers"],
-        "n_aux": cfg["generator"]["aux_qubits"],
-        "noise_low": cfg["generator"]["noise_low"],
-        "noise_high": cfg["generator"]["noise_high"],
-        "resample_noise_each_layer":
-            cfg["generator"]["resample_noise_each_layer"],
-    }
-    base_train = dict(cfg["training"])
-    base_train["seed"] = 0
-    base_train["k_coeff"] = 0.0
     data = load_spikes(cfg["paths"]["data"])
     out = Path(cfg["paths"]["out"])
     out.mkdir(parents=True, exist_ok=True)
 
     cells = list(product(sweep["neurons"], sweep["timesteps"],
                          sweep["k_values"], sweep["seeds"]))
-    tasks = [(data, base_gen, base_train, n, t, k, seed,
-              sweep["eval_samples"]) for n, t, k, seed in cells]
+    tasks = [(data, cfg["generator"], cfg["training"], *cell,
+              sweep["eval_samples"]) for cell in cells]
     results: list[dict] = []
     failures: list[tuple] = []
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_sweep_cell_task, task) for task in tasks]
-            for cell, fut in zip(cells, futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # cell failures never stop the sweep
-                    failures.append((*cell, str(exc)))
-    else:
-        for cell, task in zip(cells, tasks):
+    from concurrent.futures import ProcessPoolExecutor
+    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+          else nullcontext()) as pool:
+        jobs = [partial(_sweep_cell, *task) if pool is None
+                else _submit(pool, task) for task in tasks]
+        for cell, job in zip(cells, jobs):
             try:
-                results.append(_sweep_cell_task(task))
-            except Exception as exc:
+                results.append(job())
+            except Exception as exc:  # cell failures never stop the sweep
                 failures.append((*cell, str(exc)))
 
     _write_sweep_results(out / "sweep_results.csv", results)
     _write_loss_diff(out / "loss_diff.csv", results)
-    snapshot = {
-        "sweep": sweep,
-        "generator": cfg["generator"],
-        "training": {k: v for k, v in cfg["training"].items()},
-        "paths": cfg["paths"],
-    }
-    _write_snapshot(out / "resolved_config.ini", snapshot)
+    _write_snapshot(out / "resolved_config.ini", cfg)
     if failures:
         with atomic_path(out / "sweep_failures.csv") as tmp, open(
                 tmp, "w", encoding="utf-8", newline="") as fh:

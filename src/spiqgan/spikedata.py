@@ -92,38 +92,45 @@ def first_n_spec(n: int, window_len: int) -> WindowSpec:
 
 def load_spikes(path) -> SpikeMatrix:
     """Parse a ``SPIKES v1`` file, validating every entry."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split(" ")
-        if len(parts) != 5 or " ".join(parts[:2]) != _HEADER_PREFIX:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_spikes(fh)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _parse_spikes(fh) -> SpikeMatrix:
+    header = fh.readline().rstrip("\n")
+    parts = header.split(" ")
+    if len(parts) != 5 or " ".join(parts[:2]) != _HEADER_PREFIX:
+        raise DataFormatError(
+            f"bad header {header!r}: expected "
+            f"'{_HEADER_PREFIX} <neurons> <bins> <bin_width>'"
+        )
+    try:
+        n_neurons = int(parts[2])
+        n_bins = int(parts[3])
+        bin_width = float(parts[4])
+    except ValueError as exc:
+        raise DataFormatError(f"bad header fields in {header!r}") from exc
+    if n_neurons < 1 or n_bins < 1 or not bin_width > 0:
+        raise DataFormatError(f"bad header values in {header!r}")
+    rows = np.empty((n_neurons, n_bins), dtype=np.uint8)
+    for i in range(n_neurons):
+        line = fh.readline().rstrip("\n")
+        if len(line) != n_bins:
             raise DataFormatError(
-                f"bad header {header!r}: expected "
-                f"'{_HEADER_PREFIX} <neurons> <bins> <bin_width>'"
+                f"row {i} has {len(line)} entries, expected {n_bins}"
             )
-        try:
-            n_neurons = int(parts[2])
-            n_bins = int(parts[3])
-            bin_width = float(parts[4])
-        except ValueError as exc:
-            raise DataFormatError(f"bad header fields in {header!r}") from exc
-        if n_neurons < 1 or n_bins < 1 or not bin_width > 0:
-            raise DataFormatError(f"bad header values in {header!r}")
-        rows = np.empty((n_neurons, n_bins), dtype=np.uint8)
-        for i in range(n_neurons):
-            line = fh.readline().rstrip("\n")
-            if len(line) != n_bins:
-                raise DataFormatError(
-                    f"row {i} has {len(line)} entries, expected {n_bins}"
-                )
-            if line.count("0") + line.count("1") != n_bins:
-                j = next(j for j, ch in enumerate(line) if ch not in "01")
-                raise DataFormatError(
-                    f"non-binary entry {line[j]!r} at row {i}, column {j}")
-            rows[i] = np.frombuffer(line.encode("ascii"), np.uint8)
-        if fh.read().strip():
+        if line.count("0") + line.count("1") != n_bins:
+            j = next(j for j, ch in enumerate(line) if ch not in "01")
             raise DataFormatError(
-                f"trailing content after {n_neurons} declared rows"
-            )
+                f"non-binary entry {line[j]!r} at row {i}, column {j}")
+        rows[i] = np.frombuffer(line.encode("ascii"), np.uint8)
+    if fh.read().strip():
+        raise DataFormatError(
+            f"trailing content after {n_neurons} declared rows"
+        )
     rows -= ord("0")
     return SpikeMatrix(rows, bin_width=bin_width)
 

@@ -50,8 +50,8 @@ CHECKPOINT_VERSION = 1
 def substream(seed: int, purpose: int, step: int = 0,
               lane: int = 0) -> np.random.Generator:
     """Independent generator for one (purpose, step, lane) draw block."""
-    if seed < 0:
-        raise ConfigurationError("seed must be >= 0")
+    if not 0 <= seed < 2**128:
+        raise ConfigurationError("seed must be >= 0 and < 2**128")
     bg = np.random.Philox(key=seed, counter=[0, lane, step, purpose])
     return np.random.Generator(bg)
 

@@ -1,10 +1,15 @@
+import concurrent.futures
 import csv
+import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from spiqgan import cli
 from spiqgan import training as tr
+from spiqgan.generator import GeneratorConfig
 from spiqgan.spikedata import load_spikes
 
 
@@ -77,6 +82,12 @@ def test_surrogate_via_config_file(tmp_path):
     assert run_cli("surrogate", "--config", cfg, "--out", out) == 0
     m = load_spikes(out)
     assert m.data.shape == (2, 50)
+    import configparser
+    snap = configparser.ConfigParser(interpolation=None)
+    snap.read(str(out) + ".config.ini")
+    assert snap["surrogate"]["burst_prob"] == "0.9"
+    assert snap["surrogate"]["burst_gain"] == "2.0"
+    assert snap["surrogate"]["bin_width"] == "0.02"
 
 
 # --- bad input -------------------------------------------------------------
@@ -89,17 +100,43 @@ def test_surrogate_via_config_file(tmp_path):
      "--out", "{out}"],
     ["evaluate", "--generated", "{data}", "--reference", "{data}",
      "--neurons", "1,x", "--timesteps", "1", "--out", "{out}"],
+    ["train", "--config", "{bad_cfg}"],
+    ["evaluate", "--generated", "{bad_spk}", "--reference", "{data}",
+     "--neurons", "2", "--timesteps", "1", "--out", "{out}"],
+    ["train", "--config", "{cfg}", "--seed", str(2**128)],
+    ["generate", "--checkpoint", "{ckpt}", "--count", "5",
+     "--seed", str(2**128), "--out", "{out}"],
 ], ids=["infinite-noise-bound", "unparsable-rates", "rates-per-neuron-mismatch",
-        "unparsable-neuron-list"])
+        "unparsable-neuron-list", "non-utf8-config", "non-utf8-spikes",
+        "train-seed-2^128", "generate-seed-2^128"])
 def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
     data = make_surrogate(tmp_path, cols=100)
+    ckpt = trained_checkpoint(tmp_path) if "{ckpt}" in argv else None
     cfg = write_train_config(tmp_path, data, tmp_path / "run")
+    bad_cfg = tmp_path / "bad.ini"
+    bad_cfg.write_bytes(b"[generator]\nneurons = 2\xff\n")
+    bad_spk = tmp_path / "bad.spk"
+    bad_spk.write_bytes(b"SPIKES v1 2 2 0.02\n0\xff\n01\n")
     capsys.readouterr()
-    code = run_cli(*[arg.format(cfg=cfg, data=data, out=tmp_path / "out")
+    code = run_cli(*[arg.format(cfg=cfg, data=data, out=tmp_path / "out",
+                                ckpt=ckpt, bad_cfg=bad_cfg, bad_spk=bad_spk)
                      for arg in argv])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("override", [
+    "training.batch_size=8x", "training.lr_gen=fast",
+    "training.clip_enabled=maybe", "window.neuron_subset=1,x",
+], ids=["int", "float", "bool", "list"])
+def test_bad_value_diagnostic_names_the_key(tmp_path, capsys, override):
+    data = make_surrogate(tmp_path, cols=100)
+    cfg = write_train_config(tmp_path, data, tmp_path / "run")
+    capsys.readouterr()
+    assert run_cli("train", "--config", cfg, "--set", override) == 1
+    key = override.split("=", 1)[0]
+    assert f"error: bad value for {key}: " in capsys.readouterr().err
 
 
 # --- train ---------------------------------------------------------------------
@@ -167,6 +204,18 @@ out = {out}
     assert snap["training"]["lr_critic"] == "0.002"
     assert snap["training"]["critic_steps_per_gen"] == "2"
     assert snap["generator"]["layers"] == "4"
+
+    # every other key holds its config dataclass default
+    ini_key = {"n_feature": "neurons", "n_patches": "timesteps",
+               "n_layers": "layers", "n_aux": "aux_qubits"}
+    given = {"neurons": "2", "timesteps": "1", "total_gen_steps": "0"}
+    for section, cls in (("generator", GeneratorConfig),
+                         ("training", tr.TrainConfig)):
+        expected = {}
+        for f in dataclasses.fields(cls):
+            key = ini_key.get(f.name, f.name)
+            expected[key] = given.get(key) or cli._format_value(f.default)
+        assert dict(snap[section]) == expected
 
 
 def test_train_snapshot_refeeds_identically(tmp_path):
@@ -401,17 +450,49 @@ def test_sweep_single_cell_matches_train_generate_evaluate(tmp_path):
 
 def test_sweep_partial_failure_keeps_valid_rows(tmp_path):
     data = make_surrogate(tmp_path, cols=500)
+    for jobs in (1, 2):
+        out = tmp_path / f"sweep-jobs{jobs}"
+        # timestep 600 exceeds the 500 available bins -> that cell fails
+        cfg = write_sweep_config(tmp_path, data, out, timesteps="1,600",
+                                 k_values="1", steps=1)
+        assert run_cli("sweep", "--config", cfg, "--jobs", jobs) == 1
+        rows = read_csv(out / "sweep_results.csv")
+        assert len(rows) == 1
+        assert rows[0]["t"] == "1"
+        failures = read_csv(out / "sweep_failures.csv")
+        assert len(failures) == 1
+        assert failures[0]["t"] == "600"
+
+
+def _die(*args, **kwargs):
+    os._exit(1)
+
+
+class _OneCellAtATimePool(concurrent.futures.ProcessPoolExecutor):
+    """Waits for each submitted cell, so a worker that dies breaks the pool
+    before the next cell is submitted."""
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        concurrent.futures.wait([future])
+        return future
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched module")
+def test_sweep_broken_pool_records_failed_cells(tmp_path, monkeypatch):
+    data = make_surrogate(tmp_path, cols=500)
     out = tmp_path / "sweep"
-    # timestep 600 exceeds the 500 available bins -> that cell fails
-    cfg = write_sweep_config(tmp_path, data, out, timesteps="1,600",
-                             k_values="1", steps=1)
-    assert run_cli("sweep", "--config", cfg) == 1
-    rows = read_csv(out / "sweep_results.csv")
-    assert len(rows) == 1
-    assert rows[0]["t"] == "1"
+    cfg = write_sweep_config(tmp_path, data, out, timesteps="1,2,3",
+                             k_values="0,1", steps=1)
+    monkeypatch.setattr(cli, "train", _die)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _OneCellAtATimePool)
+    assert run_cli("sweep", "--config", cfg, "--jobs", 2) == 1
+    assert read_csv(out / "sweep_results.csv") == []
     failures = read_csv(out / "sweep_failures.csv")
-    assert len(failures) == 1
-    assert failures[0]["t"] == "600"
+    assert [(r["t"], r["K"]) for r in failures] == [
+        (t, k) for t in ("1", "2", "3") for k in ("0.0", "1.0")]
 
 
 def test_sweep_parallel_matches_sequential(tmp_path):
