@@ -288,11 +288,7 @@ def _parse_neuron_arg(text: str) -> tuple[int, ...]:
 
 def _nonoverlapping_windows(m: SpikeMatrix, subset: tuple[int, ...],
                             t: int) -> np.ndarray:
-    spec = WindowSpec(subset, t)
-    spec.validate_for(m)
-    usable = (m.n_bins // t) * t
-    trimmed = SpikeMatrix(m.data[:, :usable], bin_width=m.bin_width)
-    return all_windows(trimmed, spec, stride=t)
+    return all_windows(m, WindowSpec(subset, t), stride=t)
 
 
 def _evaluate_windows(gen_windows: np.ndarray, ref_windows: np.ndarray,

@@ -162,13 +162,24 @@ def sample_windows(m: SpikeMatrix, spec: WindowSpec, batch: int,
 
 
 def all_windows(m: SpikeMatrix, spec: WindowSpec, stride: int = 1) -> np.ndarray:
-    """Every window at the given stride, as a (W, n, t) uint8 array."""
+    """Every window at the given stride, as a read-only (W, n, t) uint8 array.
+
+    At ``stride == window_len`` the windows tile the rows, so the result is a
+    reshaped view of the chosen rows trimmed to a whole number of windows,
+    not a copy of each window.
+    """
     spec.validate_for(m)
     t = spec.window_len
-    starts = np.arange(0, m.n_bins - t + 1, stride)
     sub = m.data[list(spec.neuron_subset)]
-    cols = starts[:, None] + np.arange(t)[None, :]
-    return sub[:, cols].transpose(1, 0, 2)
+    if stride == t:
+        usable = (m.n_bins // t) * t
+        out = sub[:, :usable].reshape(len(sub), -1, t).transpose(1, 0, 2)
+    else:
+        starts = np.arange(0, m.n_bins - t + 1, stride)
+        cols = starts[:, None] + np.arange(t)[None, :]
+        out = sub[:, cols].transpose(1, 0, 2)
+    out.flags.writeable = False
+    return out
 
 
 def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
@@ -210,7 +221,7 @@ def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
 
 
 def state_indices(windows: np.ndarray) -> np.ndarray:
-    """State number of each (n, t) binary window of a (B, n, t) stack.
+    """State number of each (n, t) binary window of a (B, n, t) integer stack.
 
     Bits are read patch-major with neuron 0 of timestep 0 as the most
     significant bit, so for n=2, t=1 the states 00,01,10,11 carry indices
@@ -222,9 +233,12 @@ def state_indices(windows: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"state space 2^{n * t} too large (max {MAX_STATE_BITS} bits)"
         )
-    flat = w.transpose(0, 2, 1).reshape(b, n * t).astype(np.int64)
-    weights = 1 << np.arange(n * t - 1, -1, -1, dtype=np.int64)
-    return flat @ weights
+    idx = np.zeros(b, dtype=np.int64)
+    for p in range(t):
+        for k in range(n):
+            idx <<= 1
+            idx |= w[:, k, p]
+    return idx
 
 
 def bit_reverse_permutation(n_bits: int) -> np.ndarray:

@@ -3,6 +3,13 @@ k-probability, autocorrelogram, state histogram, JS divergence, and MSE.
 
 All moments use divisor N (population form), pooled over every bin of every
 sample, so each estimator has one fixed definition an oracle can replicate.
+
+The four moment estimators come from exact integer counts of the 0/1 bins,
+taken in one pass over the stack (``_count``): the neuron x neuron pair-count
+matrix, each neuron's t x t within-sample lag-product matrix and the
+histogram of per-bin population counts.  Each moment then follows from the
+counts in closed form, so no float copy or centered copy of the whole stack
+is made, and the integer counts do not depend on BLAS summation order.
 """
 
 from __future__ import annotations
@@ -16,6 +23,11 @@ import numpy as np
 from .errors import ConfigurationError
 from .fileio import atomic_path
 from .spikedata import MAX_STATE_BITS, state_indices
+
+# Entries per float32 block of the count pass.  A block holds whole
+# samples, so its products and sums of 0/1 entries are integers of at most
+# _BLOCK_ELEMS < 2^24, which float32 BLAS computes exactly in any order.
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -35,47 +47,164 @@ class StatReport:
     sample_meta: SampleMeta
 
 
+@dataclass
+class _Counts:
+    """Exact integer counts of a (b, n, t) stack of 0/1 bins."""
+
+    n_samples: int
+    n_bins: int
+    pairs: np.ndarray       # (n, n): bins where neurons i and j both spike
+    population: np.ndarray  # (n+1,): bins where exactly k neurons spike
+    # Only when lags were asked for: spikes of neuron i at offset u, and
+    # within-sample pairs of neuron i's spikes l offsets apart, l <= max_lag.
+    per_offset: np.ndarray | None = None    # (n, t)
+    lag_products: np.ndarray | None = None  # (n, max_lag+1)
+
+    @property
+    def n_neurons(self) -> int:
+        return self.pairs.shape[0]
+
+    @property
+    def total_bins(self) -> int:
+        return self.n_samples * self.n_bins
+
+    @property
+    def spikes(self) -> np.ndarray:
+        """Spike count per neuron (s_i s_i = s_i)."""
+        return np.diagonal(self.pairs)
+
+
 def _stack(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
+    """The samples as a (b, n, t) uint8 stack, uncopied if already one."""
+    arr = np.asarray(samples)
     if arr.ndim == 2:
         arr = arr[None]
-    if arr.ndim != 3 or arr.shape[0] < 1:
+    if arr.ndim != 3 or 0 in arr.shape:
         raise ConfigurationError(
             f"samples must be a non-empty stack of n x t matrices, got shape {arr.shape}"
         )
+    if arr.dtype == np.uint8:
+        binary = arr.max() <= 1
+    else:
+        binary = ((arr == 0) | (arr == 1)).all()
+        arr = arr.astype(np.uint8)
+    if not binary:
+        raise ConfigurationError("samples must hold only 0/1 entries")
     return arr
+
+
+def _count(samples, max_lag: int | None = None) -> _Counts:
+    """Pair and population counts, and lag counts up to ``max_lag`` if given.
+
+    Windows of up to _BLOCK_ELEMS entries go through float32 blocks of whole
+    samples: one pair-count matmul, one batched t x t lag-product matmul
+    (row u, column v of neuron i's matrix counts samples where it spikes at
+    both offsets) and one population bincount per block.  Longer windows use
+    integer reductions over the uint8 stack, one per pair and per lag.
+    """
+    arr = _stack(samples)
+    b, n, t = arr.shape
+    if max_lag is not None and not 0 <= max_lag < t:
+        raise ConfigurationError(
+            f"max_lag must satisfy 0 <= max_lag < {t}, got {max_lag}"
+        )
+    lag_range = range(0 if max_lag is None else max_lag + 1)
+    per_offset = products = None
+    if n * t <= _BLOCK_ELEMS:
+        pairs = np.zeros((n, n), dtype=np.int64)
+        population = np.zeros(n + 1, dtype=np.int64)
+        lag_matrix = np.zeros((n, t, t), dtype=np.int64) if lag_range else None
+        rows = _BLOCK_ELEMS // (n * t)
+        for start in range(0, b, rows):
+            block = np.array(arr[start:start + rows].transpose(1, 0, 2),
+                             dtype=np.float32, order="C")   # (n, rows, t)
+            flat = block.reshape(n, -1)
+            pairs += (flat @ flat.T).astype(np.int64)
+            population += np.bincount(
+                block.sum(axis=0).astype(np.intp).ravel(), minlength=n + 1)
+            if lag_matrix is not None:
+                lag_matrix += (block.transpose(0, 2, 1) @ block).astype(np.int64)
+        if lag_matrix is not None:
+            per_offset = np.diagonal(lag_matrix, axis1=1, axis2=2)
+            products = [np.trace(lag_matrix, offset=lag, axis1=1, axis2=2)
+                        for lag in lag_range]
+    else:
+        pairs = np.array([[np.count_nonzero(arr[:, i] & arr[:, j])
+                           for j in range(n)] for i in range(n)])
+        population = np.bincount(arr.sum(axis=1, dtype=np.intp).ravel(),
+                                 minlength=n + 1)
+        if lag_range:
+            per_offset = arr.sum(axis=0, dtype=np.int64)
+            products = [[np.count_nonzero(arr[:, i, :t - lag] & arr[:, i, lag:])
+                         for i in range(n)] for lag in lag_range]
+    if products is not None:
+        products = np.array(products, dtype=np.int64).T
+    return _Counts(b, t, pairs, population, per_offset, products)
+
+
+def _firing_rate(counts: _Counts, bin_width: float) -> np.ndarray:
+    if not bin_width > 0:
+        raise ConfigurationError("bin_width must be > 0")
+    return counts.spikes / (counts.total_bins * bin_width)
+
+
+def _pairwise_covariance(counts: _Counts) -> np.ndarray:
+    n = counts.n_neurons
+    if n < 2:
+        raise ConfigurationError("pairwise covariance needs at least 2 neurons")
+    mean = counts.spikes / counts.total_bins
+    cov = counts.pairs / counts.total_bins - np.outer(mean, mean)
+    return cov[np.triu_indices(n, k=1)]
+
+
+def _k_probability(counts: _Counts) -> np.ndarray:
+    return counts.population / counts.total_bins
+
+
+def _lag_correlations(counts: _Counts) -> np.ndarray | None:
+    """The autocorrelogram from lag counts, or None when every neuron is
+    constant.
+
+    For neuron i with c spikes in N = b*t bins (mean mu = c/N) and lag l with
+    D = b*(t-l) offset pairs, let S be its lag-l product count and E the sum
+    of its spike counts over the first and over the last t-l offsets.  Its
+    centered lag covariance is (S - mu E) / D + mu^2 and its variance
+    c (N - c) / N^2, so their ratio is the integer fraction
+    (S N^2 - c N E + c^2 D) / (D c (N - c)), rounded once.
+    """
+    b, t, total = counts.n_samples, counts.n_bins, counts.total_bins
+    spikes = counts.spikes
+    alive = (spikes > 0) & (spikes < total)
+    if not alive.any():
+        return None
+    products = counts.lag_products[alive]
+    lags = np.arange(products.shape[1])
+    prefix = np.zeros((len(products), t + 1), dtype=np.int64)
+    np.cumsum(counts.per_offset[alive], axis=1, out=prefix[:, 1:])
+    ends = prefix[:, t - lags] + prefix[:, [t]] - prefix[:, lags]
+    # Python ints: the numerators reach N^3, and each quotient is rounded
+    # once, by int / int.
+    c = spikes[alive].astype(object)[:, None]
+    spans = b * (t - lags).astype(object)
+    numer = (products.astype(object) * total**2
+             - c * total * ends.astype(object) + c * c * spans)
+    ratio = (numer / (spans * c * (total - c))).astype(float)
+    return ratio.mean(axis=0)
 
 
 def firing_rate(samples, bin_width: float) -> np.ndarray:
     """Spikes per second per neuron, pooled over all samples and bins."""
-    arr = _stack(samples)
-    if not bin_width > 0:
-        raise ConfigurationError("bin_width must be > 0")
-    total = arr.sum(axis=(0, 2))
-    bins_per_neuron = arr.shape[0] * arr.shape[2]
-    return total / (bins_per_neuron * bin_width)
+    return _firing_rate(_count(samples), bin_width)
 
 
 def pairwise_covariance(samples) -> np.ndarray:
     """cov(i, j) = E[s_i s_j] - E[s_i] E[s_j] over pooled bins, for i < j."""
-    arr = _stack(samples)
-    n = arr.shape[1]
-    if n < 2:
-        raise ConfigurationError("pairwise covariance needs at least 2 neurons")
-    flat = arr.transpose(1, 0, 2).reshape(n, -1)
-    mean = flat.mean(axis=1)
-    second = (flat @ flat.T) / flat.shape[1]
-    cov = second - np.outer(mean, mean)
-    iu = np.triu_indices(n, k=1)
-    return cov[iu]
+    return _pairwise_covariance(_count(samples))
 
 
 def k_probability(samples) -> np.ndarray:
     """P(exactly k neurons spike in a bin), pooled over samples; length n+1."""
-    arr = _stack(samples)
-    n = arr.shape[1]
-    counts = arr.sum(axis=1).astype(int).reshape(-1)
-    return np.bincount(counts, minlength=n + 1) / counts.size
+    return _k_probability(_count(samples))
 
 
 def autocorrelogram(samples, max_lag: int) -> np.ndarray:
@@ -86,39 +215,23 @@ def autocorrelogram(samples, max_lag: int) -> np.ndarray:
     samples, and the lag-0 value (the pooled variance) normalizes the curve,
     so the first entry is exactly 1.
     """
-    arr = _stack(samples)
-    b, n, t = arr.shape
-    if max_lag < 0 or max_lag >= t:
-        raise ConfigurationError(
-            f"max_lag must satisfy 0 <= max_lag < {t}, got {max_lag}"
-        )
-    mu = arr.mean(axis=(0, 2))
-    centered = arr - mu[None, :, None]
-    var = np.einsum("bnt,bnt->n", centered, centered) / (b * t)
-    alive = var > 0
-    if not alive.any():
+    out = _lag_correlations(_count(samples, max_lag))
+    if out is None:
         raise ConfigurationError(
             "autocorrelogram undefined: every neuron is constant"
         )
-    out = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        cov = np.einsum("bnt,bnt->n", centered[:, :, :t - lag],
-                        centered[:, :, lag:]) / (b * (t - lag))
-        out[lag] = (cov[alive] / var[alive]).mean()
     return out
 
 
 def state_histogram(samples) -> np.ndarray:
     """Empirical distribution over all 2^(n*t) window states."""
-    arr = np.asarray(samples)
-    if arr.ndim == 2:
-        arr = arr[None]
+    arr = _stack(samples)
     _, n, t = arr.shape
     if n * t > MAX_STATE_BITS:
         raise ConfigurationError(
             f"state space 2^{n * t} too large (max {MAX_STATE_BITS} bits)"
         )
-    idx = state_indices(arr.astype(np.uint8))
+    idx = state_indices(arr)
     return np.bincount(idx, minlength=2 ** (n * t)) / idx.size
 
 
@@ -154,22 +267,19 @@ def stats_mse(a, b) -> float:
 
 
 def build_report(samples, bin_width: float, max_lag: int) -> StatReport:
-    """All estimators over one sample set; the autocorrelogram is omitted
+    """All estimators over one sample set, from one count pass.  The
+    covariance is empty below two neurons and the autocorrelogram is omitted
     (None) when every neuron is constant."""
-    arr = _stack(samples)
-    b, n, t = arr.shape
-    try:
-        acorr = autocorrelogram(arr, max_lag)
-    except ConfigurationError as exc:
-        if "undefined" not in str(exc):
-            raise
-        acorr = None
+    counts = _count(samples, max_lag)
+    n = counts.n_neurons
     return StatReport(
-        firing_rate=firing_rate(arr, bin_width),
-        pairwise_cov=pairwise_covariance(arr),
-        k_probability=k_probability(arr),
-        autocorrelogram=acorr,
-        sample_meta=SampleMeta(n, t, b, bin_width),
+        firing_rate=_firing_rate(counts, bin_width),
+        pairwise_cov=(_pairwise_covariance(counts) if n >= 2
+                      else np.empty(0)),
+        k_probability=_k_probability(counts),
+        autocorrelogram=_lag_correlations(counts),
+        sample_meta=SampleMeta(n, counts.n_bins, counts.n_samples,
+                               bin_width),
     )
 
 

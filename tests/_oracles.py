@@ -268,3 +268,14 @@ def brute_state_histogram(samples):
                 bits += "1" if s[k, p] else "0"
         hist[int(bits, 2)] += 1
     return hist / len(samples)
+
+
+def brute_windows(data, subset, window_len, stride):
+    """Every (n, t) window of the chosen rows at the given stride, by
+    copying each window's columns one at a time."""
+    rows = [np.asarray(data)[k] for k in subset]
+    out = []
+    for start in range(0, len(rows[0]) - window_len + 1, stride):
+        out.append([[row[start + u] for u in range(window_len)]
+                    for row in rows])
+    return np.array(out, dtype=np.uint8).reshape(-1, len(rows), window_len)

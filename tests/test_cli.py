@@ -395,6 +395,20 @@ def test_evaluate_does_not_mutate_inputs(tmp_path):
     assert data.read_bytes() == before
 
 
+def test_evaluate_one_neuron_round_trip(tmp_path):
+    data = tmp_path / "one.spk"
+    assert run_cli("surrogate", "--neurons", 1, "--cols", 500,
+                   "--rates", 0.2, "--out", data) == 0
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", "--generated", data, "--reference", data,
+                   "--neurons", 1, "--timesteps", 3, "--out", out) == 0
+    for side in ("generated", "reference"):
+        cov = (out / side / "pairwise_covariance.csv").read_text()
+        assert cov == "stat,index,value\n"
+        assert len(read_csv(out / side / "firing_rate.csv")) == 1
+        assert len(read_csv(out / side / "autocorrelogram.csv")) == 3
+
+
 # --- sweep --------------------------------------------------------------------------
 
 def write_sweep_config(tmp_path, data, out, neurons="2", timesteps="1",

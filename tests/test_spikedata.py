@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from spiqgan import spikedata as sd
 from spiqgan.errors import ConfigurationError, DataFormatError
 
-from _oracles import flatten_windows, state_index
+from _oracles import brute_windows, flatten_windows, state_index
 
 
 def test_load_simple_file(tmp_path):
@@ -259,3 +259,20 @@ def test_all_windows_counts_and_stride():
     assert sliding.shape == (8, 1, 3)
     strided = sd.all_windows(m, spec, stride=3)
     assert strided.shape == (3, 1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 7), st.integers(0, 2**31),
+       st.sampled_from([(1, 2), (3, 0, 2)]))
+def test_all_windows_tiling_matches_oracle_and_is_read_only(
+        n_bins, t, seed, subset):
+    rng = np.random.default_rng(seed)
+    m = sd.SpikeMatrix((rng.random((4, max(n_bins, t))) < 0.5)
+                       .astype(np.uint8))
+    spec = sd.WindowSpec(subset, t)
+    windows = sd.all_windows(m, spec, stride=t)
+    expected = brute_windows(m.data, subset, t, t)
+    assert windows.shape == expected.shape == (m.n_bins // t, len(subset), t)
+    np.testing.assert_array_equal(windows, expected)
+    with pytest.raises(ValueError):
+        windows[0, 0, 0] = 1

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,83 @@ def test_autocorrelogram_matches_brute_force():
     samples = random_samples(rng, count=3)
     np.testing.assert_allclose(stats.autocorrelogram(samples, 5),
                                brute_autocorrelogram(samples, 5), atol=1e-12)
+
+
+# --- count pass ------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 6), st.integers(1, 12),
+       st.lists(st.sampled_from(["random", "zero", "one"]), min_size=6,
+                max_size=6),
+       st.sampled_from(["default", "one_sample", "long_window"]),
+       st.integers(0, 2**31))
+def test_estimators_match_brute_force_on_random_stacks(b, n, t, kinds, block,
+                                                       seed):
+    """Every estimator against its brute oracle, with all-zero and constant
+    neurons mixed in, on blocks of many samples, of one sample, and on the
+    integer path for windows longer than a block."""
+    rng = np.random.default_rng(seed)
+    stack = (rng.random((b, n, t)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+    for k, kind in enumerate(kinds[:n]):
+        if kind != "random":
+            stack[:, k] = kind == "one"
+    samples = list(stack)
+    block_elems = {"default": stats._BLOCK_ELEMS, "one_sample": n * t,
+                   "long_window": n * t - 1}[block]
+    with mock.patch.object(stats, "_BLOCK_ELEMS", block_elems):
+        np.testing.assert_allclose(stats.firing_rate(stack, 0.02),
+                                   brute_firing_rate(samples, 0.02),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stats.k_probability(stack),
+                                   brute_k_probability(samples),
+                                   rtol=0, atol=1e-12)
+        if n >= 2:
+            np.testing.assert_allclose(stats.pairwise_covariance(stack),
+                                       brute_pairwise_cov(samples),
+                                       rtol=0, atol=1e-12)
+        constant = (stack == stack[:1, :, :1]).all(axis=(0, 2))
+        for max_lag in range(t):
+            if constant.all():
+                with pytest.raises(ConfigurationError, match="undefined"):
+                    stats.autocorrelogram(stack, max_lag)
+                continue
+            np.testing.assert_allclose(
+                stats.autocorrelogram(stack, max_lag),
+                brute_autocorrelogram(samples, max_lag), rtol=0, atol=1e-12)
+
+
+def test_estimators_exact_on_two_million_bins():
+    """At 2^21 bins per neuron the float32 blocks still give exact counts:
+    each moment equals its formula over Python-int counts."""
+    rng = np.random.default_rng(9)
+    b, n, t = 2**17, 3, 16
+    burst = rng.random((b, 1, t)) < 0.3
+    stack = (rng.random((b, n, t)) < np.where(burst, 0.5, 0.1)).astype(np.uint8)
+    total = b * t
+    spikes = [int(np.count_nonzero(stack[:, i])) for i in range(n)]
+    rates = stats.firing_rate(stack, 0.02)
+    for i in range(n):
+        assert rates[i] == pytest.approx(spikes[i] / (total * 0.02),
+                                         rel=1e-15)
+    per_bin = stack.sum(axis=1).ravel()
+    kprob = stats.k_probability(stack)
+    for k in range(n + 1):
+        assert kprob[k] == pytest.approx(
+            int(np.count_nonzero(per_bin == k)) / total, rel=1e-15)
+    cov = stats.pairwise_covariance(stack)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for value, (i, j) in zip(cov, pairs):
+        both = int(np.count_nonzero(stack[:, i] & stack[:, j]))
+        expected = both / total - (spikes[i] / total) * (spikes[j] / total)
+        assert value == pytest.approx(expected, rel=1e-15)
+    assert stats.autocorrelogram(stack, 3)[0] == 1.0
+
+
+def test_samples_must_be_binary():
+    with pytest.raises(ConfigurationError, match="0/1"):
+        stats.firing_rate([np.full((2, 3), 2)], 0.02)
+    with pytest.raises(ConfigurationError, match="0/1"):
+        stats.k_probability(np.full((1, 2, 3), 2, dtype=np.uint8))
 
 
 # --- state histogram -----------------------------------------------------------
