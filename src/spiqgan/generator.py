@@ -25,10 +25,11 @@ Feature qubits are indices ``0 .. n_feature-1``; auxiliary qubits occupy the
 top indices and are discarded at readout.  Flattened outputs are patch-major:
 entry ``p * n_feature + k`` is neuron ``k`` at timestep ``p``.
 
-Every entry point stacks its (sample, patch) circuits on the kernel's row
-axis and reduces them a cache-sized block of samples at a time.  The
-generator gradient is an adjoint sweep over the same rows: one forward pass,
-then one backward pass that un-computes each layer.
+Every entry point stacks its (sample, patch) circuits on one flat row axis
+and walks it in cache-sized chunks from ``_row_chunks``, the only code that
+knows the row layout.  The generator gradient is an adjoint sweep over the
+same rows: one forward pass, then one backward pass that un-computes each
+layer.
 """
 
 from __future__ import annotations
@@ -166,14 +167,6 @@ def _chain_permutation(num_qubits: int) -> np.ndarray:
     return perm
 
 
-@lru_cache(maxsize=None)
-def _inverse_chain_permutation(num_qubits: int) -> np.ndarray:
-    """Source indices that undo the CNOT chain, ``old[i] = new[inv[i]]``."""
-    inv = np.argsort(_chain_permutation(num_qubits))
-    inv.setflags(write=False)
-    return inv
-
-
 class _Rows(NamedTuple):
     """Kernel rows: row i runs gate-table column ``patch[i]`` with noise
     ``cos[i]``, ``sin[i]`` = cos(z/2), sin(z/2), each (L, q) per row."""
@@ -182,12 +175,6 @@ class _Rows(NamedTuple):
     patch: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
-
-    def chunks(self, row_elems: int):
-        """``(slice, rows)`` per kernel chunk; rows keep their own column."""
-        for part in _chunks(len(self.patch), row_elems):
-            yield part, self._replace(patch=self.patch[part],
-                                      cos=self.cos[part], sin=self.sin[part])
 
 
 def _gate_table(theta: np.ndarray) -> np.ndarray:
@@ -283,21 +270,49 @@ def _forward_states(cfg: GeneratorConfig, rows: _Rows) -> np.ndarray:
     return states
 
 
-def _chunks(count: int, row_elems: int) -> list[slice]:
-    """Consecutive slices of ``count`` rows, each as many rows of
-    ``row_elems`` amplitudes as fit in one kernel chunk, and at least one."""
-    step = max(1, _CHUNK_ELEMS // row_elems)
-    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+def _row_chunks(cfg: GeneratorConfig, theta: np.ndarray,
+                noise_batch: np.ndarray, states_per_row: int = 1):
+    """``(part, rows)`` per kernel chunk of a batch's flat row axis.
+
+    Row ``j * T + p`` runs patch p's column of the gate table of ``theta``
+    (T, L, q, 2), built once per call, with noise ``noise_batch[j, p]``.
+    Each slice ``part`` holds as many rows of ``states_per_row`` state
+    vectors as fit in one kernel chunk, and at least one; it may start
+    mid-sample, and its noise cos/sin are taken for its rows only.
+    """
+    patches = theta.shape[0]
+    table = _gate_table(theta)
+    z = noise_batch.reshape((-1,) + noise_batch.shape[2:])
+    step = max(1, _CHUNK_ELEMS // (states_per_row * 2**cfg.n_qubits))
+    for lo in range(0, len(z), step):
+        part = slice(lo, min(lo + step, len(z)))
+        yield part, _Rows(table, np.arange(part.start, part.stop) % patches,
+                          *_noise_table(cfg, z[part]))
 
 
-def row_probs(cfg: GeneratorConfig, rows: _Rows) -> np.ndarray:
-    """Measurement distributions (m, 2^q) of ``rows``, a chunk at a time."""
-    out = np.empty((len(rows.patch), 2**cfg.n_qubits))
-    for part, chunk in rows.chunks(2**cfg.n_qubits):
-        states, probs = _forward_states(cfg, chunk), out[part]
-        np.square(states.real, out=probs)
-        probs += np.square(states.imag)
-    return out
+def _probs(cfg: GeneratorConfig, rows: _Rows) -> np.ndarray:
+    """Measurement distributions (m, 2^q) of ``rows``."""
+    states = _forward_states(cfg, rows)
+    return np.square(states.real) + np.square(states.imag)
+
+
+def _patch_sums(rows: _Rows, values: np.ndarray) -> np.ndarray:
+    """Per-patch sums (T, ...) of a chunk's row ``values`` (m, ...), in row
+    order: zero-padded to whole samples, the rows line up as (samples, T)."""
+    t, lead, m = rows.table.shape[2], rows.patch[0], len(values)
+    padded = np.zeros((-(-(lead + m) // t) * t,) + values.shape[1:])
+    padded[lead:lead + m] = values
+    return padded.reshape((-1, t) + values.shape[1:]).sum(0)
+
+
+@lru_cache(maxsize=None)
+def _feature_bits(cfg: GeneratorConfig) -> np.ndarray:
+    """Feature bits (2^q, n) of each basis state; ``probs @ bits`` are the
+    marginals P(qubit k reads 1)."""
+    basis = np.arange(2**cfg.n_qubits)[:, None]
+    bits = ((basis >> np.arange(cfg.n_feature)) & 1).astype(float)
+    bits.setflags(write=False)
+    return bits
 
 
 def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
@@ -310,38 +325,9 @@ def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
     if (thetas.shape[1:] != (layers, q, 2)
             or z.shape not in ((m, q), (m, layers, q))):
         raise ConfigurationError("patch angles or noise do not match the config")
-    return row_probs(cfg, _Rows(_gate_table(thetas), np.arange(m),
-                                *_noise_table(cfg, z)))
-
-
-def patch_blocks(cfg: GeneratorConfig, theta: np.ndarray,
-                 noise_batch: np.ndarray, states_per_row: int = 1):
-    """Kernel rows for a batch, a block of whole samples at a time.
-
-    Stacks every (sample j, patch p) on the kernel's row axis: for samples
-    ``lo:hi``, row ``(j - lo) * t + p`` runs patch p's column of the gate
-    table of ``theta``, built once per call, with noise
-    ``noise_batch[j, p]``.  Yields ``(lo, hi, rows)``; a block holds as many
-    samples as fit ``states_per_row`` state vectors per row in one kernel
-    chunk, and at least one.
-    """
-    t, q = cfg.n_patches, cfg.n_qubits
-    table = _gate_table(theta)
-    for block in _chunks(noise_batch.shape[0], states_per_row * t * 2**q):
-        count = block.stop - block.start
-        z = noise_batch[block].reshape((count * t,) + noise_batch.shape[2:])
-        yield block.start, block.stop, _Rows(
-            table, np.arange(count * t) % t, *_noise_table(cfg, z))
-
-
-def _marginals_from_probs(cfg: GeneratorConfig,
-                          probs: np.ndarray) -> np.ndarray:
-    """P(qubit k reads 1) for every feature qubit k: (..., 2^q) -> (..., n)."""
-    lead = probs.shape[:-1]
-    out = np.empty(lead + (cfg.n_feature,))
-    for k in range(cfg.n_feature):
-        view = probs.reshape(lead + (2 ** (cfg.n_qubits - 1 - k), 2, 2**k))
-        out[..., k] = view[..., 1, :].sum(axis=(-2, -1))
+    out = np.empty((m, 2**q))
+    for part, rows in _row_chunks(cfg, thetas, z[None]):
+        out[part] = _probs(cfg, rows)
     return out
 
 
@@ -349,9 +335,9 @@ def forward_batch(cfg: GeneratorConfig, params: GeneratorParams,
                   noise_batch: np.ndarray) -> np.ndarray:
     """Marginals for a batch of samples, flattened patch-major: (B, n*t)."""
     out = np.empty((noise_batch.shape[0], cfg.output_dim))
-    for lo, hi, rows in patch_blocks(cfg, params.theta, noise_batch):
-        probs = row_probs(cfg, rows).reshape(hi - lo, cfg.n_patches, -1)
-        out[lo:hi] = _marginals_from_probs(cfg, probs).reshape(hi - lo, -1)
+    row_out, bits = out.reshape(-1, cfg.n_feature), _feature_bits(cfg)
+    for part, rows in _row_chunks(cfg, params.theta, noise_batch):
+        np.matmul(_probs(cfg, rows), bits, out=row_out[part])
     return out
 
 
@@ -359,20 +345,31 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
                  noise_batch: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws for a batch; ``uniforms`` has shape (B, t).
 
-    Returns a (B, n_feature, n_patches) uint8 array.  Row j of patch p reads
-    the first basis state whose cumulative probability exceeds
-    ``uniforms[j, p]``; auxiliary bits are discarded.
+    Returns a (B, n_feature, n_patches) uint8 view of the per-row bits.  Row
+    j of patch p reads the first basis state whose cumulative probability
+    exceeds ``uniforms[j, p]``; auxiliary bits are discarded.
     """
-    out = np.empty((noise_batch.shape[0], cfg.n_feature, cfg.n_patches),
+    out = np.empty((noise_batch.shape[0], cfg.n_patches, cfg.n_feature),
                    dtype=np.uint8)
-    qubit = np.arange(cfg.n_feature)[:, None]
-    for lo, hi, rows in patch_blocks(cfg, params.theta, noise_batch):
-        cum = np.cumsum(row_probs(cfg, rows), axis=-1).reshape(
-            hi - lo, cfg.n_patches, -1)
-        basis = (cum <= uniforms[lo:hi, :, None]).sum(axis=-1)
-        basis = np.minimum(basis, cum.shape[-1] - 1)
-        out[lo:hi] = (basis[:, None, :] >> qubit) & 1
-    return out
+    row_out, row_u = out.reshape(-1, cfg.n_feature), uniforms.reshape(-1, 1)
+    bits = _feature_bits(cfg)
+    for part, rows in _row_chunks(cfg, params.theta, noise_batch):
+        cum = np.cumsum(_probs(cfg, rows), axis=-1)
+        basis = (cum <= row_u[part]).sum(axis=-1)
+        row_out[part] = bits[np.minimum(basis, cum.shape[-1] - 1)]
+    return out.transpose(0, 2, 1)
+
+
+def patch_distributions(cfg: GeneratorConfig, params: GeneratorParams,
+                        noise_batch: np.ndarray) -> np.ndarray:
+    """Each patch's measurement law over its feature qubits, averaged over
+    the samples of ``noise_batch``: (t, 2^n) with the auxiliary qubits
+    traced out; entry b of a patch reads feature qubit k as bit k of b."""
+    total = np.zeros((cfg.n_patches, 2**cfg.n_feature))
+    for _, rows in _row_chunks(cfg, params.theta, noise_batch):
+        probs = _probs(cfg, rows).reshape(len(rows.patch), -1, total.shape[1])
+        total += _patch_sums(rows, probs.sum(axis=1))
+    return total / noise_batch.shape[0]
 
 
 def _adjoint_chunk(cfg: GeneratorConfig, rows: _Rows, rz_phase: np.ndarray,
@@ -392,7 +389,7 @@ def _adjoint_chunk(cfg: GeneratorConfig, rows: _Rows, rz_phase: np.ndarray,
     psi = _forward_states(cfg, rows)
     states = np.stack([psi, weights * psi])  # psi and lam, one array
     grad = np.empty((m, cfg.n_layers, q, 2))
-    inverse = _inverse_chain_permutation(q)
+    inverse = np.argsort(_chain_permutation(q))  # old[i] = new[inverse[i]]
     for layer in reversed(range(cfg.n_layers)):
         states = states[..., inverse]
         psi, bra = states[0], states[1].conj()
@@ -423,20 +420,16 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
     the diagonal observable O = sum_k u_k |1><1|_k over the feature qubits,
     so one forward pass and one backward sweep per row give every angle's
     derivative, instead of two shifted circuits per angle.  Rows come from
-    ``patch_blocks`` with psi and lam sharing each chunk; the reduction
-    order is fixed, so results are reproducible.
+    ``_row_chunks`` with psi and lam sharing each chunk, and each chunk's
+    row gradients are added to their patches in row order, so results are
+    reproducible.
     """
-    t, n, q = cfg.n_patches, cfg.n_feature, cfg.n_qubits
-    bits = ((np.arange(2**q)[None, :] >> np.arange(n)[:, None]) & 1).astype(
-        float)
-    upstream = upstream_batch.reshape(-1, t, n)
+    upstream = upstream_batch.reshape(-1, cfg.n_feature)
+    bits = _feature_bits(cfg)
     grad = np.zeros(params.theta.shape)
     rz_phase = np.exp(1j * params.theta[..., 1])
-    for lo, hi, rows in patch_blocks(cfg, params.theta, noise_batch, 2):
-        rows_upstream = upstream[lo:hi].reshape(-1, n)
-        row_grad = np.empty((len(rows.patch),) + grad.shape[1:])
-        for part, chunk in rows.chunks(2 * 2**q):
-            row_grad[part] = _adjoint_chunk(cfg, chunk, rz_phase,
-                                            rows_upstream[part] @ bits)
-        grad += row_grad.reshape((hi - lo,) + grad.shape).sum(axis=0)
+    for part, rows in _row_chunks(cfg, params.theta, noise_batch, 2):
+        weights = upstream[part] @ bits.T
+        grad += _patch_sums(rows, _adjoint_chunk(cfg, rows, rz_phase,
+                                                 weights))
     return grad

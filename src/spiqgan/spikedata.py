@@ -12,6 +12,8 @@ twice produces byte-identical files.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,14 @@ _HEADER_PREFIX = "SPIKES v1"
 # State indices cover 2^(n*t) outcomes; past 20 bits the histogram is
 # intractable and downstream consumers refuse to build it.
 MAX_STATE_BITS = 20
+
+
+def binary_uint8(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` as uint8 (uncopied if it is), once every entry is 0 or 1."""
+    if not (arr.max() <= 1 if arr.dtype == np.uint8
+            else ((arr == 0) | (arr == 1)).all()):
+        raise ConfigurationError(f"{what} must hold only 0/1 entries")
+    return arr.astype(np.uint8, copy=False)
 
 
 @dataclass
@@ -39,11 +49,9 @@ class SpikeMatrix:
             raise ConfigurationError(
                 f"spike matrix must be 2-D and non-empty, got shape {arr.shape}"
             )
-        if not ((arr == 0) | (arr == 1)).all():
-            raise ConfigurationError("spike matrix entries must be 0 or 1")
         if not self.bin_width > 0:
             raise ConfigurationError("bin_width must be > 0")
-        self.data = arr.astype(np.uint8, copy=False)
+        self.data = binary_uint8(arr, "spike matrix")
 
     @property
     def n_neurons(self) -> int:
@@ -115,6 +123,10 @@ def _parse_spikes(fh) -> SpikeMatrix:
         raise DataFormatError(f"bad header fields in {header!r}") from exc
     if n_neurons < 1 or n_bins < 1 or not bin_width > 0:
         raise DataFormatError(f"bad header values in {header!r}")
+    info = os.fstat(fh.fileno())  # a pipe has no size to check against
+    if stat.S_ISREG(info.st_mode) and n_neurons * n_bins > info.st_size:
+        raise DataFormatError(f"header declares {n_neurons} x {n_bins} "
+                              f"entries in a {info.st_size}-byte file")
     rows = np.empty((n_neurons, n_bins), dtype=np.uint8)
     for i in range(n_neurons):
         line = fh.readline().rstrip("\n")
@@ -122,8 +134,8 @@ def _parse_spikes(fh) -> SpikeMatrix:
             raise DataFormatError(
                 f"row {i} has {len(line)} entries, expected {n_bins}"
             )
-        if line.count("0") + line.count("1") != n_bins:
-            j = next(j for j, ch in enumerate(line) if ch not in "01")
+        if not line.isascii():
+            j = next(j for j, ch in enumerate(line) if not ch.isascii())
             raise DataFormatError(
                 f"non-binary entry {line[j]!r} at row {i}, column {j}")
         rows[i] = np.frombuffer(line.encode("ascii"), np.uint8)
@@ -132,6 +144,11 @@ def _parse_spikes(fh) -> SpikeMatrix:
             f"trailing content after {n_neurons} declared rows"
         )
     rows -= ord("0")
+    if rows.max() > 1:
+        i, j = np.argwhere(rows > 1)[0]
+        ch = chr((int(rows[i, j]) + ord("0")) % 256)
+        raise DataFormatError(
+            f"non-binary entry {ch!r} at row {i}, column {j}")
     return SpikeMatrix(rows, bin_width=bin_width)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fileio import atomic_path
-from .spikedata import MAX_STATE_BITS, state_indices
+from .spikedata import MAX_STATE_BITS, binary_uint8, state_indices
 
 # Entries per float32 block of the count pass.  A block holds whole
 # samples, so its products and sums of 0/1 entries are integers of at most
@@ -83,14 +83,7 @@ def _stack(samples) -> np.ndarray:
         raise ConfigurationError(
             f"samples must be a non-empty stack of n x t matrices, got shape {arr.shape}"
         )
-    if arr.dtype == np.uint8:
-        binary = arr.max() <= 1
-    else:
-        binary = ((arr == 0) | (arr == 1)).all()
-        arr = arr.astype(np.uint8)
-    if not binary:
-        raise ConfigurationError("samples must hold only 0/1 entries")
-    return arr
+    return binary_uint8(arr, "samples")
 
 
 def _count(samples, max_lag: int | None = None) -> _Counts:

@@ -267,13 +267,8 @@ def model_state_distribution(gen_cfg: GeneratorConfig,
     n, t = gen_cfg.n_feature, gen_cfg.n_patches
     if n * t > MAX_STATE_BITS:
         raise ConfigurationError("state distribution too large to enumerate")
-    total = np.zeros((t, 2**n))
-    for lo, hi, rows in gen_mod.patch_blocks(gen_cfg, params.theta, z_block):
-        probs = gen_mod.row_probs(gen_cfg, rows)
-        total += probs.reshape(hi - lo, t, 2**gen_cfg.n_aux, 2**n).sum(
-            axis=(0, 2))
-    patches = total[:, bit_reverse_permutation(n)] / z_block.shape[0]
-    return reduce(np.kron, patches)
+    patches = gen_mod.patch_distributions(gen_cfg, params, z_block)
+    return reduce(np.kron, patches[:, bit_reverse_permutation(n)])
 
 
 def generation_noise(gen_cfg: GeneratorConfig, seed: int, count: int):

@@ -106,9 +106,14 @@ def test_surrogate_via_config_file(tmp_path):
     ["train", "--config", "{cfg}", "--seed", str(2**128)],
     ["generate", "--checkpoint", "{ckpt}", "--count", "5",
      "--seed", str(2**128), "--out", "{out}"],
+    ["evaluate", "--generated", "{big_spk}", "--reference", "{data}",
+     "--neurons", "2", "--timesteps", "1", "--out", "{out}"],
+    ["evaluate", "--generated", "{accent_spk}", "--reference", "{data}",
+     "--neurons", "2", "--timesteps", "1", "--out", "{out}"],
 ], ids=["infinite-noise-bound", "unparsable-rates", "rates-per-neuron-mismatch",
         "unparsable-neuron-list", "non-utf8-config", "non-utf8-spikes",
-        "train-seed-2^128", "generate-seed-2^128"])
+        "train-seed-2^128", "generate-seed-2^128", "oversized-spikes-header",
+        "non-ascii-spike-entry"])
 def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
     data = make_surrogate(tmp_path, cols=100)
     ckpt = trained_checkpoint(tmp_path) if "{ckpt}" in argv else None
@@ -117,9 +122,15 @@ def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
     bad_cfg.write_bytes(b"[generator]\nneurons = 2\xff\n")
     bad_spk = tmp_path / "bad.spk"
     bad_spk.write_bytes(b"SPIKES v1 2 2 0.02\n0\xff\n01\n")
+    big_spk = tmp_path / "big.spk"
+    big_spk.write_text("SPIKES v1 1000000 1000000000 0.02\n01\n")
+    accent_spk = tmp_path / "accent.spk"
+    accent_spk.write_text("SPIKES v1 2 2 0.02\n0\u00e9\n01\n",
+                          encoding="utf-8")
     capsys.readouterr()
     code = run_cli(*[arg.format(cfg=cfg, data=data, out=tmp_path / "out",
-                                ckpt=ckpt, bad_cfg=bad_cfg, bad_spk=bad_spk)
+                                ckpt=ckpt, bad_cfg=bad_cfg, bad_spk=bad_spk,
+                                big_spk=big_spk, accent_spk=accent_spk)
                      for arg in argv])
     err = capsys.readouterr().err
     assert code == 1

@@ -282,17 +282,18 @@ def test_batch_probs_match_dense_oracle_at_every_width(q, aux, layers,
 
 
 # Kernel chunk sizes, in amplitudes, for a q=3 (two features, one aux), t=2
-# batch of five samples: (forward and sampling blocks, gradient blocks), in
-# samples.  A forward row is one 8-amplitude state, a gradient row two (psi
-# and lam).  At 8 a chunk holds one forward row and half a gradient row, so
-# every sample's rows span several chunks on both paths; at 32 forward
-# blocks hold two samples and gradient blocks one; at 64 gradient blocks
-# hold two; at 800 one block holds the whole batch.
-BLOCK_LAYOUTS = {8: ([1] * 5, [1] * 5), 32: ([2, 2, 1], [1] * 5),
-                 64: ([4, 1], [2, 2, 1]), 800: ([5], [5])}
+# batch of five samples (ten rows): (forward and sampling chunks, gradient
+# chunks), in rows.  A forward row is one 8-amplitude state, a gradient row
+# two (psi and lam).  At 8 a chunk holds one forward row and half a gradient
+# row, so every other chunk starts mid-sample on both paths and a gradient
+# chunk still holds one row; at 32 forward chunks hold four rows and
+# gradient chunks two; at 64 eight and four; at 800 one chunk holds the
+# whole batch.
+CHUNK_LAYOUTS = {8: ([1] * 10, [1] * 10), 32: ([4, 4, 2], [2] * 5),
+                 64: ([8, 2], [4, 4, 2]), 800: ([10], [10])}
 
 
-@pytest.mark.parametrize("chunk", sorted(BLOCK_LAYOUTS))
+@pytest.mark.parametrize("chunk", sorted(CHUNK_LAYOUTS))
 def test_sample_blocks_match_oracles(monkeypatch, chunk):
     cfg = cfg_for(2, 2, layers=2, aux=1, resample_noise_each_layer=True)
     rng = np.random.default_rng(21)
@@ -301,10 +302,10 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
     uniforms = rng.random((5, 2))
     upstream = rng.normal(size=(5, cfg.output_dim))
     monkeypatch.setattr(gen, "_CHUNK_ELEMS", chunk)
-    layout = tuple([hi - lo for lo, hi, _ in
-                    gen.patch_blocks(cfg, params.theta, z, states)]
+    layout = tuple([part.stop - part.start for part, _ in
+                    gen._row_chunks(cfg, params.theta, z, states)]
                    for states in (1, 2))
-    assert layout == BLOCK_LAYOUTS[chunk]
+    assert layout == CHUNK_LAYOUTS[chunk]
 
     forward = gen.forward_batch(cfg, params, z)
     sampled = gen.sample_batch(cfg, params, z, uniforms)
@@ -329,7 +330,7 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
 # with kernel chunks of 2 forward rows (1 gradient row) or 4 forward rows (2
 # gradient rows).  With t=3, a chunk of two rows starts mid-sample, so a row
 # whose patch were counted from its chunk's start would run another patch's
-# gates.
+# gates, and a per-patch sum that assumed whole samples would mix patches.
 @pytest.mark.parametrize("forward_rows", [2, 4])
 @pytest.mark.parametrize("n, aux, resample", [(2, 1, True), (8, 0, False)])
 def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
@@ -357,6 +358,13 @@ def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
     np.testing.assert_allclose(
         gen.param_shift_batch(cfg, params, z, upstream),
         param_shift_oracle(params.theta, z, upstream), rtol=0, atol=1e-10)
+    laws = gen.patch_distributions(cfg, params, z)
+    for p in range(3):
+        mean = np.mean([ansatz_probs(params.theta[p], z[j, p])
+                        for j in range(2)], axis=0)
+        np.testing.assert_allclose(
+            laws[p], mean.reshape(2**aux, 2**n).sum(axis=0), rtol=0,
+            atol=1e-10)
 
 
 @pytest.mark.parametrize("call, n, t, batch", [
