@@ -295,14 +295,17 @@ def _evaluate_windows(gen_windows: np.ndarray, ref_windows: np.ndarray,
                       bin_width: float, max_lag: int):
     gen_report = stats_mod.build_report(gen_windows, bin_width, max_lag)
     ref_report = stats_mod.build_report(ref_windows, bin_width, max_lag)
+    n, t = gen_windows.shape[1], gen_windows.shape[2]
     summary = {
         "mse_k_probability": stats_mod.stats_mse(
             gen_report.k_probability, ref_report.k_probability),
         "mse_firing_rate": stats_mod.stats_mse(
             gen_report.firing_rate, ref_report.firing_rate),
+        "mse_pairwise_cov": (stats_mod.stats_mse(
+            gen_report.pairwise_cov, ref_report.pairwise_cov)
+            if n >= 2 else None),
         "js_divergence": None,
     }
-    n, t = gen_windows.shape[1], gen_windows.shape[2]
     if n * t <= MAX_STATE_BITS:
         summary["js_divergence"] = stats_mod.js_divergence(
             stats_mod.state_histogram(gen_windows),

@@ -8,28 +8,21 @@ chain.  All patches share the ansatz but own independent parameters.
 
 Conventions: qubit 0 is the least-significant bit of a basis index, so basis
 state ``b`` assigns ``(b >> k) & 1`` to qubit ``k``; rotations are
-``R_A(phi) = exp(-i * phi * A / 2)`` for A in {X, Y, Z}.  Per layer each
-qubit gets one fused 2x2 gate ``RZ RY RX(z)`` and the CNOT chain is one
-composed gather; the full ``2^q x 2^q`` unitary is never formed.  The gates
-come from two tables: the RZ RY coefficients of every (patch, layer, qubit),
-built once per call and shared by all rows of a patch, and each row's
-cos/sin of its half noise angles, taken once per row (per layer only when
-the noise is resampled).  Below ``_KRON_QUBITS`` qubits a layer's gates are q
-strided passes, each pairing amplitudes along one qubit's stride; from it
-up, each state is a ``2^hi x 2^lo`` matrix S over its top and bottom halves
-of qubits, and the layer is two batched matmuls ``G_hi S G_lo^T`` with the
-Kronecker products of those halves' gates.  The first layer acts on |0...0>,
-so its output is the Kronecker product of the gates' first columns.
+``R_A(phi) = exp(-i * phi * A / 2)`` for A in {X, Y, Z}.  Feature qubits are
+indices ``0 .. n_feature-1``; auxiliary qubits occupy the top indices and are
+discarded at readout.  Flattened outputs are patch-major: entry
+``p * n_feature + k`` is neuron ``k`` at timestep ``p``.
 
-Feature qubits are indices ``0 .. n_feature-1``; auxiliary qubits occupy the
-top indices and are discarded at readout.  Flattened outputs are patch-major:
-entry ``p * n_feature + k`` is neuron ``k`` at timestep ``p``.
-
-Every entry point stacks its (sample, patch) circuits on one flat row axis
-and walks it in cache-sized chunks from ``_row_chunks``, the only code that
-knows the row layout.  The generator gradient is an adjoint sweep over the
-same rows: one forward pass, then one backward pass that un-computes each
-layer.
+The kernel runs each circuit in the Hadamard frame phi = H^q psi.  There
+RX(z) = H RZ(z) H makes a layer's noise a per-row diagonal d(z), and the
+layer is phi <- P' V d(z) phi: V = H RZ RY H is the same for every row of a
+patch, built once per call as two Kronecker factors over the top and bottom
+qubits, and P' = H P H, the CNOT chain with control and target swapped, is
+one gather.  The last layer applies RZ RY H and P, so the final states are
+in the computational basis.  Rows are laid out (patches, 2^q, samples) and
+walked in blocks from ``_blocks``, the only code that knows the layout, so
+each factor is one matmul per patch over all of a block's rows.  The
+generator gradient is an adjoint sweep over the same blocks.
 """
 
 from __future__ import annotations
@@ -46,21 +39,10 @@ from .errors import ConfigurationError
 # 2^24 complex doubles is ~268 MB per row; more is a configuration bug.
 MAX_QUBITS = 24
 
-# Amplitudes per kernel chunk: 2^14 complex128 is 256 KB, so a chunk's state
-# and the few same-sized temporaries of a gate pass stay in a core's L2 cache
-# through all L(q+1) passes instead of streaming through memory on each.
-_CHUNK_ELEMS = 1 << 14
-
-# Qubit count from which _apply_gates applies a layer as two batched matmuls
-# of Kronecker-factored gates instead of one strided pass per qubit.  The
-# crossover, measured with forward_batch, sample_batch (1024 samples) and the
-# gradient (128 samples) at t=2 on one CPU, median of 9 alternating calls,
-# two runs: at q=6 the strided passes win (forward 33-36 vs 37-41 ms,
-# sampling 32-34 vs 37-40 ms, gradient 14-15 vs 15-16 ms), at q=7 they win
-# forward (64-65 vs 72 ms) and sampling (55 vs 66-68 ms) and lose the
-# gradient (34-36 vs 29 ms), and from q=8 the matmuls win (forward 129-135
-# -> 99-102 ms, sampling 124-131 -> 101-109 ms, gradient 81-83 -> 54 ms).
-_KRON_QUBITS = 8
+# Amplitudes per kernel block: 2^15 complex128 is 512 KB, so a block's
+# states and scratch stay in a core's 2 MB L2 cache.  Against 2^14 the n=10,
+# t=30, B=32 gradient went 350 -> 294 ms, no call at q = 2-10 got slower.
+_CHUNK_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -152,163 +134,163 @@ def sample_noise(cfg: GeneratorConfig, rng: np.random.Generator,
 
 # --- vectorized many-circuit kernels -------------------------------------
 
-@lru_cache(maxsize=None)
-def _chain_permutation(num_qubits: int) -> np.ndarray:
-    """Source indices of the whole CNOT chain, ``new[i] = old[perm[i]]``.
+# sqrt(2) H: every scale factor of the frame is then an exact power of two.
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
-    Composes CNOT(k, k+1) for k = 0 .. q-2 in circuit order, so a layer's
-    whole chain is one gather.
-    """
+
+@lru_cache(maxsize=None)
+def _chain_permutation(num_qubits: int, frame: bool = False) -> np.ndarray:
+    """Source indices of the CNOT chain, ``new[i] = old[perm[i]]``: CNOT(k,
+    k+1) for k = 0 .. q-2 in circuit order, or with ``frame`` CNOT(k+1, k),
+    the chain seen through a Hadamard on every qubit."""
     idx = np.arange(2**num_qubits)
     perm = idx
     for k in range(num_qubits - 1):
-        perm = perm[np.where((idx >> k) & 1 == 1, idx ^ (1 << (k + 1)), idx)]
+        control, target = (k + 1, k) if frame else (k, k + 1)
+        perm = perm[np.where((idx >> control) & 1 == 1, idx ^ (1 << target),
+                             idx)]
     perm.setflags(write=False)
     return perm
 
 
-class _Rows(NamedTuple):
-    """Kernel rows: row i runs gate-table column ``patch[i]`` with noise
-    ``cos[i]``, ``sin[i]`` = cos(z/2), sin(z/2), each (L, q) per row."""
-
-    table: np.ndarray
-    patch: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
-
-
-def _gate_table(theta: np.ndarray) -> np.ndarray:
-    """Coefficients of each RZ(phi) RY(theta) pair, for angles ``theta``
-    (T, L, q, 2), as an (L, 2, T, q) complex table of
-    ``A = e^{-i phi/2} cos(theta/2)`` and ``B = i e^{-i phi/2} sin(theta/2)``;
-    a layer's A and B rows are contiguous, so rows gather them cheaply."""
-    half = 0.5 * theta.transpose(1, 3, 0, 2)
-    phase = np.exp(-1j * half[:, 1])
-    return np.stack([phase * np.cos(half[:, 0]),
-                     1j * phase * np.sin(half[:, 0])], axis=1)
+def _phases(z: np.ndarray, split: int) -> list:
+    """The diagonal of RZ(z) on the top qubits split .. q-1 and on the bottom
+    qubits, for angles z (..., q, S), as (..., 2^hi, S) and (..., 2^lo, S),
+    from each angle's cos and sin of z/2."""
+    half = 0.5 * np.moveaxis(z, -1, -2)
+    pairs = np.empty(half.shape + (2, 1), dtype=complex)
+    pairs.real = np.cos(half)[..., None, None]
+    pairs.imag[..., 1, 0] = np.sin(half)
+    pairs.imag[..., 0, 0] = -pairs.imag[..., 1, 0]
+    return [_kron(f)[..., 0].swapaxes(-1, -2)
+            for f in (pairs[..., split:, :, :], pairs[..., :split, :, :])]
 
 
-def _noise_table(cfg: GeneratorConfig, z: np.ndarray):
-    """cos(z/2) and sin(z/2) of each row's noise ``z`` (m, q) or (m, L, q),
-    as (m, L, q) views: taken once per row, not once per layer unless the
-    noise is resampled per layer."""
-    half = 0.5 * z.reshape(len(z), -1, cfg.n_qubits)
-    shape = (len(z), cfg.n_layers, cfg.n_qubits)
-    return np.broadcast_to(np.cos(half), shape), np.broadcast_to(
-        np.sin(half), shape)
-
-
-def _layer_gates(rows: _Rows, layer: int):
-    """Entries ``(a, b)`` of each row's gate RZ(phi) RY(theta) RX(z) in
-    ``layer``, each (m, q).  The gate is the SU(2) matrix
-    ``[[a, -conj(b)], [b, conj(a)]]`` with ``a = A cx + B sx`` and
-    ``b = i conj(B cx - A sx)``, where cx, sx = cos(z/2), sin(z/2)."""
-    big_a, big_b = np.take(rows.table[layer], rows.patch, axis=1)
-    cx, sx = rows.cos[:, layer], rows.sin[:, layer]
-    return big_a * cx + big_b * sx, 1j * (big_b * cx - big_a * sx).conj()
-
-
-def _kron_rows(factors: np.ndarray) -> np.ndarray:
-    """Each row's Kronecker product ``f[j-1] x ... x f[1] x f[0]`` of its
-    factors (m, j, r, c), as (m, r^j, c^j): factor 0 (the lowest qubit)
-    varies fastest along both axes, matching the basis-index convention."""
-    m = factors.shape[0]
-    out = factors[:, 0]
-    for k in range(1, factors.shape[1]):
-        f = factors[:, k]
-        out = (f[:, :, None, :, None] * out[:, None, :, None, :]).reshape(
-            m, f.shape[1] * out.shape[1], f.shape[2] * out.shape[2])
+def _kron(factors: np.ndarray) -> np.ndarray:
+    """Kronecker products ``f[j-1] x ... x f[1] x f[0]`` of factors
+    (..., j, r, c), as (..., r^j, c^j): factor 0 (the lowest qubit) varies
+    fastest along both axes, matching the basis-index convention."""
+    out = (factors[..., 0, :, :] if factors.shape[-3] else
+           np.ones(factors.shape[:-3] + (1, 1), dtype=complex))
+    for k in range(1, factors.shape[-3]):
+        f = factors[..., k, :, :]
+        out = (f[..., :, None, :, None] * out[..., None, :, None, :]).reshape(
+            f.shape[:-2] + (f.shape[-2] * out.shape[-2],
+                            f.shape[-1] * out.shape[-1]))
     return out
 
 
-def _apply_gates(states: np.ndarray, q: int, a: np.ndarray,
-                 b: np.ndarray) -> np.ndarray:
-    """Apply each row's layer gate, the tensor product over qubits k of
-    ``[[a_k, -conj(b_k)], [b_k, conj(a_k)]]``, to ``states`` (..., m, 2^q);
-    ``a``, ``b`` are (m, q).  Returns the new states, which below
-    ``_KRON_QUBITS`` are ``states`` updated in place.
-
-    From ``_KRON_QUBITS`` up, each row's amplitudes are a (2^hi, 2^lo)
-    matrix S over its top hi = q - q//2 and bottom lo = q//2 qubits, and the
-    layer is ``S <- G_hi S G_lo^T`` with G_hi, G_lo the Kronecker products
-    of those qubits' gates: two batched matmuls.  Below it, one strided pass
-    per qubit pairs the amplitudes along that qubit's stride.
-    """
-    lead = states.shape[:-1]
-    if q >= _KRON_QUBITS:
-        lo = q // 2
-        gates = np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(
-            a.shape + (2, 2))
-        s = states.reshape(lead + (2 ** (q - lo), 2**lo))
-        s = _kron_rows(gates[:, lo:]) @ s @ _kron_rows(
-            gates[:, :lo]).transpose(0, 2, 1)
-        return s.reshape(states.shape)
-    a, b = a[..., None, None], b[..., None, None]
-    ca, cb = a.conj(), b.conj()
-    for k in range(q):
-        view = states.reshape(lead + (2 ** (q - 1 - k), 2, 2**k))
-        a0, a1 = view[..., 0, :], view[..., 1, :]
-        new0 = a[:, k] * a0 - cb[:, k] * a1
-        view[..., 1, :] = b[:, k] * a0 + ca[:, k] * a1
-        view[..., 0, :] = new0
-    return states
+def _layer_factors(theta: np.ndarray, split: int):
+    """Each layer's gates for angles ``theta`` (P, L, q, 2), as Kronecker
+    factors over qubits split .. q-1 and 0 .. split-1.  With
+    e = e^{-i phi/2} and u, w = cos(theta/2) -+ sin(theta/2), a qubit's gate
+    is H RZ RY H = [[e u + e* w, e w - e* u], [e u - e* w, e w + e* u]] / 2,
+    and on the last layer sqrt(2) RZ RY H = [[e u, e w], [e* w, -e* u]],
+    whose sqrt(2) undoes the start's extra 2^{-1/2} per qubit."""
+    half = 0.5 * theta
+    cos, sin = np.cos(half[..., 0]), np.sin(half[..., 0])
+    phase = np.exp(-1j * half[..., 1])
+    eu, ew = phase * (cos - sin), phase * (cos + sin)
+    cu, cw = phase.conj() * (cos - sin), phase.conj() * (cos + sin)
+    gates = 0.5 * np.stack([eu + cw, ew - cu, eu - cw, ew + cu], axis=-1)
+    gates[:, -1] = np.stack([eu, ew, cw, -cu], axis=-1)[:, -1]
+    gates = gates.reshape(theta.shape[:-1] + (2, 2))
+    return _kron(gates[..., split:, :, :]), _kron(gates[..., :split, :, :])
 
 
-def _forward_states(cfg: GeneratorConfig, rows: _Rows) -> np.ndarray:
-    """Final state vectors (m, 2^q) of ``rows``.
+class _Block(NamedTuple):
+    """Rows ``patches`` x ``samples``, their factors, phases and scratch."""
 
-    The first layer acts on |0...0>, so its output is the Kronecker product
-    of the gates' first columns ``(a_k, b_k)``.
-    """
-    q, m = cfg.n_qubits, len(rows.patch)
-    a, b = _layer_gates(rows, 0)
-    states = _kron_rows(np.stack([a, b], axis=-1)[..., None]).reshape(m, -1)
-    states = states[:, _chain_permutation(q)]
-    for layer in range(1, cfg.n_layers):
-        states = _apply_gates(states, q, *_layer_gates(rows, layer))
-        states = states[:, _chain_permutation(q)]
-    return states
+    patches: slice
+    samples: slice
+    hi: np.ndarray        # (P, L, 2^hi, 2^hi) layer factors
+    lo: np.ndarray        # (P, L, 2^lo, 2^lo)
+    phase_hi: np.ndarray  # (P, 1 or L, 2^hi, S) noise phases
+    phase_lo: np.ndarray  # (P, 1 or L, 2^lo, S)
+    work: list            # three (P, states, 2^q, S) scratch arrays
 
 
-def _row_chunks(cfg: GeneratorConfig, theta: np.ndarray,
-                noise_batch: np.ndarray, states_per_row: int = 1):
-    """``(part, rows)`` per kernel chunk of a batch's flat row axis.
+def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
+            noise_batch: np.ndarray, states: int = 1):
+    """The blocks of a batch, patch-major: as many samples of one patch as
+    fit in ``_CHUNK_ELEMS`` amplitudes (``states`` vectors per row), or
+    whole patches when the whole batch fits; at least one row."""
+    q, split = cfg.n_qubits, cfg.n_qubits // 2
+    batch, patches = noise_batch.shape[:2]
+    amps = states * 2**q
+    samples = max(1, min(batch, _CHUNK_ELEMS // amps))
+    group = (min(patches, max(1, _CHUNK_ELEMS // (amps * batch)))
+             if samples == batch else 1)
+    flat = np.empty(3 * group * samples * amps, dtype=complex)
+    z = np.moveaxis(noise_batch.reshape(batch, patches, -1, q), 0, -1)
+    for p0 in range(0, patches, group):
+        part = slice(p0, min(p0 + group, patches))
+        hi, lo = _layer_factors(theta[part], split)
+        for s0 in range(0, batch, samples):
+            cols = slice(s0, min(s0 + samples, batch))
+            zb = z[part, ..., cols]
+            size = len(hi) * amps * (cols.stop - cols.start)
+            yield _Block(part, cols, hi, lo, *_phases(zb, split),
+                         [flat[i * size:(i + 1) * size].reshape(
+                             len(hi), states, 2**q, -1) for i in range(3)])
 
-    Row ``j * T + p`` runs patch p's column of the gate table of ``theta``
-    (T, L, q, 2), built once per call, with noise ``noise_batch[j, p]``.
-    Each slice ``part`` holds as many rows of ``states_per_row`` state
-    vectors as fit in one kernel chunk, and at least one; it may start
-    mid-sample, and its noise cos/sin are taken for its rows only.
-    """
-    patches = theta.shape[0]
-    table = _gate_table(theta)
-    z = noise_batch.reshape((-1,) + noise_batch.shape[2:])
-    step = max(1, _CHUNK_ELEMS // (states_per_row * 2**cfg.n_qubits))
-    for lo in range(0, len(z), step):
-        part = slice(lo, min(lo + step, len(z)))
-        yield part, _Rows(table, np.arange(part.start, part.stop) % patches,
-                          *_noise_table(cfg, z[part]))
+
+def _diag(blk: _Block, layer: int) -> np.ndarray:
+    """The rows' noise phases d(z) on ``layer``, in the third scratch."""
+    k = layer if blk.phase_hi.shape[1] > 1 else 0
+    hi, lo = blk.phase_hi[:, k], blk.phase_lo[:, k]
+    out = blk.work[2][:, :1]
+    np.multiply(hi[:, :, None], lo[:, None],
+                out=out.reshape(hi.shape[:2] + lo.shape[1:], copy=False))
+    return out
 
 
-def _probs(cfg: GeneratorConfig, rows: _Rows) -> np.ndarray:
-    """Measurement distributions (m, 2^q) of ``rows``."""
-    states = _forward_states(cfg, rows)
-    return np.square(states.real) + np.square(states.imag)
+def _gates(x: np.ndarray, spare: np.ndarray, hi: np.ndarray,
+           lo: np.ndarray) -> None:
+    """``x <- (hi (x) lo) x`` for states x (P, m, 2^q, S) and factors hi,
+    lo (P, ., .): per patch one matmul by ``hi`` over all of its rows and
+    one batched matmul by ``lo``, through ``spare`` of x's shape."""
+    (p, m, _, s), h = x.shape, hi.shape[-1]
+    np.matmul(hi[:, None], x.reshape((p, m, h, -1), copy=False),
+              out=spare.reshape((p, m, h, -1), copy=False))
+    np.matmul(lo[:, None, None], spare.reshape((p, m, h, -1, s), copy=False),
+              out=x.reshape((p, m, h, -1, s), copy=False))
 
 
-def _patch_sums(rows: _Rows, values: np.ndarray) -> np.ndarray:
-    """Per-patch sums (T, ...) of a chunk's row ``values`` (m, ...), in row
-    order: zero-padded to whole samples, the rows line up as (samples, T)."""
-    t, lead, m = rows.table.shape[2], rows.patch[0], len(values)
-    padded = np.zeros((-(-(lead + m) // t) * t,) + values.shape[1:])
-    padded[lead:lead + m] = values
-    return padded.reshape((-1, t) + values.shape[1:]).sum(0)
+def _forward(cfg: GeneratorConfig, blk: _Block):
+    """Run a block's rows through every layer in slot 0 of its first two
+    scratch arrays, returned as ``(states, spare)``.  The rows start at
+    2^{-q} (1, ..., 1); it, d and V are products over the qubit halves, so
+    the first layer's output is the outer product of two small matmuls."""
+    q, layers = cfg.n_qubits, cfg.n_layers
+    states, spare = blk.work[0], blk.work[1]
+    top = blk.hi[:, 0] @ blk.phase_hi[:, 0]
+    bottom = (blk.lo[:, 0] @ blk.phase_lo[:, 0]) * 2.0**-q
+    np.multiply(top[:, :, None], bottom[:, None], out=states[:, 0].reshape(
+        top.shape[:2] + bottom.shape[1:], copy=False))
+    for layer in range(layers):
+        if layer:
+            if layer == 1 or blk.phase_hi.shape[1] > 1:
+                diag = _diag(blk, layer)
+            states[:, :1] *= diag
+            _gates(states[:, :1], spare[:, :1], blk.hi[:, layer],
+                   blk.lo[:, layer])
+        np.take(states[:, :1], _chain_permutation(q, layer < layers - 1),
+                axis=2, out=spare[:, :1], mode="clip")
+        states, spare = spare, states
+    return states, spare
+
+
+def _probs(cfg: GeneratorConfig, blk: _Block) -> np.ndarray:
+    """Measurement distributions (P, 2^q, S) of a block's rows."""
+    psi = _forward(cfg, blk)[0][:, 0]
+    return np.square(psi.real) + np.square(psi.imag)
 
 
 @lru_cache(maxsize=None)
 def _feature_bits(cfg: GeneratorConfig) -> np.ndarray:
-    """Feature bits (2^q, n) of each basis state; ``probs @ bits`` are the
-    marginals P(qubit k reads 1)."""
+    """Feature bits (2^q, n) of each basis state; ``bits.T @ probs`` are
+    the marginals P(qubit k reads 1)."""
     basis = np.arange(2**cfg.n_qubits)[:, None]
     bits = ((basis >> np.arange(cfg.n_feature)) & 1).astype(float)
     bits.setflags(write=False)
@@ -320,14 +302,15 @@ def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
     """Measurement distributions for many patch instances at once.
 
     ``thetas``: (m, L, q, 2); ``z``: (m, q) or (m, L, q).  Returns (m, 2^q).
+    The instances run as the patches of one sample.
     """
     m, q, layers = thetas.shape[0], cfg.n_qubits, cfg.n_layers
     if (thetas.shape[1:] != (layers, q, 2)
             or z.shape not in ((m, q), (m, layers, q))):
         raise ConfigurationError("patch angles or noise do not match the config")
     out = np.empty((m, 2**q))
-    for part, rows in _row_chunks(cfg, thetas, z[None]):
-        out[part] = _probs(cfg, rows)
+    for blk in _blocks(cfg, thetas, z[None]):
+        out[blk.patches] = _probs(cfg, blk)[..., 0]
     return out
 
 
@@ -335,9 +318,11 @@ def forward_batch(cfg: GeneratorConfig, params: GeneratorParams,
                   noise_batch: np.ndarray) -> np.ndarray:
     """Marginals for a batch of samples, flattened patch-major: (B, n*t)."""
     out = np.empty((noise_batch.shape[0], cfg.output_dim))
-    row_out, bits = out.reshape(-1, cfg.n_feature), _feature_bits(cfg)
-    for part, rows in _row_chunks(cfg, params.theta, noise_batch):
-        np.matmul(_probs(cfg, rows), bits, out=row_out[part])
+    rows = out.reshape(len(out), cfg.n_patches, cfg.n_feature)
+    bits = _feature_bits(cfg)
+    for blk in _blocks(cfg, params.theta, noise_batch):
+        rows[blk.samples, blk.patches] = (
+            bits.T @ _probs(cfg, blk)).transpose(2, 0, 1)
     return out
 
 
@@ -351,12 +336,13 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
     """
     out = np.empty((noise_batch.shape[0], cfg.n_patches, cfg.n_feature),
                    dtype=np.uint8)
-    row_out, row_u = out.reshape(-1, cfg.n_feature), uniforms.reshape(-1, 1)
     bits = _feature_bits(cfg)
-    for part, rows in _row_chunks(cfg, params.theta, noise_batch):
-        cum = np.cumsum(_probs(cfg, rows), axis=-1)
-        basis = (cum <= row_u[part]).sum(axis=-1)
-        row_out[part] = bits[np.minimum(basis, cum.shape[-1] - 1)]
+    for blk in _blocks(cfg, params.theta, noise_batch):
+        cum = np.cumsum(_probs(cfg, blk), axis=1)
+        basis = (cum <= uniforms[blk.samples, blk.patches].T[:, None]).sum(
+            axis=1)
+        out[blk.samples, blk.patches] = bits[
+            np.minimum(basis, cum.shape[1] - 1)].transpose(1, 0, 2)
     return out.transpose(0, 2, 1)
 
 
@@ -366,45 +352,40 @@ def patch_distributions(cfg: GeneratorConfig, params: GeneratorParams,
     the samples of ``noise_batch``: (t, 2^n) with the auxiliary qubits
     traced out; entry b of a patch reads feature qubit k as bit k of b."""
     total = np.zeros((cfg.n_patches, 2**cfg.n_feature))
-    for _, rows in _row_chunks(cfg, params.theta, noise_batch):
-        probs = _probs(cfg, rows).reshape(len(rows.patch), -1, total.shape[1])
-        total += _patch_sums(rows, probs.sum(axis=1))
+    for blk in _blocks(cfg, params.theta, noise_batch):
+        probs = _probs(cfg, blk)
+        total[blk.patches] += probs.reshape(
+            len(probs), -1, total.shape[1], probs.shape[-1]).sum(axis=(1, 3))
     return total / noise_batch.shape[0]
 
 
-def _adjoint_chunk(cfg: GeneratorConfig, rows: _Rows, rz_phase: np.ndarray,
-                   weights: np.ndarray) -> np.ndarray:
-    """Each row's gradient of <psi|diag(weights)|psi> w.r.t. its angles.
+@lru_cache(maxsize=None)
+def _trace_index(n: int):
+    """Indices that gather each qubit's 2x2 partial trace of an (n, n)
+    matrix: entry (a, b) of qubit j sums ``[i, i ^ (a ^ b) 2^j]`` over the
+    i whose bit j is a."""
+    j = np.arange(n.bit_length() - 1)[:, None, None, None]
+    a, b, r = np.ogrid[:2, :2, :n // 2]
+    rows = (r >> j << j + 1) | (a << j) | (r & (1 << j) - 1)
+    return rows, rows ^ (a ^ b) << j
 
-    ``rz_phase`` is e^{i phi} per table column (T, L, q) and ``weights``
-    (m, 2^q); returns (m, L, q, 2).  Walks the layers backwards from the
-    final psi and lam = diag(weights) psi.  Per layer it
-    undoes the CNOT chain, reads every qubit's derivatives from the pair sums
-    ``s_ab = sum conj(lam_a) psi_b`` over the qubit's amplitude pairs (a, b
-    its bit values), then un-applies the layer's gates on psi and lam.
-    With phi the RZ angle, d/dphi = Im(s00 - s11) and
-    d/dtheta = Re(e^{i phi} s10) - Re(e^{-i phi} s01).
-    """
-    q, m = cfg.n_qubits, len(rows.patch)
-    psi = _forward_states(cfg, rows)
-    states = np.stack([psi, weights * psi])  # psi and lam, one array
-    grad = np.empty((m, cfg.n_layers, q, 2))
-    inverse = np.argsort(_chain_permutation(q))  # old[i] = new[inverse[i]]
-    for layer in reversed(range(cfg.n_layers)):
-        states = states[..., inverse]
-        psi, bra = states[0], states[1].conj()
-        phase = np.take(rz_phase[:, layer], rows.patch, axis=0)
-        for k in range(q):
-            shape = (m, 2 ** (q - 1 - k), 2, 2**k)
-            s = np.einsum("mxay,mxby->mab", bra.reshape(shape),
-                          psi.reshape(shape))
-            grad[:, layer, k, 1] = (s[:, 0, 0] - s[:, 1, 1]).imag
-            grad[:, layer, k, 0] = ((phase[:, k] * s[:, 1, 0]).real
-                                    - (phase[:, k].conj() * s[:, 0, 1]).real)
-        if layer:  # the states before the first layer are not needed
-            a, b = _layer_gates(rows, layer)
-            states = _apply_gates(states, q, a.conj(), -b)
-    return grad
+
+def _pair_sums(states: np.ndarray, bra: np.ndarray, h: int) -> np.ndarray:
+    """Each qubit's pair sums ``s_ab = sum conj(lam_a) psi_b`` over its
+    amplitude pairs (a, b its bit values) and all rows, (P, q, 2, 2), for
+    states (P, 2, 2^q, S) holding psi and lam: partial traces of the Gram
+    matrices of conj(lam) against psi over the top ``2^h`` and the bottom
+    indices.  ``bra`` (P, 2^q, S) is scratch."""
+    psi = states[:, 0]
+    np.conjugate(states[:, 1], out=bra)
+    p, _, s = psi.shape
+    top = bra.reshape((p, h, -1), copy=False) @ psi.reshape(
+        (p, h, -1), copy=False).swapaxes(1, 2)
+    bottom = (bra.reshape((p, h, -1, s), copy=False) @ psi.reshape(
+        (p, h, -1, s), copy=False).swapaxes(2, 3)).sum(axis=1)
+    (bi, bj), (ti, tj) = _trace_index(bottom.shape[1]), _trace_index(h)
+    return np.concatenate([bottom[:, bi, bj].sum(axis=-1),
+                           top[:, ti, tj].sum(axis=-1)], axis=1)
 
 
 def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
@@ -413,23 +394,42 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
     """Sum over samples of the gradient of ``forward . upstream``,
     theta-shaped.
 
-    This is the exact gradient that the +-pi/2 parameter-shift rule gives,
-    and keeps that rule's name for the callers that look it up by it.  It
-    is computed by adjoint differentiation (Jones & Gacon,
-    arXiv:2009.02823): each (sample, patch) row's loss is <psi|O|psi> with
-    the diagonal observable O = sum_k u_k |1><1|_k over the feature qubits,
-    so one forward pass and one backward sweep per row give every angle's
-    derivative, instead of two shifted circuits per angle.  Rows come from
-    ``_row_chunks`` with psi and lam sharing each chunk, and each chunk's
-    row gradients are added to their patches in row order, so results are
-    reproducible.
+    The exact gradient of the +-pi/2 parameter-shift rule, whose name it
+    keeps, by adjoint differentiation (Jones & Gacon, arXiv:2009.02823): a
+    row's loss is <psi|O|psi>, O = sum_k u_k |1><1|_k.  Per block psi and
+    lam = O psi walk the layers backwards: undo the chain, take each
+    qubit's pair sums s, un-apply the gates and d(z).  Partial traces are
+    invariant under unitaries on the other qubits, so in the frame
+    s = H s^H H, over 2^q as un-applying the last layer scales psi and lam
+    by 2^{q/2}.  With phi the RZ angle, d/dphi = Im(s00 - s11) and
+    d/dtheta = Re(e^{i phi} s10 - e^{-i phi} s01).
     """
-    upstream = upstream_batch.reshape(-1, cfg.n_feature)
+    q, layers = cfg.n_qubits, cfg.n_layers
+    upstream = np.moveaxis(upstream_batch.reshape(
+        len(noise_batch), cfg.n_patches, cfg.n_feature), 0, -1)
     bits = _feature_bits(cfg)
-    grad = np.zeros(params.theta.shape)
+    undo = [np.argsort(_chain_permutation(q, f)) for f in (False, True)]
     rz_phase = np.exp(1j * params.theta[..., 1])
-    for part, rows in _row_chunks(cfg, params.theta, noise_batch, 2):
-        weights = upstream[part] @ bits.T
-        grad += _patch_sums(rows, _adjoint_chunk(cfg, rows, rz_phase,
-                                                 weights))
+    grad = np.zeros(params.theta.shape)
+    for blk in _blocks(cfg, params.theta, noise_batch, 2):
+        states, spare = _forward(cfg, blk)
+        np.multiply(bits @ upstream[blk.patches, :, blk.samples],
+                    states[:, 0], out=states[:, 1])
+        for layer in reversed(range(layers)):
+            frame = layer < layers - 1
+            np.take(states, undo[frame], axis=2, out=spare, mode="clip")
+            states, spare = spare, states
+            s = _pair_sums(states, blk.work[2][:, 1], blk.hi.shape[-1])
+            if frame:
+                s = np.einsum("ab,pkbc,cd->pkad", _HADAMARD, s,
+                              _HADAMARD) * 2.0 ** -(q + 1)
+            phase = rz_phase[blk.patches, layer]
+            part = grad[blk.patches, layer]
+            part[..., 1] += (s[..., 0, 0] - s[..., 1, 1]).imag
+            part[..., 0] += (phase * s[..., 1, 0]
+                             - phase.conj() * s[..., 0, 1]).real
+            if layer:  # the states before the first layer are not needed
+                _gates(states, spare, blk.hi[:, layer].conj().swapaxes(1, 2),
+                       blk.lo[:, layer].conj().swapaxes(1, 2))
+                states /= _diag(blk, layer)
     return grad

@@ -100,32 +100,39 @@ def oracle_forward(theta, noise, n_feature):
                            for p in range(len(theta))])
 
 
-def param_shift_oracle(theta, z, upstream):
+def param_shift_oracle(theta, z, upstream, angles=None):
     """Sum over samples of d(marginals . upstream)/d theta, theta-shaped.
 
     ``theta`` is (t, L, q, 2), ``z`` one noise tensor per sample (B, t, ...)
     and ``upstream`` (B, n*t), patch-major.  Each angle's RY or RZ gate is
     rebuilt at the angle +-pi/2 in the patch's dense gate list, and the
     exact derivative of each marginal is half the difference of the two
-    readouts.
+    readouts.  ``angles`` lists the (patch, layer, qubit, axis) entries to
+    compute; the others stay 0.  Their readouts rebuild the gates one at a
+    time, so a wide patch's dense gates are never all held at once.  By
+    default every entry is computed from one gate list per patch.
     """
     theta = np.asarray(theta, dtype=float)
     n_patches, _, q, _ = theta.shape
     n_feature = upstream.shape[1] // n_patches
+    todo = list(np.ndindex(theta.shape) if angles is None else angles)
     grad = np.zeros_like(theta)
     for j in range(len(z)):
         for p in range(n_patches):
-            gates = list(ansatz_gates(theta[p], z[j, p]))
+            gates = (list(ansatz_gates(theta[p], z[j, p])) if angles is None
+                     else None)
             weights = upstream[j, p * n_feature:(p + 1) * n_feature]
-            for layer, k, axis in np.ndindex(theta.shape[1:]):
+            for layer, k, axis in (a[1:] for a in todo if a[0] == p):
                 at = layer * (4 * q - 1) + q + 2 * k + axis
                 reads = []
                 for shift in (np.pi / 2, -np.pi / 2):
-                    shifted = list(gates)
-                    shifted[at] = single_qubit_unitary(q, k, rotation_matrix(
+                    shifted = single_qubit_unitary(q, k, rotation_matrix(
                         ("RY", "RZ")[axis], theta[p, layer, k, axis] + shift))
-                    reads.append(marginals_of(dense_readout(shifted),
-                                              n_feature))
+                    source = (gates if gates is not None
+                              else ansatz_gates(theta[p], z[j, p]))
+                    reads.append(marginals_of(dense_readout(
+                        shifted if i == at else gate
+                        for i, gate in enumerate(source)), n_feature))
                 grad[p, layer, k, axis] += 0.5 * np.dot(reads[0] - reads[1],
                                                         weights)
     return grad

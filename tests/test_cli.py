@@ -373,6 +373,7 @@ def test_evaluate_self_comparison_is_exact_zero(tmp_path):
     rows = {r["metric"]: r["value"] for r in read_csv(out / "summary.csv")}
     assert float(rows["mse_k_probability"]) == 0.0
     assert float(rows["mse_firing_rate"]) == 0.0
+    assert float(rows["mse_pairwise_cov"]) == 0.0
     assert float(rows["js_divergence"]) == 0.0
     assert (out / "generated" / "k_probability.csv").exists()
     assert (out / "reference" / "firing_rate.csv").exists()
@@ -418,6 +419,8 @@ def test_evaluate_one_neuron_round_trip(tmp_path):
         assert cov == "stat,index,value\n"
         assert len(read_csv(out / side / "firing_rate.csv")) == 1
         assert len(read_csv(out / side / "autocorrelogram.csv")) == 3
+    rows = {r["metric"]: r["value"] for r in read_csv(out / "summary.csv")}
+    assert rows["mse_pairwise_cov"] == ""
 
 
 # --- sweep --------------------------------------------------------------------------
@@ -471,6 +474,11 @@ def test_sweep_single_cell_matches_train_generate_evaluate(tmp_path):
         float(summary["mse_k_probability"]), rel=1e-12)
     assert float(row["mse_rate"]) == pytest.approx(
         float(summary["mse_firing_rate"]), rel=1e-12)
+    cov = [np.array([float(r["value"]) for r in read_csv(
+        eval_out / side / "pairwise_covariance.csv")])
+        for side in ("generated", "reference")]
+    assert float(summary["mse_pairwise_cov"]) == pytest.approx(
+        np.mean((cov[0] - cov[1]) ** 2), rel=1e-12)
 
 
 def test_sweep_partial_failure_keeps_valid_rows(tmp_path):

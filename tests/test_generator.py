@@ -120,6 +120,60 @@ def test_chain_permutation_matches_cnot_sequence():
         np.testing.assert_array_equal(perm[expected], idx)
 
 
+DENSE_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def dense_kron(mats):
+    """mats[q-1] x ... x mats[0]: qubit 0 is the least-significant bit."""
+    out = np.eye(1)
+    for m in mats:
+        out = np.kron(m, out)
+    return out
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_frame_chain_is_the_conjugated_cnot_chain(q):
+    """H^q P H^q, with P the dense CNOT chain, is the permutation that the
+    kernel gathers in the Hadamard frame."""
+    hadamards = dense_kron([DENSE_H] * q)
+    frame = hadamards
+    for k in range(q - 1):
+        frame = cnot_unitary(q, k, k + 1).real @ frame
+    frame = hadamards @ frame
+    np.testing.assert_allclose(
+        frame, np.eye(2**q)[gen._chain_permutation(q, True)], rtol=0,
+        atol=1e-12)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_layer_factors_match_dense_gates(q):
+    """Each (patch, layer) pair of Kronecker factors, top x bottom, is the
+    dense product over qubits of H RZ RY H, and on the last layer of
+    RZ RY H times sqrt(2) per qubit (the kernel starts the frame at
+    2^{-q/2} times the uniform state, which that factor restores)."""
+    layers = 3
+    cfg = cfg_for(q, 2, layers=layers)
+    theta = np.random.default_rng(60 + q).uniform(0, 2 * np.pi,
+                                                  (2, layers, q, 2))
+    seen = set()
+    for blk in gen._blocks(cfg, theta, gen.sample_noise(
+            cfg, np.random.default_rng(0), batch=1)):
+        for i, p in enumerate(range(blk.patches.start, blk.patches.stop)):
+            seen.add(p)
+            for layer in range(layers):
+                gates = [rotation_matrix("RZ", theta[p, layer, k, 1])
+                         @ rotation_matrix("RY", theta[p, layer, k, 0])
+                         @ DENSE_H for k in range(q)]
+                if layer < layers - 1:
+                    gates = [DENSE_H @ g for g in gates]
+                else:
+                    gates = [np.sqrt(2.0) * g for g in gates]
+                np.testing.assert_allclose(
+                    np.kron(blk.hi[i, layer], blk.lo[i, layer]),
+                    dense_kron(gates), rtol=0, atol=1e-12)
+    assert seen == {0, 1}
+
+
 def patch_marginals(cfg, theta_patch, z_patch):
     """forward_batch of a one-patch generator on one sample."""
     params = gen.GeneratorParams(np.asarray(theta_patch, dtype=float)[None])
@@ -257,10 +311,9 @@ def test_chunked_probs_match_oracle(monkeypatch):
                                    atol=1e-12)
 
 
-# (qubits, aux qubits, layers, per-layer noise) for every width from 1 to 10,
-# so the per-qubit passes and the Kronecker-factored layers both meet the
-# oracle on either side of gen._KRON_QUBITS; odd widths split into factors of
-# unequal size, and every width from 6 up has a layer after the first.
+# (qubits, aux qubits, layers, per-layer noise) for every width from 1 to 10:
+# odd widths split into Kronecker factors of unequal size, and every width
+# from 6 up has a layer after the first.
 WIDTHS = [(1, 0, 1, False), (2, 1, 4, True), (3, 0, 3, False),
           (4, 1, 2, True), (5, 0, 1, True), (6, 1, 4, False),
           (7, 0, 3, True), (8, 1, 2, False), (9, 0, 4, True),
@@ -282,15 +335,17 @@ def test_batch_probs_match_dense_oracle_at_every_width(q, aux, layers,
 
 
 # Kernel chunk sizes, in amplitudes, for a q=3 (two features, one aux), t=2
-# batch of five samples (ten rows): (forward and sampling chunks, gradient
-# chunks), in rows.  A forward row is one 8-amplitude state, a gradient row
-# two (psi and lam).  At 8 a chunk holds one forward row and half a gradient
-# row, so every other chunk starts mid-sample on both paths and a gradient
-# chunk still holds one row; at 32 forward chunks hold four rows and
-# gradient chunks two; at 64 eight and four; at 800 one chunk holds the
-# whole batch.
-CHUNK_LAYOUTS = {8: ([1] * 10, [1] * 10), 32: ([4, 4, 2], [2] * 5),
-                 64: ([8, 2], [4, 4, 2]), 800: ([10], [10])}
+# batch of five samples: (forward and sampling blocks, gradient blocks), as
+# (patches, samples) per block.  A forward row is one 8-amplitude state, a
+# gradient row two (psi and lam).  At 8 every block is one row; at 32 a
+# forward block holds four samples of one patch and a gradient block two,
+# so the last block of each patch is short; at 64 a forward block holds a
+# patch's whole batch and a gradient block four samples; at 800 one block
+# holds both patches' whole batch.
+CHUNK_LAYOUTS = {8: ([(1, 1)] * 10, [(1, 1)] * 10),
+                 32: ([(1, 4), (1, 1)] * 2, [(1, 2), (1, 2), (1, 1)] * 2),
+                 64: ([(1, 5)] * 2, [(1, 4), (1, 1)] * 2),
+                 800: ([(2, 5)], [(2, 5)])}
 
 
 @pytest.mark.parametrize("chunk", sorted(CHUNK_LAYOUTS))
@@ -302,8 +357,9 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
     uniforms = rng.random((5, 2))
     upstream = rng.normal(size=(5, cfg.output_dim))
     monkeypatch.setattr(gen, "_CHUNK_ELEMS", chunk)
-    layout = tuple([part.stop - part.start for part, _ in
-                    gen._row_chunks(cfg, params.theta, z, states)]
+    layout = tuple([(blk.patches.stop - blk.patches.start,
+                     blk.samples.stop - blk.samples.start)
+                    for blk in gen._blocks(cfg, params.theta, z, states)]
                    for states in (1, 2))
     assert layout == CHUNK_LAYOUTS[chunk]
 
@@ -326,11 +382,12 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
         atol=1e-10)
 
 
-# (features, aux qubits, per-layer noise) on either side of gen._KRON_QUBITS,
-# with kernel chunks of 2 forward rows (1 gradient row) or 4 forward rows (2
-# gradient rows).  With t=3, a chunk of two rows starts mid-sample, so a row
-# whose patch were counted from its chunk's start would run another patch's
-# gates, and a per-patch sum that assumed whole samples would mix patches.
+# (features, aux qubits, per-layer noise) at q=3 and q=8, with kernel chunks
+# of 2 forward rows (1 gradient row) or 4 forward rows (2 gradient rows).
+# With t=3 and two samples, blocks hold one or two patches, or one sample of
+# one patch, so a row whose patch were counted from its block's start would
+# run another patch's gates, and a per-patch sum that mixed blocks up would
+# mix patches.
 @pytest.mark.parametrize("forward_rows", [2, 4])
 @pytest.mark.parametrize("n, aux, resample", [(2, 1, True), (8, 0, False)])
 def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
@@ -372,6 +429,7 @@ def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
     ("sample_batch", 10, 2, 1000),
     ("param_shift_batch", 8, 2, 32),
     ("param_shift_batch", 10, 2, 32),
+    ("param_shift_batch", 10, 30, 32),
 ])
 def test_kernel_memory_stays_chunk_sized(call, n, t, batch):
     """Peak allocation is the output plus a few chunks, never a stacked
@@ -449,8 +507,7 @@ def random_instance(rng, max_qubits=6, min_qubits=1, min_layers=1):
 def test_param_shift_matches_shift_rule_oracle():
     """The adjoint sweep gives the exact parameter-shift gradient, on 40
     instances up to 6 qubits and one each at 6, 7 and 8 qubits with a
-    layer after the first, around the Kronecker-factored kernel's
-    threshold."""
+    layer after the first."""
     rng = np.random.default_rng(31)
     instances = [random_instance(rng) for _ in range(40)]
     instances += [random_instance(rng, max_qubits=q, min_qubits=q,
@@ -460,6 +517,30 @@ def test_param_shift_matches_shift_rule_oracle():
             gen.param_shift_batch(cfg, params, z, upstream),
             param_shift_oracle(params.theta, z, upstream), rtol=0,
             atol=1e-10)
+
+
+# (qubits, aux qubits, per-layer noise, angles): the grid's widest cells, two
+# layers each, checked on a few angles because the dense shift-rule oracle
+# takes about a second per angle at q=10.
+WIDEST = [(9, 1, True, [(0, 0, 0, 0), (0, 0, 8, 1), (0, 1, 3, 0)]),
+          (10, 0, False, [(0, 0, 4, 1), (0, 1, 0, 0)])]
+
+
+@pytest.mark.parametrize("q, aux, resample, angles", WIDEST)
+def test_param_shift_matches_shift_rule_oracle_at_widest_cells(
+        q, aux, resample, angles):
+    cfg = cfg_for(q - aux, 1, layers=2, aux=aux,
+                  resample_noise_each_layer=resample)
+    rng = np.random.default_rng(70 + q)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=1)
+    upstream = rng.normal(size=(1, cfg.output_dim))
+    grad = gen.param_shift_batch(cfg, params, z, upstream)
+    oracle = param_shift_oracle(params.theta, z, upstream, angles=angles)
+    picked = tuple(np.array(angles).T)
+    assert np.abs(oracle[picked]).min() > 1e-3
+    np.testing.assert_allclose(grad[picked], oracle[picked], rtol=0,
+                               atol=1e-10)
 
 
 def test_inert_angles_have_zero_gradient():
