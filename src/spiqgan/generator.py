@@ -13,24 +13,22 @@ indices ``0 .. n_feature-1``; auxiliary qubits occupy the top indices and are
 discarded at readout.  Flattened outputs are patch-major: entry
 ``p * n_feature + k`` is neuron ``k`` at timestep ``p``.
 
-The kernel runs each circuit in the Hadamard frame phi = H^q psi.  There
-RX(z) = H RZ(z) H makes a layer's noise a per-row diagonal d(z), and the
-layer is phi <- P' V d(z) phi: V = H RZ RY H is the same for every row of a
-patch, built once per call as two Kronecker factors over the top and bottom
-qubits, and P' = H P H, the CNOT chain with control and target swapped, is
-one gather.  The last layer applies RZ RY H and P, so the final states are
-in the computational basis.  Rows are laid out (patches, 2^q, samples) and
-walked in blocks from ``_blocks``, the only code that knows the layout, so
-each factor is one matmul per patch over all of a block's rows.  The
-generator gradient is an adjoint sweep over the same blocks.
+The kernel runs each circuit in the Hadamard frame phi = H^q psi, where
+RX(z) = H RZ(z) H makes a layer's noise a per-row diagonal d(z): a layer is
+phi <- P' V d(z) phi, V = H RZ RY H is shared by all rows of a patch as two
+Kronecker factors over the top and bottom qubits, and P' = H P H is the
+CNOT chain with control and target swapped, a gather.  The last layer
+applies RZ RY H and P, back in the computational basis.  ``_blocks`` lays
+rows out (patches, 2^q, samples), so each factor is one matmul per patch
+over a block's rows; the forward passes and the adjoint gradient walk it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -175,18 +173,18 @@ def _kron(factors: np.ndarray) -> np.ndarray:
     for k in range(1, factors.shape[-3]):
         f = factors[..., k, :, :]
         out = (f[..., :, None, :, None] * out[..., None, :, None, :]).reshape(
-            f.shape[:-2] + (f.shape[-2] * out.shape[-2],
-                            f.shape[-1] * out.shape[-1]))
+            f.shape[:-2] + (-1, f.shape[-1] * out.shape[-1]))
     return out
 
 
-def _layer_factors(theta: np.ndarray, split: int):
+def _layer_factors(theta: np.ndarray, split: int, layer=slice(None)):
     """Each layer's gates for angles ``theta`` (P, L, q, 2), as Kronecker
-    factors over qubits split .. q-1 and 0 .. split-1.  With
-    e = e^{-i phi/2} and u, w = cos(theta/2) -+ sin(theta/2), a qubit's gate
-    is H RZ RY H = [[e u + e* w, e w - e* u], [e u - e* w, e w + e* u]] / 2,
-    and on the last layer sqrt(2) RZ RY H = [[e u, e w], [e* w, -e* u]],
-    whose sqrt(2) undoes the start's extra 2^{-1/2} per qubit."""
+    factors (L, P, ., .) over qubits split .. q-1 and 0 .. split-1, or one
+    ``layer``'s, (P, ., .).  With e = e^{-i phi/2} and u, w = cos(theta/2)
+    -+ sin(theta/2), a qubit's gate is H RZ RY H = [[e u + e* w, e w - e* u],
+    [e u - e* w, e w + e* u]] / 2, and on the last layer sqrt(2) RZ RY H =
+    [[e u, e w], [e* w, -e* u]], whose sqrt(2) undoes the start's extra
+    2^{-1/2} per qubit."""
     half = 0.5 * theta
     cos, sin = np.cos(half[..., 0]), np.sin(half[..., 0])
     phase = np.exp(-1j * half[..., 1])
@@ -194,7 +192,7 @@ def _layer_factors(theta: np.ndarray, split: int):
     cu, cw = phase.conj() * (cos - sin), phase.conj() * (cos + sin)
     gates = 0.5 * np.stack([eu + cw, ew - cu, eu - cw, ew + cu], axis=-1)
     gates[:, -1] = np.stack([eu, ew, cw, -cu], axis=-1)[:, -1]
-    gates = gates.reshape(theta.shape[:-1] + (2, 2))
+    gates = gates.reshape(theta.shape[:-1] + (2, 2)).swapaxes(0, 1)[layer]
     return _kron(gates[..., split:, :, :]), _kron(gates[..., :split, :, :])
 
 
@@ -203,36 +201,37 @@ class _Block(NamedTuple):
 
     patches: slice
     samples: slice
-    hi: np.ndarray        # (P, L, 2^hi, 2^hi) layer factors
-    lo: np.ndarray        # (P, L, 2^lo, 2^lo)
+    factors: Callable     # layer -> its (P, 2^hi, 2^hi), (P, 2^lo, 2^lo)
     phase_hi: np.ndarray  # (P, 1 or L, 2^hi, S) noise phases
     phase_lo: np.ndarray  # (P, 1 or L, 2^lo, S)
-    work: list            # three (P, states, 2^q, S) scratch arrays
+    work: np.ndarray      # (3, P, states, 2^q, S) scratch
 
 
 def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
             noise_batch: np.ndarray, states: int = 1):
     """The blocks of a batch, patch-major: as many samples of one patch as
     fit in ``_CHUNK_ELEMS`` amplitudes (``states`` vectors per row), or
-    whole patches when the whole batch fits; at least one row."""
+    whole patches when their whole batch fits and so do their factors; at
+    least one row.  Factors that outgrow a block are built per layer."""
     q, split = cfg.n_qubits, cfg.n_qubits // 2
     batch, patches = noise_batch.shape[:2]
-    amps = states * 2**q
+    amps, held = states * 2**q, cfg.n_layers * (4**(q - split) + 4**split)
     samples = max(1, min(batch, _CHUNK_ELEMS // amps))
-    group = (min(patches, max(1, _CHUNK_ELEMS // (amps * batch)))
+    group = (min(patches, max(1, _CHUNK_ELEMS // max(amps * batch, held)))
              if samples == batch else 1)
     flat = np.empty(3 * group * samples * amps, dtype=complex)
     z = np.moveaxis(noise_batch.reshape(batch, patches, -1, q), 0, -1)
     for p0 in range(0, patches, group):
         part = slice(p0, min(p0 + group, patches))
-        hi, lo = _layer_factors(theta[part], split)
+        factors = partial(_layer_factors, theta[part], split)
+        if held <= _CHUNK_ELEMS:  # every layer's (hi, lo), built once
+            factors = list(zip(*factors())).__getitem__
         for s0 in range(0, batch, samples):
             cols = slice(s0, min(s0 + samples, batch))
             zb = z[part, ..., cols]
-            size = len(hi) * amps * (cols.stop - cols.start)
-            yield _Block(part, cols, hi, lo, *_phases(zb, split),
-                         [flat[i * size:(i + 1) * size].reshape(
-                             len(hi), states, 2**q, -1) for i in range(3)])
+            size = 3 * (part.stop - p0) * amps * (cols.stop - cols.start)
+            yield _Block(part, cols, factors, *_phases(zb, split), flat[
+                :size].reshape(3, part.stop - p0, states, 2**q, -1))
 
 
 def _diag(blk: _Block, layer: int) -> np.ndarray:
@@ -264,8 +263,9 @@ def _forward(cfg: GeneratorConfig, blk: _Block):
     the first layer's output is the outer product of two small matmuls."""
     q, layers = cfg.n_qubits, cfg.n_layers
     states, spare = blk.work[0], blk.work[1]
-    top = blk.hi[:, 0] @ blk.phase_hi[:, 0]
-    bottom = (blk.lo[:, 0] @ blk.phase_lo[:, 0]) * 2.0**-q
+    hi, lo = blk.factors(0)
+    top = hi @ blk.phase_hi[:, 0]
+    bottom = (lo @ blk.phase_lo[:, 0]) * 2.0**-q
     np.multiply(top[:, :, None], bottom[:, None], out=states[:, 0].reshape(
         top.shape[:2] + bottom.shape[1:], copy=False))
     for layer in range(layers):
@@ -273,8 +273,7 @@ def _forward(cfg: GeneratorConfig, blk: _Block):
             if layer == 1 or blk.phase_hi.shape[1] > 1:
                 diag = _diag(blk, layer)
             states[:, :1] *= diag
-            _gates(states[:, :1], spare[:, :1], blk.hi[:, layer],
-                   blk.lo[:, layer])
+            _gates(states[:, :1], spare[:, :1], *blk.factors(layer))
         np.take(states[:, :1], _chain_permutation(q, layer < layers - 1),
                 axis=2, out=spare[:, :1], mode="clip")
         states, spare = spare, states
@@ -339,8 +338,7 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
     bits = _feature_bits(cfg)
     for blk in _blocks(cfg, params.theta, noise_batch):
         cum = np.cumsum(_probs(cfg, blk), axis=1)
-        basis = (cum <= uniforms[blk.samples, blk.patches].T[:, None]).sum(
-            axis=1)
+        basis = (cum <= uniforms[blk.samples, blk.patches].T[:, None]).sum(1)
         out[blk.samples, blk.patches] = bits[
             np.minimum(basis, cum.shape[1] - 1)].transpose(1, 0, 2)
     return out.transpose(0, 2, 1)
@@ -370,20 +368,23 @@ def _trace_index(n: int):
     return rows, rows ^ (a ^ b) << j
 
 
-def _pair_sums(states: np.ndarray, bra: np.ndarray, h: int) -> np.ndarray:
+def _pair_sums(blk: _Block, states: np.ndarray,
+               spare: np.ndarray) -> np.ndarray:
     """Each qubit's pair sums ``s_ab = sum conj(lam_a) psi_b`` over its
     amplitude pairs (a, b its bit values) and all rows, (P, q, 2, 2), for
     states (P, 2, 2^q, S) holding psi and lam: partial traces of the Gram
-    matrices of conj(lam) against psi over the top ``2^h`` and the bottom
-    indices.  ``bra`` (P, 2^q, S) is scratch."""
-    psi = states[:, 0]
-    np.conjugate(states[:, 1], out=bra)
-    p, _, s = psi.shape
-    top = bra.reshape((p, h, -1), copy=False) @ psi.reshape(
-        (p, h, -1), copy=False).swapaxes(1, 2)
-    bottom = (bra.reshape((p, h, -1, s), copy=False) @ psi.reshape(
-        (p, h, -1, s), copy=False).swapaxes(2, 3)).sum(axis=1)
-    (bi, bj), (ti, tj) = _trace_index(bottom.shape[1]), _trace_index(h)
+    matrices of conj(lam) against psi over the h = 2^hi top and the bottom
+    indices, the latter with both copied to (P, 2^lo, h, S) in ``spare``."""
+    (p, _, n, s), h = states.shape, blk.phase_hi.shape[2]
+    bra = np.conjugate(states[:, 1], out=blk.work[2][:, 1])
+    psi, bra = (x.reshape(p, h, -1, s) for x in (states[:, 0], bra))
+    top = bra.reshape(p, h, -1) @ psi.reshape(p, h, -1).swapaxes(1, 2)
+    flip = spare.reshape((p, 2, n // h, h, s), copy=False)
+    np.copyto(flip[:, 0], psi.swapaxes(1, 2))
+    np.copyto(flip[:, 1], bra.swapaxes(1, 2))
+    flip = flip.reshape(p, 2, n // h, -1)
+    bottom = flip[:, 1] @ flip[:, 0].swapaxes(1, 2)
+    (bi, bj), (ti, tj) = _trace_index(n // h), _trace_index(h)
     return np.concatenate([bottom[:, bi, bj].sum(axis=-1),
                            top[:, ti, tj].sum(axis=-1)], axis=1)
 
@@ -391,8 +392,7 @@ def _pair_sums(states: np.ndarray, bra: np.ndarray, h: int) -> np.ndarray:
 def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
                       noise_batch: np.ndarray,
                       upstream_batch: np.ndarray) -> np.ndarray:
-    """Sum over samples of the gradient of ``forward . upstream``,
-    theta-shaped.
+    """Sum over samples of the gradient of ``forward . upstream`` (theta).
 
     The exact gradient of the +-pi/2 parameter-shift rule, whose name it
     keeps, by adjoint differentiation (Jones & Gacon, arXiv:2009.02823): a
@@ -419,7 +419,7 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
             frame = layer < layers - 1
             np.take(states, undo[frame], axis=2, out=spare, mode="clip")
             states, spare = spare, states
-            s = _pair_sums(states, blk.work[2][:, 1], blk.hi.shape[-1])
+            s = _pair_sums(blk, states, spare)
             if frame:
                 s = np.einsum("ab,pkbc,cd->pkad", _HADAMARD, s,
                               _HADAMARD) * 2.0 ** -(q + 1)
@@ -429,7 +429,7 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
             part[..., 0] += (phase * s[..., 1, 0]
                              - phase.conj() * s[..., 0, 1]).real
             if layer:  # the states before the first layer are not needed
-                _gates(states, spare, blk.hi[:, layer].conj().swapaxes(1, 2),
-                       blk.lo[:, layer].conj().swapaxes(1, 2))
+                _gates(states, spare, *(f.conj().swapaxes(1, 2)
+                                        for f in blk.factors(layer)))
                 states /= _diag(blk, layer)
     return grad

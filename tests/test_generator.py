@@ -146,20 +146,25 @@ def test_frame_chain_is_the_conjugated_cnot_chain(q):
 
 
 @pytest.mark.parametrize("q", range(1, 11))
-def test_layer_factors_match_dense_gates(q):
+def test_layer_factors_match_dense_gates(monkeypatch, q):
     """Each (patch, layer) pair of Kronecker factors, top x bottom, is the
     dense product over qubits of H RZ RY H, and on the last layer of
     RZ RY H times sqrt(2) per qubit (the kernel starts the frame at
-    2^{-q/2} times the uniform state, which that factor restores)."""
+    2^{-q/2} times the uniform state, which that factor restores).  Both
+    ways of building them are checked: once per call, and, with one-
+    amplitude blocks that a patch's factors outgrow, once per layer."""
     layers = 3
     cfg = cfg_for(q, 2, layers=layers)
     theta = np.random.default_rng(60 + q).uniform(0, 2 * np.pi,
                                                   (2, layers, q, 2))
-    seen = set()
-    for blk in gen._blocks(cfg, theta, gen.sample_noise(
-            cfg, np.random.default_rng(0), batch=1)):
+    z = gen.sample_noise(cfg, np.random.default_rng(0), batch=1)
+    blocks = list(gen._blocks(cfg, theta, z))
+    monkeypatch.setattr(gen, "_CHUNK_ELEMS", 1)
+    blocks += gen._blocks(cfg, theta, z)
+    seen = []
+    for blk in blocks:
         for i, p in enumerate(range(blk.patches.start, blk.patches.stop)):
-            seen.add(p)
+            seen.append(p)
             for layer in range(layers):
                 gates = [rotation_matrix("RZ", theta[p, layer, k, 1])
                          @ rotation_matrix("RY", theta[p, layer, k, 0])
@@ -168,10 +173,11 @@ def test_layer_factors_match_dense_gates(q):
                     gates = [DENSE_H @ g for g in gates]
                 else:
                     gates = [np.sqrt(2.0) * g for g in gates]
-                np.testing.assert_allclose(
-                    np.kron(blk.hi[i, layer], blk.lo[i, layer]),
-                    dense_kron(gates), rtol=0, atol=1e-12)
-    assert seen == {0, 1}
+                hi, lo = blk.factors(layer)
+                np.testing.assert_allclose(np.kron(hi[i], lo[i]),
+                                           dense_kron(gates), rtol=0,
+                                           atol=1e-12)
+    assert seen == [0, 1, 0, 1]
 
 
 def patch_marginals(cfg, theta_patch, z_patch):
@@ -427,13 +433,16 @@ def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
 @pytest.mark.parametrize("call, n, t, batch", [
     ("sample_batch", 2, 30, 25_000),
     ("sample_batch", 10, 2, 1000),
+    ("sample_batch", 10, 30, 1),
     ("param_shift_batch", 8, 2, 32),
     ("param_shift_batch", 10, 2, 32),
     ("param_shift_batch", 10, 30, 32),
+    ("param_shift_batch", 10, 30, 1),
 ])
 def test_kernel_memory_stays_chunk_sized(call, n, t, batch):
     """Peak allocation is the output plus a few chunks, never a stacked
-    copy of angles, states or probabilities for the whole batch."""
+    copy of angles, states or probabilities for the whole batch, nor, at
+    batch 1, the factors of every patch or a Gram product per row."""
     cfg = cfg_for(n, t)
     rng = np.random.default_rng(22)
     params = gen.init_params(cfg, rng)
@@ -447,6 +456,35 @@ def test_kernel_memory_stays_chunk_sized(call, n, t, batch):
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes + 16 * gen._CHUNK_ELEMS * 16
+
+
+@pytest.mark.parametrize("q, layers, t", [(2, 4, 40), (8, 4, 40),
+                                          (10, 4, 40), (10, 8, 40),
+                                          (13, 8, 1)])
+def test_block_factors_fit_the_chunk(q, layers, t):
+    """A block of several patches fits their rows in ``_CHUNK_ELEMS``
+    amplitudes and so do all their factors; a patch whose factors alone
+    outgrow that never holds them all at once, one layer's at a time."""
+    cfg = cfg_for(q, t, layers=layers)
+    rng = np.random.default_rng(q)
+    theta = gen.init_params(cfg, rng).theta
+    z = gen.sample_noise(cfg, rng, batch=1)
+    stack = 0
+    tracemalloc.start()
+    try:
+        for blk in gen._blocks(cfg, theta, z):
+            patches = blk.patches.stop - blk.patches.start
+            factors = 0
+            for layer in range(layers):
+                factors += sum(f.size for f in blk.factors(layer))
+            stack = max(stack, factors // patches)
+            assert patches == 1 or max(
+                patches * 2**q, factors) <= gen._CHUNK_ELEMS
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if stack > gen._CHUNK_ELEMS:
+        assert peak < 16 * stack
 
 
 def test_param_shift_zero_upstream():
