@@ -21,6 +21,12 @@ CNOT chain with control and target swapped, a gather.  The last layer
 applies RZ RY H and P, back in the computational basis.  ``_blocks`` lays
 rows out (patches, 2^q, samples), so each factor is one matmul per patch
 over a block's rows; the forward passes and the adjoint gradient walk it.
+A block's d(z) comes from a table of each angle's pair (e^{-iz/2},
+e^{iz/2}), contiguous along the samples, with one cos and one sin per angle.
+Sampling reads each row's inverse CDF: as a running sum over contiguous rows
+in blocks of at least ``_RUNNING_SUM_SAMPLES`` samples, by ``np.cumsum``
+over the state axis in shorter ones, with the same draws either way.
+``_feature_bits`` serves only the forward marginals and the adjoint.
 """
 
 from __future__ import annotations
@@ -41,6 +47,13 @@ MAX_QUBITS = 24
 # states and scratch stay in a core's 2 MB L2 cache.  Against 2^14 the n=10,
 # t=30, B=32 gradient went 350 -> 294 ms, no call at q = 2-10 got slower.
 _CHUNK_ELEMS = 1 << 15
+
+# Inverse-CDF readout: blocks of at least this many samples per patch take
+# a running sum over contiguous rows instead of ``np.cumsum`` (``_draws``).
+# Timed alone on one CPU of a 2-vCPU Xeon, the running sum won from 512
+# samples at every q = 2-7 and did not win at 256 from q = 3; from q = 7 a
+# block never has 512 samples (BENCH_tiny_sampling.json).
+_RUNNING_SUM_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -153,15 +166,24 @@ def _chain_permutation(num_qubits: int, frame: bool = False) -> np.ndarray:
 
 def _phases(z: np.ndarray, split: int) -> list:
     """The diagonal of RZ(z) on the top qubits split .. q-1 and on the bottom
-    qubits, for angles z (..., q, S), as (..., 2^hi, S) and (..., 2^lo, S),
-    from each angle's cos and sin of z/2."""
-    half = 0.5 * np.moveaxis(z, -1, -2)
-    pairs = np.empty(half.shape + (2, 1), dtype=complex)
-    pairs.real = np.cos(half)[..., None, None]
-    pairs.imag[..., 1, 0] = np.sin(half)
-    pairs.imag[..., 0, 0] = -pairs.imag[..., 1, 0]
-    return [_kron(f)[..., 0].swapaxes(-1, -2)
-            for f in (pairs[..., split:, :, :], pairs[..., :split, :, :])]
+    qubits, for angles z (..., q, S), as contiguous (..., 2^hi, S) and
+    (..., 2^lo, S).  Each angle's cos and sin of z/2 fill a table
+    (..., q, 2, S) of its pair (e^{-iz/2}, e^{iz/2}) along the samples, and
+    a half's diagonal multiplies its qubits' pairs, lowest qubit fastest."""
+    half = np.multiply(z, 0.5, out=np.empty(z.shape))
+    pairs = np.empty(z.shape[:-1] + (2,) + z.shape[-1:], dtype=complex)
+    np.cos(half, out=pairs.real[..., 1, :])
+    np.sin(half, out=pairs.imag[..., 1, :])
+    np.conjugate(pairs[..., 1, :], out=pairs[..., 0, :])
+    halves = []
+    for f in (pairs[..., split:, :, :], pairs[..., :split, :, :]):
+        diag = (f[..., 0, :, :] if f.shape[-3] else
+                np.ones(f.shape[:-3] + (1, f.shape[-1]), dtype=complex))
+        for k in range(1, f.shape[-3]):
+            diag = (f[..., k, :, None, :] * diag[..., None, :, :]).reshape(
+                f.shape[:-3] + (-1, f.shape[-1]))
+        halves.append(diag)
+    return halves
 
 
 def _kron(factors: np.ndarray) -> np.ndarray:
@@ -335,13 +357,28 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
     """
     out = np.empty((noise_batch.shape[0], cfg.n_patches, cfg.n_feature),
                    dtype=np.uint8)
-    bits = _feature_bits(cfg)
+    shifts = np.arange(cfg.n_feature)
     for blk in _blocks(cfg, params.theta, noise_batch):
-        cum = np.cumsum(_probs(cfg, blk), axis=1)
-        basis = (cum <= uniforms[blk.samples, blk.patches].T[:, None]).sum(1)
-        out[blk.samples, blk.patches] = bits[
-            np.minimum(basis, cum.shape[1] - 1)].transpose(1, 0, 2)
+        basis = _draws(_probs(cfg, blk), uniforms[blk.samples, blk.patches].T)
+        out[blk.samples, blk.patches] = (basis.T[..., None] >> shifts) & 1
     return out.transpose(0, 2, 1)
+
+
+def _draws(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Each row's inverse-CDF state (P, S) for probabilities (P, 2^q, S) and
+    uniforms (P, S): how many of its cumulative probabilities are <= its
+    uniform, at most 2^q - 1.  A block of at least ``_RUNNING_SUM_SAMPLES``
+    samples turns ``probs`` into their running sum in place, one contiguous
+    (P, S) slice per state and in ``np.cumsum``'s order, so the states are
+    the same; shorter ones keep ``np.cumsum``, whose strided columns cost
+    less there than one NumPy call per state."""
+    if probs.shape[2] < _RUNNING_SUM_SAMPLES:
+        cum = np.cumsum(probs, axis=1)
+    else:
+        cum = probs
+        for k in range(1, cum.shape[1]):
+            np.add(cum[:, k - 1], cum[:, k], out=cum[:, k])
+    return np.minimum((cum <= uniforms[:, None]).sum(axis=1), cum.shape[1] - 1)
 
 
 def patch_distributions(cfg: GeneratorConfig, params: GeneratorParams,

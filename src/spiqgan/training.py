@@ -9,12 +9,13 @@ parallel.  Training is therefore a pure function of (configs, data, seed).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import zip_longest
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -454,18 +455,35 @@ def load_checkpoint(path) -> Checkpoint:
         return _checkpoint_from(header, blob, offset + header_len)
     except (CheckpointFormatError, ConfigurationError):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint: {exc!r}") from exc
 
 
-def _header_config(cls, values: dict, label: str):
-    """Config dataclass from a header entry that has exactly its fields."""
-    known = {f.name for f in fields(cls)}
-    if set(values) != known:
+# JSON values a header field of each config type accepts: a bool is not an
+# int, and a float field takes any real number.
+_HEADER_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+
+
+def _header_value(value, kind: type, label: str):
+    """``value``, once it is a JSON value of a header field typed ``kind``."""
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, _HEADER_TYPES[kind])):
         raise CheckpointFormatError(
-            f"checkpoint {label} has unknown keys {sorted(set(values) - known)}"
-            f", missing keys {sorted(known - set(values))}")
-    return cls(**values)
+            f"checkpoint {label} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _header_config(cls, values: dict, label: str):
+    """Config dataclass from a header entry that has exactly its fields,
+    each of its field's type."""
+    types = get_type_hints(cls)
+    unknown, missing = set(values) - set(types), set(types) - set(values)
+    if unknown or missing:
+        raise CheckpointFormatError(
+            f"checkpoint {label} has unknown keys {sorted(unknown)}"
+            f", missing keys {sorted(missing)}")
+    return cls(**{name: _header_value(value, types[name], f"{label}.{name}")
+                  for name, value in values.items()})
 
 
 def _expected_manifest(gen_cfg: GeneratorConfig) -> list:
@@ -497,6 +515,10 @@ def _checkpoint_from(header: dict, blob: bytes, offset: int) -> Checkpoint:
         arrays[name] = arr.reshape(shape).astype(np.float64)
     if offset != len(blob) - 4:
         raise CheckpointFormatError("checkpoint tensor block size mismatch")
+    bin_width = _header_value(header["bin_width"], float, "bin_width")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise CheckpointFormatError(
+            f"checkpoint bin_width must be finite and > 0, got {bin_width!r}")
     window = WindowSpec(tuple(header["window"]["neuron_subset"]),
                         header["window"]["window_len"])
     critic = CriticParams.from_tensors(
@@ -512,7 +534,7 @@ def _checkpoint_from(header: dict, blob: bytes, offset: int) -> Checkpoint:
         gen_cfg=gen_cfg,
         train_cfg=train_cfg,
         window=window,
-        bin_width=header["bin_width"],
+        bin_width=bin_width,
         gen_params=GeneratorParams(arrays["gen_theta"]),
         critic=critic,
         adam_gen=adam_gen,

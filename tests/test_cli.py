@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiqgan import cli
 from spiqgan import training as tr
@@ -328,8 +330,33 @@ def rewrite_checkpoint_header(ckpt_path, out_path, edit):
     (lambda h: h["gen_cfg"].update(n_feature=3), "gen_theta"),
     (lambda h: h["tensors"][7][1].reverse(), "adam_critic_m0"),
     (lambda h: h.pop("window"), "malformed checkpoint"),
+    (lambda h: h.update(bin_width=None), "bin_width must be float, got None"),
+    (lambda h: h.update(bin_width="0.02"), "bin_width must be float"),
+    (lambda h: h.update(bin_width=[0.02]), "bin_width must be float"),
+    (lambda h: h.update(bin_width={}), "bin_width must be float"),
+    (lambda h: h.update(bin_width=True), "bin_width must be float"),
+    (lambda h: h.update(bin_width=0.0), "bin_width must be finite and > 0"),
+    (lambda h: h.update(bin_width=float("inf")), "finite and > 0, got inf"),
+    (lambda h: h["gen_cfg"].update(resample_noise_each_layer=[]),
+     "gen_cfg.resample_noise_each_layer must be bool, got []"),
+    (lambda h: h["gen_cfg"].update(resample_noise_each_layer={}),
+     "gen_cfg.resample_noise_each_layer must be bool, got {}"),
+    (lambda h: h["gen_cfg"].update(resample_noise_each_layer=0),
+     "gen_cfg.resample_noise_each_layer must be bool, got 0"),
+    (lambda h: h["gen_cfg"].update(n_layers=4.0),
+     "gen_cfg.n_layers must be int, got 4.0"),
+    (lambda h: h["gen_cfg"].update(n_aux=False),
+     "gen_cfg.n_aux must be int, got False"),
+    (lambda h: h["gen_cfg"].update(noise_high="3.14"),
+     "gen_cfg.noise_high must be float"),
+    (lambda h: h["train_cfg"].update(penalty_mode=1),
+     "train_cfg.penalty_mode must be str, got 1"),
 ], ids=["unknown_gen_cfg_key", "n_feature_vs_theta_shape",
-        "transposed_adam_tensor", "missing_window"])
+        "transposed_adam_tensor", "missing_window", "null_bin_width",
+        "string_bin_width", "list_bin_width", "dict_bin_width",
+        "bool_bin_width", "zero_bin_width", "infinite_bin_width",
+        "list_resample", "dict_resample", "int_resample", "float_n_layers",
+        "bool_n_aux", "string_noise_high", "int_penalty_mode"])
 def test_generate_inconsistent_checkpoint_header_exits_1(tmp_path, capsys,
                                                          edit, needle):
     bad = rewrite_checkpoint_header(trained_checkpoint(tmp_path),
@@ -341,6 +368,67 @@ def test_generate_inconsistent_checkpoint_header_exits_1(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
     assert not (tmp_path / "gen.spk").exists()
+
+
+def test_generate_accepts_whole_numbers_for_float_header_fields(tmp_path):
+    def edit(header):
+        header["bin_width"] = 1
+        header["gen_cfg"].update(noise_low=0, noise_high=3)
+    ckpt = rewrite_checkpoint_header(trained_checkpoint(tmp_path),
+                                     tmp_path / "ints.ckpt", edit)
+    assert run_cli("generate", "--checkpoint", ckpt, "--count", 5,
+                   "--out", tmp_path / "gen.spk") == 0
+    assert load_spikes(tmp_path / "gen.spk").bin_width == 1.0
+
+
+def _header_entries(node, path=()):
+    """Paths of every entry of a JSON header, containers and leaves."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _header_entries(child, path + (key,))
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats() | st.text(max_size=6))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+
+
+def test_generate_never_raises_on_any_checkpoint_header_entry(tmp_path):
+    """Every header entry, replaced by a value of each JSON type with a
+    valid CRC, makes ``generate`` exit with a code and never raise."""
+    ckpt = trained_checkpoint(tmp_path)
+    bad, out = tmp_path / "bad.ckpt", tmp_path / "gen.spk"
+    header = {}
+    rewrite_checkpoint_header(ckpt, bad, header.update)
+    entries = list(_header_entries(header))
+    assert {("bin_width",), ("gen_cfg", "resample_noise_each_layer"),
+            ("tensors", 0, 1, 0)} <= set(entries)
+
+    def replace(path, value):
+        def edit(header):
+            for key in path[:-1]:
+                header = header[key]
+            header[path[-1]] = value
+        return edit
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.tuples(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.text(max_size=6), st.lists(_JSON_VALUES, max_size=3),
+                     st.dictionaries(st.text(max_size=4), _JSON_VALUES,
+                                     max_size=3)))
+    def check(values):
+        for path in entries:
+            for value in values:
+                rewrite_checkpoint_header(ckpt, bad, replace(path, value))
+                code = run_cli("generate", "--checkpoint", bad, "--count", 2,
+                               "--out", out)
+                assert code in (0, 1, 2, 3), (path, value)
+
+    check()
 
 
 def test_generate_frequencies_match_model_distribution(tmp_path):

@@ -388,22 +388,29 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
         atol=1e-10)
 
 
-# (features, aux qubits, per-layer noise) at q=3 and q=8, with kernel chunks
-# of 2 forward rows (1 gradient row) or 4 forward rows (2 gradient rows).
-# With t=3 and two samples, blocks hold one or two patches, or one sample of
-# one patch, so a row whose patch were counted from its block's start would
-# run another patch's gates, and a per-patch sum that mixed blocks up would
-# mix patches.
+# (features, aux qubits, per-layer noise, timesteps) at q=3 and q=8, with
+# kernel chunks of 2 forward rows (1 gradient row) or 4 forward rows (2
+# gradient rows).  With t=3 and two samples, blocks hold one or two patches,
+# or one sample of one patch, so a row whose patch were counted from its
+# block's start would run another patch's gates, and a per-patch sum that
+# mixed blocks up would mix patches.  At t*q = 8 consecutive samples' noise
+# lies 64 B apart, a stride at which NumPy 2.4's ``np.negative(x, out=y)``
+# into a strided ``y`` has been seen to return wrong values.
 @pytest.mark.parametrize("forward_rows", [2, 4])
-@pytest.mark.parametrize("n, aux, resample", [(2, 1, True), (8, 0, False)])
+@pytest.mark.parametrize("n, aux, resample, t", [
+    pytest.param(2, 1, True, 3, id="2-1-True"),
+    pytest.param(8, 0, False, 3, id="8-0-False"),
+    pytest.param(8, 0, False, 1, id="8-0-False-t1"),
+    pytest.param(2, 0, False, 4, id="2-0-False-t4"),
+])
 def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
-                                                   resample, forward_rows):
-    cfg = cfg_for(n, 3, layers=2, aux=aux,
+                                                   resample, t, forward_rows):
+    cfg = cfg_for(n, t, layers=2, aux=aux,
                   resample_noise_each_layer=resample)
     rng = np.random.default_rng(23)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng, batch=2)
-    uniforms = rng.random((2, 3))
+    uniforms = rng.random((2, t))
     upstream = rng.normal(size=(2, cfg.output_dim))
     monkeypatch.setattr(gen, "_CHUNK_ELEMS", forward_rows * 2**cfg.n_qubits)
     forward = gen.forward_batch(cfg, params, z)
@@ -412,7 +419,7 @@ def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
         np.testing.assert_allclose(
             forward[j], oracle_forward(params.theta, z[j], n), rtol=0,
             atol=1e-10)
-        for p in range(3):
+        for p in range(t):
             cum = np.cumsum(ansatz_probs(params.theta[p], z[j, p]))
             basis = min(int(np.searchsorted(cum, uniforms[j, p],
                                             side="right")), len(cum) - 1)
@@ -422,12 +429,52 @@ def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
         gen.param_shift_batch(cfg, params, z, upstream),
         param_shift_oracle(params.theta, z, upstream), rtol=0, atol=1e-10)
     laws = gen.patch_distributions(cfg, params, z)
-    for p in range(3):
+    for p in range(t):
         mean = np.mean([ansatz_probs(params.theta[p], z[j, p])
                         for j in range(2)], axis=0)
         np.testing.assert_allclose(
             laws[p], mean.reshape(2**aux, 2**n).sum(axis=0), rtol=0,
             atol=1e-10)
+
+
+# Sampling blocks on both sides of the readout's shape rule: at q=2, blocks
+# of 512 samples take the running sum and the batch's last, short block
+# ``np.cumsum``; at q=8 every block has 128 samples and takes ``np.cumsum``.
+@pytest.mark.parametrize("n, t, batch, block_samples, running", [
+    (2, 3, 1100, 512, True), (8, 2, 300, 128, False)])
+def test_sample_batch_is_the_inverse_cdf_of_the_kernel_probs(
+        monkeypatch, n, t, batch, block_samples, running):
+    """Every draw is bit for bit the first state whose cumulative kernel
+    probability, as ``np.cumsum`` adds it up, exceeds the uniform, also for
+    uniforms equal to a cumulative value, 0, or past the last one (which
+    read the last state)."""
+    cfg = cfg_for(n, t)
+    rng = np.random.default_rng(31)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=batch)
+    monkeypatch.setattr(gen, "_CHUNK_ELEMS", block_samples * 2**n)
+    blocks = list(gen._blocks(cfg, params.theta, z))
+    sizes = [blk.samples.stop - blk.samples.start for blk in blocks]
+    assert (max(sizes) >= gen._RUNNING_SUM_SAMPLES) == running
+    assert min(sizes) < gen._RUNNING_SUM_SAMPLES
+    cum = np.empty((batch, t, 2**n))
+    for blk in blocks:
+        cum[blk.samples, blk.patches] = np.cumsum(
+            gen._probs(cfg, blk), axis=1).transpose(2, 0, 1)
+    picks = rng.integers(0, 2**n, size=(batch, t, 1))
+    uniforms = np.take_along_axis(cum, picks, axis=2)[..., 0]
+    uniforms[::4] = rng.random((len(uniforms[::4]), t))
+    uniforms[1::4, 0] = 0.0
+    uniforms[2::4, -1] = np.nextafter(cum[2::4, -1, -1], 2.0)
+    sampled = gen.sample_batch(cfg, params, z, uniforms)
+    assert sampled.dtype == np.uint8
+    basis = np.array([[np.searchsorted(cum[j, p], uniforms[j, p],
+                                       side="right") for p in range(t)]
+                      for j in range(batch)])
+    assert (basis[2::4, -1] == 2**n).all()
+    basis = np.minimum(basis, 2**n - 1)
+    np.testing.assert_array_equal(
+        sampled, (basis[:, None, :] >> np.arange(n)[:, None]) & 1)
 
 
 @pytest.mark.parametrize("call, n, t, batch", [
