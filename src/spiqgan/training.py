@@ -473,6 +473,16 @@ def _header_value(value, kind: type, label: str):
     return value
 
 
+def _header_count(value, least: int, label: str) -> int:
+    """``value``, once it is a JSON integer (not a bool) of at least
+    ``least``."""
+    _header_value(value, int, label)
+    if value < least:
+        raise CheckpointFormatError(
+            f"checkpoint {label} must be >= {least}, got {value!r}")
+    return value
+
+
 def _header_config(cls, values: dict, label: str):
     """Config dataclass from a header entry that has exactly its fields,
     each of its field's type."""
@@ -519,17 +529,25 @@ def _checkpoint_from(header: dict, blob: bytes, offset: int) -> Checkpoint:
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise CheckpointFormatError(
             f"checkpoint bin_width must be finite and > 0, got {bin_width!r}")
-    window = WindowSpec(tuple(header["window"]["neuron_subset"]),
-                        header["window"]["window_len"])
+    subset = header["window"]["neuron_subset"]
+    if not isinstance(subset, list):
+        raise CheckpointFormatError(
+            f"checkpoint window.neuron_subset must be list, got {subset!r}")
+    window = WindowSpec(
+        tuple(_header_count(i, 0, "window.neuron_subset entry")
+              for i in subset),
+        _header_count(header["window"]["window_len"], 1, "window.window_len"))
     critic = CriticParams.from_tensors(
         tuple(arrays[f"critic_{k}"] for k in ("w1", "b1", "w2", "b2")))
     adam_gen = AdamState(
         m=(arrays["adam_gen_m0"],), v=(arrays["adam_gen_v0"],),
-        step_count=header["adam_gen_steps"])
+        step_count=_header_count(header["adam_gen_steps"], 0,
+                                 "adam_gen_steps"))
     adam_critic = AdamState(
         m=tuple(arrays[f"adam_critic_m{i}"] for i in range(4)),
         v=tuple(arrays[f"adam_critic_v{i}"] for i in range(4)),
-        step_count=header["adam_critic_steps"])
+        step_count=_header_count(header["adam_critic_steps"], 0,
+                                 "adam_critic_steps"))
     return Checkpoint(
         gen_cfg=gen_cfg,
         train_cfg=train_cfg,
@@ -539,5 +557,5 @@ def _checkpoint_from(header: dict, blob: bytes, offset: int) -> Checkpoint:
         critic=critic,
         adam_gen=adam_gen,
         adam_critic=adam_critic,
-        gen_step=header["rng"]["gen_step"],
+        gen_step=_header_count(header["rng"]["gen_step"], 0, "rng.gen_step"),
     )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from spiqgan import cli
 from spiqgan import training as tr
+from spiqgan.errors import CheckpointFormatError
 from spiqgan.generator import GeneratorConfig
 from spiqgan.spikedata import load_spikes
 
@@ -112,13 +113,22 @@ def test_surrogate_via_config_file(tmp_path):
      "--neurons", "2", "--timesteps", "1", "--out", "{out}"],
     ["evaluate", "--generated", "{accent_spk}", "--reference", "{data}",
      "--neurons", "2", "--timesteps", "1", "--out", "{out}"],
+    ["train", "--config", "{cfg}", "--set", "generator.noise_low=-1e308",
+     "--set", "generator.noise_high=1e308"],
+    ["generate", "--checkpoint", "{wide_ckpt}", "--count", "5",
+     "--out", "{out}"],
 ], ids=["infinite-noise-bound", "unparsable-rates", "rates-per-neuron-mismatch",
         "unparsable-neuron-list", "non-utf8-config", "non-utf8-spikes",
         "train-seed-2^128", "generate-seed-2^128", "oversized-spikes-header",
-        "non-ascii-spike-entry"])
+        "non-ascii-spike-entry", "train-noise-range-overflow",
+        "generate-noise-range-overflow"])
 def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
     data = make_surrogate(tmp_path, cols=100)
-    ckpt = trained_checkpoint(tmp_path) if "{ckpt}" in argv else None
+    ckpt = (trained_checkpoint(tmp_path)
+            if {"{ckpt}", "{wide_ckpt}"} & set(argv) else None)
+    wide_ckpt = ckpt and rewrite_checkpoint_header(
+        ckpt, tmp_path / "wide.ckpt",
+        lambda h: h["gen_cfg"].update(noise_low=-1e308, noise_high=1e308))
     cfg = write_train_config(tmp_path, data, tmp_path / "run")
     bad_cfg = tmp_path / "bad.ini"
     bad_cfg.write_bytes(b"[generator]\nneurons = 2\xff\n")
@@ -131,7 +141,8 @@ def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
                           encoding="utf-8")
     capsys.readouterr()
     code = run_cli(*[arg.format(cfg=cfg, data=data, out=tmp_path / "out",
-                                ckpt=ckpt, bad_cfg=bad_cfg, bad_spk=bad_spk,
+                                ckpt=ckpt, wide_ckpt=wide_ckpt,
+                                bad_cfg=bad_cfg, bad_spk=bad_spk,
                                 big_spk=big_spk, accent_spk=accent_spk)
                      for arg in argv])
     err = capsys.readouterr().err
@@ -397,6 +408,15 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
 
 
+def _edit_entry(path, value):
+    """A header edit that sets the entry at ``path`` to ``value``."""
+    def edit(header):
+        for key in path[:-1]:
+            header = header[key]
+        header[path[-1]] = value
+    return edit
+
+
 def test_generate_never_raises_on_any_checkpoint_header_entry(tmp_path):
     """Every header entry, replaced by a value of each JSON type with a
     valid CRC, makes ``generate`` exit with a code and never raise."""
@@ -408,13 +428,6 @@ def test_generate_never_raises_on_any_checkpoint_header_entry(tmp_path):
     assert {("bin_width",), ("gen_cfg", "resample_noise_each_layer"),
             ("tensors", 0, 1, 0)} <= set(entries)
 
-    def replace(path, value):
-        def edit(header):
-            for key in path[:-1]:
-                header = header[key]
-            header[path[-1]] = value
-        return edit
-
     @settings(max_examples=4, deadline=None)
     @given(st.tuples(st.none(), st.booleans(), st.integers(), st.floats(),
                      st.text(max_size=6), st.lists(_JSON_VALUES, max_size=3),
@@ -423,12 +436,58 @@ def test_generate_never_raises_on_any_checkpoint_header_entry(tmp_path):
     def check(values):
         for path in entries:
             for value in values:
-                rewrite_checkpoint_header(ckpt, bad, replace(path, value))
+                rewrite_checkpoint_header(ckpt, bad, _edit_entry(path, value))
                 code = run_cli("generate", "--checkpoint", bad, "--count", 2,
                                "--out", out)
                 assert code in (0, 1, 2, 3), (path, value)
 
     check()
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    return trained_checkpoint(tmp_path_factory.mktemp("counts"))
+
+
+# Header entries that ``load_checkpoint`` reads as counts, with the least
+# value each takes; ``generate`` reads none of them.  The trained window is
+# neurons (0, 1), so entry 0 of neuron_subset takes 0 and 7, not 1.
+COUNT_ENTRIES = {"neuron_subset": (("window", "neuron_subset", 0), 0),
+                 "window_len": (("window", "window_len"), 1),
+                 "adam_gen_steps": (("adam_gen_steps",), 0),
+                 "adam_critic_steps": (("adam_critic_steps",), 0),
+                 "gen_step": (("rng", "gen_step"), 0)}
+
+
+@pytest.mark.parametrize("value", [None, True, False, -1, 0, 7, 0.0, 2.5,
+                                   "3", [1], {"a": 1}])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+def test_load_checkpoint_header_counts_are_ints(tmp_path, saved_checkpoint,
+                                                entry, value):
+    """Each count entry takes a JSON integer that is not a bool and is at
+    least its least value, kept as read, so saving it again gives the same
+    bytes; any other JSON value is a CheckpointFormatError."""
+    path, least = COUNT_ENTRIES[entry]
+    ckpt = rewrite_checkpoint_header(saved_checkpoint, tmp_path / "c.ckpt",
+                                     _edit_entry(path, value))
+    if type(value) is int and value >= least:
+        again = tmp_path / "again.ckpt"
+        tr.save_checkpoint(tr.load_checkpoint(ckpt), again)
+        assert again.read_bytes() == ckpt.read_bytes()
+    else:
+        with pytest.raises(CheckpointFormatError, match=entry):
+            tr.load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("value", [None, True, 3, 0.5, "01", {}, [0.5, 1.9],
+                                   [True, False], ["0", "1"]])
+def test_load_checkpoint_neuron_subset_is_a_list(tmp_path, saved_checkpoint,
+                                                 value):
+    ckpt = rewrite_checkpoint_header(
+        saved_checkpoint, tmp_path / "c.ckpt",
+        _edit_entry(("window", "neuron_subset"), value))
+    with pytest.raises(CheckpointFormatError, match="neuron_subset"):
+        tr.load_checkpoint(ckpt)
 
 
 def test_generate_frequencies_match_model_distribution(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -42,7 +43,8 @@ def test_config_validation():
         cfg_for(2, 0)
     with pytest.raises(ConfigurationError):
         gen.GeneratorConfig(n_feature=20, n_patches=1, n_aux=5)
-    for low, high in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+    for low, high in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                      (-1e308, 1e308)):
         with pytest.raises(ConfigurationError, match="finite"):
             cfg_for(2, 1, noise_low=low, noise_high=high)
 
@@ -143,6 +145,22 @@ def test_frame_chain_is_the_conjugated_cnot_chain(q):
     np.testing.assert_allclose(
         frame, np.eye(2**q)[gen._chain_permutation(q, True)], rtol=0,
         atol=1e-12)
+
+
+@pytest.mark.parametrize("q", range(1, 11))
+def test_frame_chain_splits_at_the_cut(q):
+    """The frame chain is F_hi C F_lo: the chains of the top qubits split ..
+    q-1 and of the bottom qubits alone, around C = CNOT(split -> split-1),
+    its one gate across the cut (none at q=1, which has no bottom half).
+    With ``new[i] = old[perm[i]]``, gathering A then B is ``A[B]``."""
+    split = q // 2
+    idx = np.arange(2**q)
+    top, bottom = idx >> split, idx & (2**split - 1)
+    f_lo = top << split | gen._chain_permutation(split, True)[bottom]
+    f_hi = gen._chain_permutation(q - split, True)[top] << split | bottom
+    cross = idx ^ (top & 1) << split - 1 if split else idx
+    np.testing.assert_array_equal(f_lo[cross[f_hi]],
+                                  gen._chain_permutation(q, True))
 
 
 @pytest.mark.parametrize("q", range(1, 11))
@@ -338,6 +356,55 @@ def test_batch_probs_match_dense_oracle_at_every_width(q, aux, layers,
     for j in range(2):
         np.testing.assert_allclose(probs[j], ansatz_probs(thetas[j], z[j]),
                                    rtol=0, atol=1e-10)
+
+
+# (features, aux qubits, layers) where the factored prefix hands over at
+# different layers: q=4 after layer 1 of 4, q=6 after layer 2 of 4 (its last
+# layer sums two products per row), q=8 after layer 3 of 6 or 8, and q=7
+# after layer 2 of 3, with one of its qubits auxiliary.
+HANDOVERS = [(4, 0, 4), (6, 0, 4), (8, 0, 6), (8, 0, 8), (6, 1, 3)]
+
+
+@pytest.mark.parametrize("resample", [False, True])
+@pytest.mark.parametrize("n, aux, layers", HANDOVERS)
+def test_factored_prefix_matches_oracles(monkeypatch, n, aux, layers,
+                                         resample):
+    """Probabilities match the dense unitary, draws follow the inverse-CDF
+    rule and patch laws the oracle mean, with the prefix's rows assembled
+    either way; the gradient of the first patch matches the shift-rule
+    oracle."""
+    cfg = cfg_for(n, 2, layers=layers, aux=aux,
+                  resample_noise_each_layer=resample)
+    rng = np.random.default_rng(80 + n + layers)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=2)
+    uniforms = rng.random((2, 2))
+    upstream = rng.normal(size=(2, cfg.output_dim))
+    exact = [[ansatz_probs(params.theta[p], z[j, p]) for p in range(2)]
+             for j in range(2)]
+    for products in (0, 1 << 30):
+        monkeypatch.setattr(gen, "_ROW_MATMUL_PRODUCTS", products)
+        probs = gen.batch_patch_probs(cfg, params.theta, z[0])
+        np.testing.assert_allclose(probs, exact[0], rtol=0, atol=1e-10)
+        sampled = gen.sample_batch(cfg, params, z, uniforms)
+        laws = gen.patch_distributions(cfg, params, z)
+        for p in range(2):
+            for j in range(2):
+                basis = min(int(np.searchsorted(np.cumsum(exact[j][p]),
+                                                uniforms[j, p], side="right")),
+                            2**cfg.n_qubits - 1)
+                np.testing.assert_array_equal(sampled[j, :, p],
+                                              (basis >> np.arange(n)) & 1)
+            mean = (exact[0][p] + exact[1][p]) / 2
+            np.testing.assert_allclose(
+                laws[p], mean.reshape(2**aux, 2**n).sum(axis=0), rtol=0,
+                atol=1e-10)
+    monkeypatch.undo()
+    one = dataclasses.replace(cfg, n_patches=1)
+    theta, z, upstream = params.theta[:1], z[:1, :1], upstream[:1, :n]
+    np.testing.assert_allclose(
+        gen.param_shift_batch(one, gen.GeneratorParams(theta), z, upstream),
+        param_shift_oracle(theta, z, upstream), rtol=0, atol=1e-10)
 
 
 # Kernel chunk sizes, in amplitudes, for a q=3 (two features, one aux), t=2
