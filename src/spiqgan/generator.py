@@ -21,12 +21,14 @@ CNOT chain with control and target swapped, a gather.  The last layer
 applies RZ RY H and P, back in the computational basis.  ``_blocks`` lays
 rows out (patches, 2^q, samples), so each factor is one matmul per patch
 over a block's rows; the forward passes and the adjoint gradient walk it.
-The forward pass runs its first layers as a factored prefix (``_forward``):
-the chain crosses the cut between the top and bottom qubits once, so a row
-stays a sum of r products of a top and a bottom vector and each layer
-doubles r.  The prefix stops at the last layer or at the rank bound
-2^min(hi, lo), whichever comes first, and its terms are assembled into the
-rows, which run the remaining chain and layers dense.
+From ``_PREFIX_QUBITS`` qubits on, the forward pass runs its first layers
+as a factored prefix (``_forward``): the chain crosses the cut between the
+top and bottom qubits once, so a row stays a sum of r products of a top and
+a bottom vector and each layer doubles r.  The prefix stops at the last
+layer or at the rank bound 2^min(hi, lo), whichever comes first, and one
+matmul per row assembles its terms into the rows, which run the remaining
+chain and layers dense.  Narrower rows leave the product form after the
+first layer.
 A block's d(z) comes from a table of each angle's pair (e^{-iz/2},
 e^{iz/2}), contiguous along the samples, with one cos and one sin per angle.
 Sampling reads each row's inverse CDF: as a running sum over contiguous rows
@@ -61,13 +63,12 @@ _CHUNK_ELEMS = 1 << 15
 # block never has 512 samples (BENCH_tiny_sampling.json).
 _RUNNING_SUM_SAMPLES = 512
 
-# The factored prefix assembles r terms into each row (``_forward``).  Once
-# the terms after the first make at least this many products per row, one
-# small matmul per row beats broadcast products over the block.  Timed on
-# one CPU of a 2-vCPU Xeon: at q=6 (192 products) the broadcast products
-# won at 2048 samples per patch, at q=7 (384) the matmul won at 32 and at
-# 2048, and at q=4 (16) it lost by 30-60 % (BENCH_factored_prefix.json).
-_ROW_MATMUL_PRODUCTS = 256
+# The factored prefix (``_forward``) runs from this width on; narrower
+# circuits hand over to the dense layers after the first.  Its terms are
+# assembled by one small matmul per row, which lost to the dense layers or
+# broke even at q = 4-6 (by up to 66 % at q=4) and won from q = 7, with 2, 4
+# and 8 layers (one CPU of a 2-vCPU Xeon, BENCH_factored_prefix.json).
+_PREFIX_QUBITS = 7
 
 
 @dataclass(frozen=True)
@@ -311,15 +312,18 @@ def _cut(num_qubits: int):
     top = np.argsort(_chain_permutation(num_qubits - split, True))
     bottom = _chain_permutation(split, True)
     flip = np.arange(2**split) ^ (1 << split - 1)
-    return (np.argsort(np.arange(len(top)) & 1, kind="stable"),
-            top.reshape(-1, 2).T.copy(), np.stack([bottom, bottom[flip]], 1))
+    tables = (np.argsort(np.arange(len(top)) & 1, kind="stable"),
+              top.reshape(-1, 2).T.copy(), np.stack([bottom, bottom[flip]], 1))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _slot(work: np.ndarray, start: int, shape: tuple) -> np.ndarray:
     """A contiguous (P, *shape) array in a scratch slot (P, states, 2^q,
     S), from element P * ``start`` of the slot."""
     p, size = len(work), math.prod(shape)
-    return work.reshape(-1)[p * start:p * (start + size)].reshape(
+    return work.reshape(-1, copy=False)[p * start:p * (start + size)].reshape(
         (p,) + shape)
 
 
@@ -327,27 +331,25 @@ def _forward(cfg: GeneratorConfig, blk: _Block):
     """Run a block's rows through every layer, returned as ``(states,
     spare)``, two of its scratch arrays with the rows in slot 0.
 
-    The rows start at 2^{-q} (1, ..., 1), a product over the qubit halves,
-    and the first layers keep them as sums of r such terms, the factored
-    prefix: a layer multiplies each term's halves by their phases and
-    factors, and its chain doubles r, as it crosses the cut once (``_cut``).
-    F_hi and P_c are folded into the next top factor's columns and phase
-    rows, as each term's top half is kept as its even and odd halves, which
-    the top factor before writes first and second; X F_lo is one gather of
-    the bottom terms.  The prefix ends with the factors of the last layer,
-    or of the layer m whose chain would reach the rank bound 2^min(hi, lo);
-    its terms are then assembled into the rows, which run the chain of m
-    and the layers after it dense.  With few terms, m's top factor acts
-    once on the assembled rows, which sum r/2 products each, as each of
-    m's top inputs is one parity's half; once the terms after the first
-    make ``_ROW_MATMUL_PRODUCTS`` products per row, it acts on the terms,
-    written sample-major, and one matmul per row assembles them.  Layer m
+    The rows start at 2^{-q} (1, ..., 1), a product over the qubit halves.
+    From ``_PREFIX_QUBITS`` on, the first layers keep them as sums of r
+    such terms, the factored prefix: a layer multiplies each term's halves
+    by their phases and factors, and its chain doubles r, as it crosses the
+    cut once (``_cut``).  F_hi and P_c are folded into the next top factor's
+    columns and phase rows, as each term's top half is kept as its even and
+    odd halves, which the top factor before writes first and second; X F_lo
+    is one gather of the bottom terms.  The prefix ends with the factors of
+    the last layer, or of the layer m whose chain would reach the rank
+    bound 2^min(hi, lo).  m's factors act on the terms, written
+    sample-major, and one matmul per row assembles them into the rows,
+    which run the chain of m and the layers after it dense.  Narrower rows
+    are one product after layer 0 and run dense from its chain.  Layer m
     reads its top terms from scratch slot 1 and writes to slot 2, the
-    layers before it alternate, and slot 0 holds the gathered bottom
-    terms until the rows replace them."""
+    layers before it alternate, and slot 0 holds the gathered bottom terms
+    until the rows replace them."""
     q, layers = cfg.n_qubits, cfg.n_layers
     split = q // 2
-    last = min(layers - 1, max(min(split, q - split) - 1, 0))
+    last = min(layers - 1, split - 1) if q >= _PREFIX_QUBITS else 0
     (p, _, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[2]
     parity_rows, cols_hi, sources = _cut(q) if last else (slice(None),) * 3
     hi, lo = blk.factors(0)
@@ -355,7 +357,7 @@ def _forward(cfg: GeneratorConfig, blk: _Block):
         blk.work[1 + (last - 1) % 2], 0, (h, s)))[:, :, None]
     bottom = np.matmul(lo * 2.0**-q, blk.phase_lo[:, 0], out=_slot(
         blk.work[1 + last % 2], 0, (n, s)))[:, :, None]
-    rows = blk.work[0][:, 0].reshape(p, h, n, s)
+    rows = blk.work[0][:, 0].reshape((p, h, n, s), copy=False)
     for layer in range(1, last + 1):
         if layer == 1 or blk.phase_hi.shape[1] > 1:
             k = layer if blk.phase_hi.shape[1] > 1 else 0
@@ -367,45 +369,31 @@ def _forward(cfg: GeneratorConfig, blk: _Block):
         branch = np.take(bottom, sources, axis=1,
                          out=_slot(blk.work[0], 0, (n, 2, r, s)))
         branch *= phase_lo
-        bottom = _slot(into, 0, (n, 2, r, s))
-        terms = top.reshape(p, 2, h // 2, r, s)
+        terms = top.reshape((p, 2, h // 2, r, s), copy=False)
         terms *= phase_hi
-        per_row = (layer == last
-                   and (2 * r - 1) * h * n >= _ROW_MATMUL_PRODUCTS)
-        if not per_row:
-            np.matmul(lo, branch.reshape(p, n, -1),
-                      out=bottom.reshape(p, n, -1))
         if layer < last:
+            bottom = _slot(into, 0, (n, 2, r, s))
+            np.matmul(lo, branch.reshape(p, n, -1),
+                      out=bottom.reshape((p, n, -1), copy=False))
             top = _slot(into, bottom.size // p, (h, 2, r, s))
             np.matmul(np.take(hi[:, parity_rows], cols_hi,
                               axis=2).swapaxes(1, 2),
                       terms.reshape(p, 2, h // 2, -1),
-                      out=top.reshape(p, h, 2, -1).swapaxes(1, 2))
+                      out=top.reshape((p, h, 2, -1),
+                                      copy=False).swapaxes(1, 2))
             top, bottom = (x.reshape(p, x.shape[1], 2 * r, s)
                            for x in (top, bottom))
-        elif not per_row:
-            halves = bottom.swapaxes(1, 2)[:, :, None]
-            np.multiply(terms[:, :, :, None, 0], halves[..., 0, :],
-                        out=rows.reshape(p, 2, h // 2, n, s))
-            product = _slot(into, bottom.size // p, (h // 2, n, s))
-            for t, c in np.ndindex(r - 1, 2):
-                rows[:, c * h // 2:(c + 1) * h // 2] += np.multiply(
-                    terms[:, c, :, None, t + 1], halves[:, c, ..., t + 1, :],
-                    out=product)
-            states, spare = blk.work[1], blk.work[0]
-            np.matmul(np.take(hi, cols_hi.reshape(-1), axis=2),
-                      rows.reshape(p, h, -1),
-                      out=states[:, 0].reshape(p, h, -1))
         else:
             bottom = _slot(into, 0, (2 * r, s, n))
             np.matmul(branch.reshape(p, n, -1).swapaxes(1, 2),
-                      lo.swapaxes(1, 2), out=bottom.reshape(p, -1, n))
+                      lo.swapaxes(1, 2),
+                      out=bottom.reshape((p, -1, n), copy=False))
             top = _slot(into, bottom.size // p, (2, r * s, h))
             np.matmul(terms.reshape(p, 2, h // 2, -1).swapaxes(2, 3),
                       np.take(hi, cols_hi, axis=2).transpose(0, 2, 3, 1),
                       out=top)
             states, spare = blk.work[0], blk.work[1]
-            by_sample = spare[:, 0].reshape(p, s, h, n)
+            by_sample = spare[:, 0].reshape((p, s, h, n), copy=False)
             np.matmul(top.reshape(p, 2 * r, s, h).transpose(0, 2, 3, 1),
                       bottom.swapaxes(1, 2), out=by_sample)
             np.copyto(rows, by_sample.transpose(0, 2, 3, 1))

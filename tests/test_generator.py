@@ -358,21 +358,20 @@ def test_batch_probs_match_dense_oracle_at_every_width(q, aux, layers,
                                    rtol=0, atol=1e-10)
 
 
-# (features, aux qubits, layers) where the factored prefix hands over at
-# different layers: q=4 after layer 1 of 4, q=6 after layer 2 of 4 (its last
-# layer sums two products per row), q=8 after layer 3 of 6 or 8, and q=7
-# after layer 2 of 3, with one of its qubits auxiliary.
-HANDOVERS = [(4, 0, 4), (6, 0, 4), (8, 0, 6), (8, 0, 8), (6, 1, 3)]
+# (features, aux qubits, layers) where the rows leave the product form at
+# different layers: q=4 and q=6 after layer 0 (narrower than the factored
+# prefix), q=7 after layer 1 of 2 and after layer 2 of 4, q=8 after layer 3
+# of 6 or 8, and q=7 after layer 2 of 3, with one of its qubits auxiliary.
+HANDOVERS = [(4, 0, 4), (6, 0, 4), (7, 0, 2), (7, 0, 4), (8, 0, 6), (8, 0, 8),
+             (6, 1, 3)]
 
 
 @pytest.mark.parametrize("resample", [False, True])
 @pytest.mark.parametrize("n, aux, layers", HANDOVERS)
-def test_factored_prefix_matches_oracles(monkeypatch, n, aux, layers,
-                                         resample):
+def test_factored_prefix_matches_oracles(n, aux, layers, resample):
     """Probabilities match the dense unitary, draws follow the inverse-CDF
-    rule and patch laws the oracle mean, with the prefix's rows assembled
-    either way; the gradient of the first patch matches the shift-rule
-    oracle."""
+    rule and patch laws the oracle mean; the gradient of the first patch
+    matches the shift-rule oracle."""
     cfg = cfg_for(n, 2, layers=layers, aux=aux,
                   resample_noise_each_layer=resample)
     rng = np.random.default_rng(80 + n + layers)
@@ -382,24 +381,21 @@ def test_factored_prefix_matches_oracles(monkeypatch, n, aux, layers,
     upstream = rng.normal(size=(2, cfg.output_dim))
     exact = [[ansatz_probs(params.theta[p], z[j, p]) for p in range(2)]
              for j in range(2)]
-    for products in (0, 1 << 30):
-        monkeypatch.setattr(gen, "_ROW_MATMUL_PRODUCTS", products)
-        probs = gen.batch_patch_probs(cfg, params.theta, z[0])
-        np.testing.assert_allclose(probs, exact[0], rtol=0, atol=1e-10)
-        sampled = gen.sample_batch(cfg, params, z, uniforms)
-        laws = gen.patch_distributions(cfg, params, z)
-        for p in range(2):
-            for j in range(2):
-                basis = min(int(np.searchsorted(np.cumsum(exact[j][p]),
-                                                uniforms[j, p], side="right")),
-                            2**cfg.n_qubits - 1)
-                np.testing.assert_array_equal(sampled[j, :, p],
-                                              (basis >> np.arange(n)) & 1)
-            mean = (exact[0][p] + exact[1][p]) / 2
-            np.testing.assert_allclose(
-                laws[p], mean.reshape(2**aux, 2**n).sum(axis=0), rtol=0,
-                atol=1e-10)
-    monkeypatch.undo()
+    probs = gen.batch_patch_probs(cfg, params.theta, z[0])
+    np.testing.assert_allclose(probs, exact[0], rtol=0, atol=1e-10)
+    sampled = gen.sample_batch(cfg, params, z, uniforms)
+    laws = gen.patch_distributions(cfg, params, z)
+    for p in range(2):
+        for j in range(2):
+            basis = min(int(np.searchsorted(np.cumsum(exact[j][p]),
+                                            uniforms[j, p], side="right")),
+                        2**cfg.n_qubits - 1)
+            np.testing.assert_array_equal(sampled[j, :, p],
+                                          (basis >> np.arange(n)) & 1)
+        mean = (exact[0][p] + exact[1][p]) / 2
+        np.testing.assert_allclose(
+            laws[p], mean.reshape(2**aux, 2**n).sum(axis=0), rtol=0,
+            atol=1e-10)
     one = dataclasses.replace(cfg, n_patches=1)
     theta, z, upstream = params.theta[:1], z[:1, :1], upstream[:1, :n]
     np.testing.assert_allclose(
