@@ -58,7 +58,7 @@ out = {out / 'sweep'}
     cmd = ["sweep", "--config", str(config), "--jobs", str(args.jobs)]
     if args.run:
         raise SystemExit(spiqgan(cmd))
-    print("launch with: spiqgan " + " ".join(cmd))
+    print("launch with: OPENBLAS_NUM_THREADS=1 spiqgan " + " ".join(cmd))
 
 
 if __name__ == "__main__":

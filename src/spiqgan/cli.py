@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import sys
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
@@ -29,7 +28,7 @@ import numpy as np
 from . import stats as stats_mod
 from .errors import (CheckpointFormatError, ConfigurationError,
                      DataFormatError, NumericalError)
-from .fileio import atomic_path
+from .fileio import atomic_path, write_csv
 from .generator import GeneratorConfig, sample_batch
 from .spikedata import (MAX_STATE_BITS, SpikeMatrix, WindowSpec, all_windows,
                         first_n_spec, load_spikes, save_spikes,
@@ -313,15 +312,6 @@ def _evaluate_windows(gen_windows: np.ndarray, ref_windows: np.ndarray,
     return gen_report, ref_report, summary
 
 
-def _write_summary(path: Path, summary: dict) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
-                                        newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        for key, value in summary.items():
-            writer.writerow([key, "" if value is None else repr(value)])
-
-
 def cmd_evaluate(args) -> int:
     generated = load_spikes(args.generated)
     reference = load_spikes(args.reference)
@@ -341,7 +331,9 @@ def cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stats_mod.write_report_csvs(gen_report, out / "generated")
     stats_mod.write_report_csvs(ref_report, out / "reference")
-    _write_summary(out / "summary.csv", summary)
+    write_csv(out / "summary.csv", ("metric", "value"),
+              ((key, "" if value is None else repr(value))
+               for key, value in summary.items()))
     _write_snapshot(out / "resolved_config.ini", {
         "evaluate": {
             "generated": args.generated,
@@ -412,17 +404,6 @@ def _submit(pool, task):
         return failed.result
 
 
-def _write_sweep_results(path: Path, results: list[dict]) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
-                                        newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "t", "K", "seed", "mse_kprob", "mse_rate", "js"])
-        for row in results:
-            js = "" if row["js"] is None else repr(row["js"])
-            writer.writerow([row["n"], row["t"], repr(row["K"]), row["seed"],
-                             repr(row["mse_kprob"]), repr(row["mse_rate"]), js])
-
-
 def _write_loss_diff(path: Path, results: list[dict]) -> None:
     """Per-(n, t) mean MSE difference, standard loss minus K-loss.
 
@@ -433,23 +414,18 @@ def _write_loss_diff(path: Path, results: list[dict]) -> None:
     if not {0.0, 1.0} <= k_values:
         return
     cells = sorted({(row["n"], row["t"]) for row in results})
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
-                                        newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "t", "kprob_mse_diff", "rate_mse_diff"])
-        for n, t in cells:
-            std = [r for r in results
-                   if (r["n"], r["t"], r["K"]) == (n, t, 0.0)]
-            kls = [r for r in results
-                   if (r["n"], r["t"], r["K"]) == (n, t, 1.0)]
-            if not std or not kls:
-                continue
-            diff_kprob = (np.mean([r["mse_kprob"] for r in std])
-                          - np.mean([r["mse_kprob"] for r in kls]))
-            diff_rate = (np.mean([r["mse_rate"] for r in std])
-                         - np.mean([r["mse_rate"] for r in kls]))
-            writer.writerow([n, t, repr(float(diff_kprob)),
-                             repr(float(diff_rate))])
+    rows = []
+    for n, t in cells:
+        std = [r for r in results if (r["n"], r["t"], r["K"]) == (n, t, 0.0)]
+        kls = [r for r in results if (r["n"], r["t"], r["K"]) == (n, t, 1.0)]
+        if not std or not kls:
+            continue
+        diff_kprob = (np.mean([r["mse_kprob"] for r in std])
+                      - np.mean([r["mse_kprob"] for r in kls]))
+        diff_rate = (np.mean([r["mse_rate"] for r in std])
+                     - np.mean([r["mse_rate"] for r in kls]))
+        rows.append((n, t, repr(float(diff_kprob)), repr(float(diff_rate))))
+    write_csv(path, ("n", "t", "kprob_mse_diff", "rate_mse_diff"), rows)
 
 
 def cmd_sweep(args) -> int:
@@ -484,15 +460,17 @@ def cmd_sweep(args) -> int:
             except Exception as exc:  # cell failures never stop the sweep
                 failures.append((*cell, str(exc)))
 
-    _write_sweep_results(out / "sweep_results.csv", results)
+    write_csv(out / "sweep_results.csv",
+              ("n", "t", "K", "seed", "mse_kprob", "mse_rate", "js"),
+              ((row["n"], row["t"], repr(row["K"]), row["seed"],
+                repr(row["mse_kprob"]), repr(row["mse_rate"]),
+                "" if row["js"] is None else repr(row["js"]))
+               for row in results))
     _write_loss_diff(out / "loss_diff.csv", results)
     _write_snapshot(out / "resolved_config.ini", cfg)
     if failures:
-        with atomic_path(out / "sweep_failures.csv") as tmp, open(
-                tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "t", "K", "seed", "error"])
-            writer.writerows(failures)
+        write_csv(out / "sweep_failures.csv",
+                  ("n", "t", "K", "seed", "error"), failures)
         print(f"sweep finished with {len(failures)} failed cell(s) -> {out}",
               file=sys.stderr)
         return 1

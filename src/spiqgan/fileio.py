@@ -1,7 +1,8 @@
-"""Atomic replacement of output files."""
+"""Atomic replacement of output files, and the CSV writer built on it."""
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 
@@ -23,3 +24,13 @@ def atomic_path(path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as a UTF-8 CSV with
+    LF line ends, through ``atomic_path``."""
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
+                                        newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

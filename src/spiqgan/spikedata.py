@@ -171,10 +171,8 @@ def sample_windows(m: SpikeMatrix, spec: WindowSpec, batch: int,
     spec.validate_for(m)
     t = spec.window_len
     starts = rng.integers(0, m.n_bins - t + 1, size=batch)
-    sub = m.data[list(spec.neuron_subset)]
-    cols = starts[:, None] + np.arange(t)[None, :]
-    windows = sub[:, cols]                    # (n, batch, t)
-    windows = windows.transpose(1, 2, 0)      # (batch, t, n): patch-major
+    cols = starts[:, None, None] + np.arange(t)[None, :, None]
+    windows = m.data[np.array(spec.neuron_subset), cols]  # (batch, t, n)
     return windows.reshape(batch, -1).astype(float)
 
 

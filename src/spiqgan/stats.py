@@ -14,14 +14,13 @@ is made, and the integer counts do not depend on BLAS summation order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .fileio import atomic_path
+from .fileio import write_csv
 from .spikedata import MAX_STATE_BITS, binary_uint8, state_indices
 
 # Entries per float32 block of the count pass.  A block holds whole
@@ -92,8 +91,10 @@ def _count(samples, max_lag: int | None = None) -> _Counts:
     Windows of up to _BLOCK_ELEMS entries go through float32 blocks of whole
     samples: one pair-count matmul, one batched t x t lag-product matmul
     (row u, column v of neuron i's matrix counts samples where it spikes at
-    both offsets) and one population bincount per block.  Longer windows use
-    integer reductions over the uint8 stack, one per pair and per lag.
+    both offsets) and one population bincount per block.  When lags are
+    counted the n t x t lag matrices must fit in _BLOCK_ELEMS entries too.
+    Larger windows use integer reductions over the uint8 stack, one per pair
+    and per lag.
     """
     arr = _stack(samples)
     b, n, t = arr.shape
@@ -103,7 +104,7 @@ def _count(samples, max_lag: int | None = None) -> _Counts:
         )
     lag_range = range(0 if max_lag is None else max_lag + 1)
     per_offset = products = None
-    if n * t <= _BLOCK_ELEMS:
+    if n * t * (t if lag_range else 1) <= _BLOCK_ELEMS:
         pairs = np.zeros((n, n), dtype=np.int64)
         population = np.zeros(n + 1, dtype=np.int64)
         lag_matrix = np.zeros((n, t, t), dtype=np.int64) if lag_range else None
@@ -276,33 +277,21 @@ def build_report(samples, bin_width: float, max_lag: int) -> StatReport:
     )
 
 
-def _write_stat_csv(path: Path, name: str, values: np.ndarray) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
-                                        newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["stat", "index", "value"])
-        for i, v in enumerate(values):
-            writer.writerow([name, i, repr(float(v))])
-
-
 def write_report_csvs(report: StatReport, out_dir) -> None:
     """Bundle the report as one directory of stat,index,value CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_stat_csv(out / "firing_rate.csv", "firing_rate", report.firing_rate)
-    _write_stat_csv(out / "pairwise_covariance.csv", "pairwise_covariance",
-                    report.pairwise_cov)
-    _write_stat_csv(out / "k_probability.csv", "k_probability",
-                    report.k_probability)
-    if report.autocorrelogram is not None:
-        _write_stat_csv(out / "autocorrelogram.csv", "autocorrelogram",
-                        report.autocorrelogram)
+    vectors = {"firing_rate": report.firing_rate,
+               "pairwise_covariance": report.pairwise_cov,
+               "k_probability": report.k_probability,
+               "autocorrelogram": report.autocorrelogram}
+    for name, values in vectors.items():
+        if values is not None:
+            write_csv(out / f"{name}.csv", ("stat", "index", "value"),
+                      ((name, i, repr(float(v)))
+                       for i, v in enumerate(values)))
     meta = report.sample_meta
-    with atomic_path(out / "meta.csv") as tmp, open(
-            tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerow(["neurons", meta.n_neurons])
-        writer.writerow(["timesteps", meta.n_bins])
-        writer.writerow(["samples", meta.n_samples])
-        writer.writerow(["bin_width", repr(meta.bin_width)])
+    write_csv(out / "meta.csv", ("key", "value"),
+              (("neurons", meta.n_neurons), ("timesteps", meta.n_bins),
+               ("samples", meta.n_samples),
+               ("bin_width", repr(meta.bin_width))))

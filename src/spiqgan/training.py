@@ -24,7 +24,7 @@ from . import generator as gen_mod
 from . import stats as stats_mod
 from .critic import AdamState, CriticParams, adam_init, adam_step, clip_weights
 from .errors import CheckpointFormatError, ConfigurationError, NumericalError
-from .fileio import atomic_path
+from .fileio import atomic_path, write_csv
 from .generator import GeneratorConfig, GeneratorParams
 from .spikedata import (MAX_STATE_BITS, SpikeMatrix, WindowSpec, all_windows,
                         bit_reverse_permutation, first_n_spec, sample_windows)
@@ -135,33 +135,41 @@ def generator_loss(c_fake, fake_counts, real_counts, k_coeff: float,
 # --- trainer state --------------------------------------------------------
 
 @dataclass
-class TrainerState:
+class Checkpoint:
+    """Everything training carries from one step to the next; a checkpoint
+    file holds exactly this."""
+
     gen_cfg: GeneratorConfig
     train_cfg: TrainConfig
+    window: WindowSpec
+    bin_width: float
     gen_params: GeneratorParams
     critic: CriticParams
     adam_gen: AdamState
     adam_critic: AdamState
-    gen_step: int = 0
+    gen_step: int
 
 
-def init_trainer(train_cfg: TrainConfig,
-                 gen_cfg: GeneratorConfig) -> TrainerState:
+def init_trainer(train_cfg: TrainConfig, gen_cfg: GeneratorConfig,
+                 window: WindowSpec, bin_width: float) -> Checkpoint:
     gen_params = gen_mod.init_params(
         gen_cfg, substream(train_cfg.seed, PURPOSE_GEN_INIT))
     critic = critic_mod.init_critic(
         gen_cfg.output_dim, substream(train_cfg.seed, PURPOSE_CRITIC_INIT))
-    return TrainerState(
+    return Checkpoint(
         gen_cfg=gen_cfg,
         train_cfg=train_cfg,
+        window=window,
+        bin_width=bin_width,
         gen_params=gen_params,
         critic=critic,
         adam_gen=adam_init((gen_params.theta,)),
         adam_critic=adam_init(critic.tensors()),
+        gen_step=0,
     )
 
 
-def critic_step(state: TrainerState, real_batch: np.ndarray,
+def critic_step(state: Checkpoint, real_batch: np.ndarray,
                 rng: np.random.Generator) -> float:
     """One critic update on a fresh fake batch; generator stays frozen."""
     cfg = state.gen_cfg
@@ -233,7 +241,7 @@ def generator_loss_and_grad(gen_cfg: GeneratorConfig,
     return loss, grad, float(np.abs(gap).mean())
 
 
-def generator_step(state: TrainerState, real_batch: np.ndarray,
+def generator_step(state: Checkpoint, real_batch: np.ndarray,
                    rng: np.random.Generator) -> tuple[float, float]:
     """One generator update on fresh noise; critic stays frozen.
 
@@ -294,13 +302,12 @@ class LogRow:
 
 
 def write_train_log(rows, path) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
-                                        newline="\n") as fh:
-        fh.write("step,loss_critic,loss_gen,count_gap,js_divergence\n")
-        for row in rows:
-            js = "" if row.js_divergence is None else repr(row.js_divergence)
-            fh.write(f"{row.step},{row.loss_critic!r},{row.loss_gen!r},"
-                     f"{row.count_gap!r},{js}\n")
+    write_csv(path, ("step", "loss_critic", "loss_gen", "count_gap",
+                     "js_divergence"),
+              ((row.step, repr(row.loss_critic), repr(row.loss_gen),
+                repr(row.count_gap),
+                "" if row.js_divergence is None else repr(row.js_divergence))
+               for row in rows))
 
 
 def train(train_cfg: TrainConfig, data: SpikeMatrix, gen_cfg: GeneratorConfig,
@@ -325,7 +332,7 @@ def train(train_cfg: TrainConfig, data: SpikeMatrix, gen_cfg: GeneratorConfig,
     window.validate_for(data)
 
     seed = train_cfg.seed
-    state = init_trainer(train_cfg, gen_cfg)
+    state = init_trainer(train_cfg, gen_cfg, window, data.bin_width)
 
     track_js = gen_cfg.n_feature * gen_cfg.n_patches <= MAX_STATE_BITS
     if track_js:
@@ -355,58 +362,28 @@ def train(train_cfg: TrainConfig, data: SpikeMatrix, gen_cfg: GeneratorConfig,
             js = stats_mod.js_divergence(dist, reference)
         rows.append(LogRow(step, loss_c, loss_g, gap, js))
         state.gen_step = step + 1
-
-    ckpt = Checkpoint(
-        gen_cfg=gen_cfg,
-        train_cfg=train_cfg,
-        window=window,
-        bin_width=data.bin_width,
-        gen_params=state.gen_params,
-        critic=state.critic,
-        adam_gen=state.adam_gen,
-        adam_critic=state.adam_critic,
-        gen_step=state.gen_step,
-    )
-    return ckpt, rows
+    return state, rows
 
 
 # --- checkpoint serialization ---------------------------------------------
 
-@dataclass
-class Checkpoint:
-    gen_cfg: GeneratorConfig
-    train_cfg: TrainConfig
-    window: WindowSpec
-    bin_width: float
-    gen_params: GeneratorParams
-    critic: CriticParams
-    adam_gen: AdamState
-    adam_critic: AdamState
-    gen_step: int
+def _tensor_layout(gen_cfg: GeneratorConfig) -> list:
+    """[name, shape] of every checkpoint tensor in save order, as gen_cfg
+    implies."""
+    theta = [gen_cfg.n_patches, gen_cfg.n_layers, gen_cfg.n_qubits, 2]
+    h = critic_mod.HIDDEN_UNITS
+    critic = [[h, gen_cfg.output_dim], [h], [h], []]
+    return ([["gen_theta", theta]]
+            + [[f"critic_{k}", shape]
+               for k, shape in zip(("w1", "b1", "w2", "b2"), critic)]
+            + [["adam_gen_m0", theta], ["adam_gen_v0", theta]]
+            + [[f"adam_critic_{mv}{i}", shape]
+               for mv in "mv" for i, shape in enumerate(critic)])
 
 
-def _checkpoint_tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    tensors = [("gen_theta", ckpt.gen_params.theta)]
-    for name, t in zip(("critic_w1", "critic_b1", "critic_w2", "critic_b2"),
-                       ckpt.critic.tensors()):
-        tensors.append((name, t))
-    for label, adam in (("adam_gen", ckpt.adam_gen),
-                        ("adam_critic", ckpt.adam_critic)):
-        for i, t in enumerate(adam.m):
-            tensors.append((f"{label}_m{i}", t))
-        for i, t in enumerate(adam.v):
-            tensors.append((f"{label}_v{i}", t))
-    return tensors
-
-
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Versioned container: magic, version, JSON header, little-endian
-    float64 tensor block, trailing CRC-32.
-
-    Written to a temporary file beside ``path`` and renamed over it, so an
-    interrupted save leaves any previous checkpoint at ``path`` intact."""
-    tensors = _checkpoint_tensors(ckpt)
-    header = {
+def _header_text(ckpt: Checkpoint) -> str:
+    """The JSON header that save writes for ``ckpt``."""
+    return json.dumps({
         "gen_cfg": asdict(ckpt.gen_cfg),
         "train_cfg": asdict(ckpt.train_cfg),
         "window": {"neuron_subset": list(ckpt.window.neuron_subset),
@@ -415,22 +392,39 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "rng": {"seed": ckpt.train_cfg.seed, "gen_step": ckpt.gen_step},
         "adam_gen_steps": ckpt.adam_gen.step_count,
         "adam_critic_steps": ckpt.adam_critic.step_count,
-        "tensors": [[name, list(np.shape(t))] for name, t in tensors],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
-    blob += struct.pack("<I", len(header_bytes))
-    blob += header_bytes
-    for _, t in tensors:
+        "tensors": _tensor_layout(ckpt.gen_cfg),
+    }, sort_keys=True)
+
+
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Versioned container: magic, version, JSON header, little-endian
+    float64 tensor block, trailing CRC-32.
+
+    Written to a temporary file beside ``path`` and renamed over it, so an
+    interrupted save leaves any previous checkpoint at ``path`` intact."""
+    header = _header_text(ckpt).encode("utf-8")
+    blob = bytearray(CHECKPOINT_MAGIC)
+    blob += struct.pack("<II", CHECKPOINT_VERSION, len(header))
+    blob += header
+    tensors = (ckpt.gen_params.theta, *ckpt.critic.tensors(),
+               *ckpt.adam_gen.m, *ckpt.adam_gen.v,
+               *ckpt.adam_critic.m, *ckpt.adam_critic.v)
+    for (name, shape), t in zip(_tensor_layout(ckpt.gen_cfg), tensors,
+                                strict=True):
+        if list(np.shape(t)) != shape:
+            raise ConfigurationError(
+                f"tensor {name} has shape {list(np.shape(t))}, gen_cfg "
+                f"implies {shape}")
         blob += np.ascontiguousarray(t, dtype="<f8").tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+    blob += struct.pack("<I", zlib.crc32(blob))
     with atomic_path(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint saved at ``path``.  Only a file that
+    ``save_checkpoint`` would write for the checkpoint it holds loads, so
+    saving what this returns reproduces the file byte for byte."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 12:
@@ -441,18 +435,16 @@ def load_checkpoint(path) -> Checkpoint:
     if zlib.crc32(blob[:-4]) != stored_crc:
         raise CheckpointFormatError("checkpoint checksum mismatch")
     offset = len(CHECKPOINT_MAGIC)
-    version = struct.unpack_from("<I", blob, offset)[0]
+    version, header_len = struct.unpack_from("<II", blob, offset)
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(
             f"checkpoint version {version} unsupported "
             f"(reader is {CHECKPOINT_VERSION})"
         )
-    offset += 4
-    header_len = struct.unpack_from("<I", blob, offset)[0]
-    offset += 4
+    offset += 8
     try:
-        header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
-        return _checkpoint_from(header, blob, offset + header_len)
+        return _checkpoint_from(blob[offset:offset + header_len], blob,
+                                offset + header_len)
     except (CheckpointFormatError, ConfigurationError):
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -496,35 +488,24 @@ def _header_config(cls, values: dict, label: str):
                   for name, value in values.items()})
 
 
-def _expected_manifest(gen_cfg: GeneratorConfig) -> list:
-    """[name, shape] of every tensor in save order, as gen_cfg implies."""
-    theta = [gen_cfg.n_patches, gen_cfg.n_layers, gen_cfg.n_qubits, 2]
-    h = critic_mod.HIDDEN_UNITS
-    critic = [[h, gen_cfg.output_dim], [h], [h], []]
-    return ([["gen_theta", theta]]
-            + [[f"critic_{k}", shape]
-               for k, shape in zip(("w1", "b1", "w2", "b2"), critic)]
-            + [["adam_gen_m0", theta], ["adam_gen_v0", theta]]
-            + [[f"adam_critic_{mv}{i}", shape]
-               for mv in "mv" for i, shape in enumerate(critic)])
-
-
-def _checkpoint_from(header: dict, blob: bytes, offset: int) -> Checkpoint:
+def _checkpoint_from(text: bytes, blob: bytes, offset: int) -> Checkpoint:
+    header = json.loads(text.decode("utf-8"))
     gen_cfg = _header_config(GeneratorConfig, header["gen_cfg"], "gen_cfg")
     train_cfg = _header_config(TrainConfig, header["train_cfg"], "train_cfg")
-    manifest = header["tensors"]
-    for got, want in zip_longest(manifest, _expected_manifest(gen_cfg)):
+    layout = _tensor_layout(gen_cfg)
+    for got, want in zip_longest(header["tensors"], layout):
         if got != want:
             raise CheckpointFormatError(
                 f"tensor {got} does not match gen_cfg (expected {want})")
-    arrays = {}
-    for name, shape in manifest:
-        count = int(np.prod(shape)) if shape else 1
+    arrays = []
+    for _, shape in layout:
+        count = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += count * 8
-        arrays[name] = arr.reshape(shape).astype(np.float64)
+        arrays.append(arr.reshape(shape).astype(np.float64))
     if offset != len(blob) - 4:
         raise CheckpointFormatError("checkpoint tensor block size mismatch")
+    theta, w1, b1, w2, b2, m_gen, v_gen, *critic_moments = arrays
     bin_width = _header_value(header["bin_width"], float, "bin_width")
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise CheckpointFormatError(
@@ -537,25 +518,33 @@ def _checkpoint_from(header: dict, blob: bytes, offset: int) -> Checkpoint:
         tuple(_header_count(i, 0, "window.neuron_subset entry")
               for i in subset),
         _header_count(header["window"]["window_len"], 1, "window.window_len"))
-    critic = CriticParams.from_tensors(
-        tuple(arrays[f"critic_{k}"] for k in ("w1", "b1", "w2", "b2")))
-    adam_gen = AdamState(
-        m=(arrays["adam_gen_m0"],), v=(arrays["adam_gen_v0"],),
-        step_count=_header_count(header["adam_gen_steps"], 0,
-                                 "adam_gen_steps"))
-    adam_critic = AdamState(
-        m=tuple(arrays[f"adam_critic_m{i}"] for i in range(4)),
-        v=tuple(arrays[f"adam_critic_v{i}"] for i in range(4)),
-        step_count=_header_count(header["adam_critic_steps"], 0,
-                                 "adam_critic_steps"))
-    return Checkpoint(
+    ckpt = Checkpoint(
         gen_cfg=gen_cfg,
         train_cfg=train_cfg,
         window=window,
         bin_width=bin_width,
-        gen_params=GeneratorParams(arrays["gen_theta"]),
-        critic=critic,
-        adam_gen=adam_gen,
-        adam_critic=adam_critic,
+        gen_params=GeneratorParams(theta),
+        critic=CriticParams.from_tensors((w1, b1, w2, b2)),
+        adam_gen=AdamState(
+            m=(m_gen,), v=(v_gen,),
+            step_count=_header_count(header["adam_gen_steps"], 0,
+                                     "adam_gen_steps")),
+        adam_critic=AdamState(
+            m=tuple(critic_moments[:4]), v=tuple(critic_moments[4:]),
+            step_count=_header_count(header["adam_critic_steps"], 0,
+                                     "adam_critic_steps")),
         gen_step=_header_count(header["rng"]["gen_step"], 0, "rng.gen_step"),
     )
+    # The checks above name the usual faults; this one rejects every other
+    # header that save would not write, such as an extra key or an rng seed
+    # other than train_cfg's.
+    want = _header_text(ckpt)
+    if want.encode("utf-8") != text:
+        saved = json.loads(want)
+        differ = sorted(key for key in header.keys() | saved.keys()
+                        if key not in header or key not in saved
+                        or header[key] != saved[key])
+        raise CheckpointFormatError(
+            "checkpoint header is not the one save writes for it "
+            f"(differs in {differ or 'layout only'})")
+    return ckpt

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spiqgan import cli
 from spiqgan import training as tr
-from spiqgan.errors import CheckpointFormatError
+from spiqgan.errors import CheckpointFormatError, ConfigurationError
 from spiqgan.generator import GeneratorConfig
 from spiqgan.spikedata import load_spikes
 
@@ -176,7 +176,8 @@ def test_train_zero_steps_checkpoint_equals_init(tmp_path):
     cfg = write_train_config(tmp_path, data, out, steps=0)
     assert run_cli("train", "--config", cfg) == 0
     ckpt = tr.load_checkpoint(out / "checkpoint.ckpt")
-    fresh = tr.init_trainer(ckpt.train_cfg, ckpt.gen_cfg)
+    fresh = tr.init_trainer(ckpt.train_cfg, ckpt.gen_cfg, ckpt.window,
+                            ckpt.bin_width)
     np.testing.assert_array_equal(ckpt.gen_params.theta,
                                   fresh.gen_params.theta)
     assert (out / "train_log.csv").read_text() == \
@@ -362,12 +363,18 @@ def rewrite_checkpoint_header(ckpt_path, out_path, edit):
      "gen_cfg.noise_high must be float"),
     (lambda h: h["train_cfg"].update(penalty_mode=1),
      "train_cfg.penalty_mode must be str, got 1"),
+    (lambda h: h["rng"].update(seed=999), "differs in ['rng']"),
+    (lambda h: h["rng"].update(seed="x"), "differs in ['rng']"),
+    (lambda h: h.update(bogus=1), "differs in ['bogus']"),
+    (lambda h: h["window"].update(bogus=1), "differs in ['window']"),
 ], ids=["unknown_gen_cfg_key", "n_feature_vs_theta_shape",
         "transposed_adam_tensor", "missing_window", "null_bin_width",
         "string_bin_width", "list_bin_width", "dict_bin_width",
         "bool_bin_width", "zero_bin_width", "infinite_bin_width",
         "list_resample", "dict_resample", "int_resample", "float_n_layers",
-        "bool_n_aux", "string_noise_high", "int_penalty_mode"])
+        "bool_n_aux", "string_noise_high", "int_penalty_mode",
+        "other_rng_seed", "string_rng_seed", "extra_top_level_key",
+        "extra_window_key"])
 def test_generate_inconsistent_checkpoint_header_exits_1(tmp_path, capsys,
                                                          edit, needle):
     bad = rewrite_checkpoint_header(trained_checkpoint(tmp_path),
@@ -419,9 +426,11 @@ def _edit_entry(path, value):
 
 def test_generate_never_raises_on_any_checkpoint_header_entry(tmp_path):
     """Every header entry, replaced by a value of each JSON type with a
-    valid CRC, makes ``generate`` exit with a code and never raise."""
+    valid CRC, makes ``generate`` exit with a code and never raise; an
+    edited file that still loads saves again byte for byte."""
     ckpt = trained_checkpoint(tmp_path)
     bad, out = tmp_path / "bad.ckpt", tmp_path / "gen.spk"
+    resaved = tmp_path / "resaved.ckpt"
     header = {}
     rewrite_checkpoint_header(ckpt, bad, header.update)
     entries = list(_header_entries(header))
@@ -440,6 +449,12 @@ def test_generate_never_raises_on_any_checkpoint_header_entry(tmp_path):
                 code = run_cli("generate", "--checkpoint", bad, "--count", 2,
                                "--out", out)
                 assert code in (0, 1, 2, 3), (path, value)
+                try:
+                    loaded = tr.load_checkpoint(bad)
+                except (CheckpointFormatError, ConfigurationError):
+                    continue
+                tr.save_checkpoint(loaded, resaved)
+                assert resaved.read_bytes() == bad.read_bytes(), (path, value)
 
     check()
 

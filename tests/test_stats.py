@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -186,6 +187,43 @@ def test_estimators_match_brute_force_on_random_stacks(b, n, t, kinds, block,
             np.testing.assert_allclose(
                 stats.autocorrelogram(stack, max_lag),
                 brute_autocorrelogram(samples, max_lag), rtol=0, atol=1e-12)
+
+
+def test_estimators_match_brute_force_past_the_lag_block_bound():
+    """n*t fits a block but the n t x t lag matrices do not, so the lag
+    counts take the integer path; every estimator still equals its oracle."""
+    b, n, t = 3, 2, 200
+    assert n * t <= stats._BLOCK_ELEMS < n * t * t
+    rng = np.random.default_rng(21)
+    samples = random_samples(rng, count=b, n=n, t=t, p=0.3)
+    report = stats.build_report(np.stack(samples), 0.02, t - 1)
+    np.testing.assert_allclose(report.firing_rate,
+                               brute_firing_rate(samples, 0.02),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.k_probability,
+                               brute_k_probability(samples),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.pairwise_cov,
+                               brute_pairwise_cov(samples),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.autocorrelogram,
+                               brute_autocorrelogram(samples, t - 1),
+                               rtol=0, atol=1e-12)
+
+
+def test_lag_counts_of_long_windows_stay_small():
+    """A 4000-bin window's lag counts need no t x t matrix: one float32 and
+    one int64 4000 x 4000 matrix alone would take 192 MB."""
+    rng = np.random.default_rng(22)
+    stack = (rng.random((2, 1, 4000)) < 0.3).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        report = stats.build_report(stack, 0.02, 3999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert report.autocorrelogram[0] == 1.0
 
 
 def test_estimators_exact_on_two_million_bins():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spiqgan import critic as cr
+from spiqgan import fileio
 from spiqgan import generator as gen
 from spiqgan import spikedata
 from spiqgan import training as tr
@@ -22,7 +23,8 @@ def make_state(seed=0, n=2, t=1, layers=2, **train_kw):
     gen_cfg = gen.GeneratorConfig(n_feature=n, n_patches=t, n_layers=layers)
     train_cfg = tr.TrainConfig(total_gen_steps=5, seed=seed, batch_size=4,
                                **train_kw)
-    return tr.init_trainer(train_cfg, gen_cfg)
+    return tr.init_trainer(train_cfg, gen_cfg, spikedata.first_n_spec(n, t),
+                           0.02)
 
 
 # --- losses -----------------------------------------------------------------
@@ -198,7 +200,7 @@ def test_train_zero_steps_returns_init():
     cfg = tr.TrainConfig(total_gen_steps=0, seed=11)
     ckpt, rows = tr.train(cfg, data, gen_cfg)
     assert rows == []
-    fresh = tr.init_trainer(cfg, gen_cfg)
+    fresh = tr.init_trainer(cfg, gen_cfg, ckpt.window, ckpt.bin_width)
     np.testing.assert_array_equal(ckpt.gen_params.theta,
                                   fresh.gen_params.theta)
     for a, b in zip(ckpt.critic.tensors(), fresh.critic.tensors()):
@@ -396,7 +398,7 @@ def test_log_and_spikes_failed_write_keep_previous(tmp_path, monkeypatch):
     spikedata.save_spikes(tiny_data(seed=1), spikes)
     saved = {path: path.read_bytes() for path in (log, spikes)}
 
-    fail_writes_in(monkeypatch, tr)
+    fail_writes_in(monkeypatch, fileio)
     fail_writes_in(monkeypatch, spikedata)
     with pytest.raises(OSError, match="No space"):
         tr.write_train_log(rows[::-1], log)
