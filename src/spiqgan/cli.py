@@ -380,15 +380,12 @@ def _sweep_cell(data: SpikeMatrix, gen_section: dict, train_section: dict,
     z, uniforms = generation_noise(gen_cfg, seed, eval_samples)
     samples = sample_batch(gen_cfg, ckpt.gen_params, z, uniforms)
     ref = _nonoverlapping_windows(data, window.neuron_subset, t)
-    mse_kprob = stats_mod.stats_mse(
-        stats_mod.k_probability(samples), stats_mod.k_probability(ref))
-    mse_rate = stats_mod.stats_mse(
-        stats_mod.firing_rate(samples, data.bin_width),
-        stats_mod.firing_rate(ref, data.bin_width))
+    *_, summary = _evaluate_windows(samples, ref, data.bin_width, t - 1)
     js_final = rows[-1].js_divergence if rows else None
     return {
         "n": n, "t": t, "K": k, "seed": seed,
-        "mse_kprob": mse_kprob, "mse_rate": mse_rate, "js": js_final,
+        "mse_kprob": summary["mse_k_probability"],
+        "mse_rate": summary["mse_firing_rate"], "js": js_final,
     }
 
 
@@ -439,6 +436,12 @@ def cmd_sweep(args) -> int:
     }
     cfg = _read_config(args.config, args.set, allowed, {"paths.out": args.out})
     sweep = cfg["sweep"]
+    for key in ("neurons", "timesteps", "k_values", "seeds"):
+        if not sweep[key]:
+            raise ConfigurationError(f"sweep.{key} must list at least one value")
+    if sweep["eval_samples"] < 1:
+        raise ConfigurationError(
+            f"sweep.eval_samples must be >= 1, got {sweep['eval_samples']}")
     data = load_spikes(cfg["paths"]["data"])
     out = Path(cfg["paths"]["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -552,6 +555,9 @@ def main(argv=None) -> int:
         return int(args.func(args))
     except (ConfigurationError, DataFormatError, CheckpointFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -28,12 +28,6 @@ class CriticParams:
     def tensors(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2)
 
-    @classmethod
-    def from_tensors(cls, tensors) -> "CriticParams":
-        w1, b1, w2, b2 = tensors
-        return cls(np.asarray(w1, float), np.asarray(b1, float),
-                   np.asarray(w2, float), np.asarray(b2, float))
-
     def copy(self) -> "CriticParams":
         return CriticParams(*(t.copy() for t in self.tensors()))
 

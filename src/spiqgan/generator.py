@@ -142,9 +142,6 @@ class GeneratorParams:
     def count(self) -> int:
         return self.theta.size
 
-    def copy(self) -> "GeneratorParams":
-        return GeneratorParams(self.theta.copy())
-
 
 def init_params(cfg: GeneratorConfig, rng: np.random.Generator) -> GeneratorParams:
     """Draw every angle i.i.d. uniform from [0, 2*pi)."""

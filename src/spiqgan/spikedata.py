@@ -41,7 +41,6 @@ class SpikeMatrix:
 
     data: np.ndarray
     bin_width: float = 0.02
-    neuron_ids: list[str] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -230,8 +229,14 @@ def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
     bursting = np.empty(cols, dtype=bool)
     bursting[0] = start
     bursting[1:] = start ^ (np.cumsum(switches) % 2).astype(bool)
-    p = np.where(bursting[None, :], burst_gain * rates[:, None], rates[:, None])
-    data = (rng.random((n, cols)) < p).astype(np.uint8)
+    # One row at a time: Philox fills each row's uniforms in the order a
+    # single (n, cols) draw would, without an (n, cols) float64 array.
+    data = np.empty((n, cols), dtype=np.uint8)
+    u, threshold = np.empty(cols), np.empty(cols)
+    for i in range(n):
+        threshold.fill(rates[i])
+        threshold[bursting] = burst_gain * rates[i]
+        np.less(rng.random(out=u), threshold, out=data[i])
     return SpikeMatrix(data, bin_width=bin_width)
 
 

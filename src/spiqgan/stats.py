@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fileio import write_csv
-from .spikedata import MAX_STATE_BITS, binary_uint8, state_indices
+from .spikedata import binary_uint8, state_indices
 
 # Entries per float32 block of the count pass.  A block holds whole
 # samples, so its products and sums of 0/1 entries are integers of at most
@@ -221,10 +221,6 @@ def state_histogram(samples) -> np.ndarray:
     """Empirical distribution over all 2^(n*t) window states."""
     arr = _stack(samples)
     _, n, t = arr.shape
-    if n * t > MAX_STATE_BITS:
-        raise ConfigurationError(
-            f"state space 2^{n * t} too large (max {MAX_STATE_BITS} bits)"
-        )
     idx = state_indices(arr)
     return np.bincount(idx, minlength=2 ** (n * t)) / idx.size
 

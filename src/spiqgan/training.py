@@ -67,12 +67,15 @@ class TrainConfig:
     k_coeff: float = 1.0
     critic_steps_per_gen: int = 2
     clip_c: float = 0.01
-    clip_enabled: bool = True
     js_log_interval: int = 25
     js_noise_draws: int = 2048
     penalty_mode: str = "absolute"
 
     def __post_init__(self):
+        for name in ("lr_gen", "lr_critic", "k_coeff", "clip_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.total_gen_steps < 0:
             raise ConfigurationError("total_gen_steps must be >= 0")
         if self.seed < 0:
@@ -190,10 +193,7 @@ def critic_step(state: Checkpoint, real_batch: np.ndarray,
     grads = tuple(gf + gr for gf, gr in zip(grads_fake, grads_real))
     tensors, state.adam_critic = adam_step(
         state.critic.tensors(), grads, state.adam_critic, tcfg.lr_critic)
-    new_critic = CriticParams.from_tensors(tensors)
-    if tcfg.clip_enabled:
-        new_critic = clip_weights(new_critic, tcfg.clip_c)
-    state.critic = new_critic
+    state.critic = clip_weights(CriticParams(*tensors), tcfg.clip_c)
     return loss
 
 
@@ -524,7 +524,7 @@ def _checkpoint_from(text: bytes, blob: bytes, offset: int) -> Checkpoint:
         window=window,
         bin_width=bin_width,
         gen_params=GeneratorParams(theta),
-        critic=CriticParams.from_tensors((w1, b1, w2, b2)),
+        critic=CriticParams(w1, b1, w2, b2),
         adam_gen=AdamState(
             m=(m_gen,), v=(v_gen,),
             step_count=_header_count(header["adam_gen_steps"], 0,

@@ -117,11 +117,22 @@ def test_surrogate_via_config_file(tmp_path):
      "--set", "generator.noise_high=1e308"],
     ["generate", "--checkpoint", "{wide_ckpt}", "--count", "5",
      "--out", "{out}"],
+    ["train", "--config", "{cfg}", "--set", "training.clip_c=nan"],
+    ["train", "--config", "{cfg}", "--set", "training.k_coeff=nan"],
+    ["train", "--config", "{cfg}", "--set", "training.lr_gen=inf"],
+    ["train", "--config", "{cfg}", "--set", "training.k_coeff=inf"],
+    ["train", "--config", "{cfg}", "--set", "training.clip_c=inf"],
+    ["train", "--config", "{cfg}", "--set", "training.lr_critic=-inf"],
+    # 2.8 PiB of angles: the allocation fails at once.
+    ["train", "--config", "{cfg}", "--set",
+     "generator.layers=100000000000000"],
 ], ids=["infinite-noise-bound", "unparsable-rates", "rates-per-neuron-mismatch",
         "unparsable-neuron-list", "non-utf8-config", "non-utf8-spikes",
         "train-seed-2^128", "generate-seed-2^128", "oversized-spikes-header",
         "non-ascii-spike-entry", "train-noise-range-overflow",
-        "generate-noise-range-overflow"])
+        "generate-noise-range-overflow", "nan-clip-c", "nan-k-coeff",
+        "infinite-lr-gen", "infinite-k-coeff", "infinite-clip-c",
+        "infinite-lr-critic", "out-of-memory"])
 def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
     data = make_surrogate(tmp_path, cols=100)
     ckpt = (trained_checkpoint(tmp_path)
@@ -152,7 +163,7 @@ def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("override", [
     "training.batch_size=8x", "training.lr_gen=fast",
-    "training.clip_enabled=maybe", "window.neuron_subset=1,x",
+    "generator.resample_noise_each_layer=maybe", "window.neuron_subset=1,x",
 ], ids=["int", "float", "bool", "list"])
 def test_bad_value_diagnostic_names_the_key(tmp_path, capsys, override):
     data = make_surrogate(tmp_path, cols=100)
@@ -363,6 +374,10 @@ def rewrite_checkpoint_header(ckpt_path, out_path, edit):
      "gen_cfg.noise_high must be float"),
     (lambda h: h["train_cfg"].update(penalty_mode=1),
      "train_cfg.penalty_mode must be str, got 1"),
+    (lambda h: h["train_cfg"].update(k_coeff=float("nan")),
+     "k_coeff must be finite, got nan"),
+    (lambda h: h["train_cfg"].update(clip_enabled=True),
+     "checkpoint train_cfg has unknown keys ['clip_enabled']"),
     (lambda h: h["rng"].update(seed=999), "differs in ['rng']"),
     (lambda h: h["rng"].update(seed="x"), "differs in ['rng']"),
     (lambda h: h.update(bogus=1), "differs in ['bogus']"),
@@ -373,7 +388,7 @@ def rewrite_checkpoint_header(ckpt_path, out_path, edit):
         "bool_bin_width", "zero_bin_width", "infinite_bin_width",
         "list_resample", "dict_resample", "int_resample", "float_n_layers",
         "bool_n_aux", "string_noise_high", "int_penalty_mode",
-        "other_rng_seed", "string_rng_seed", "extra_top_level_key",
+        "nan_k_coeff", "removed_clip_enabled", "other_rng_seed", "string_rng_seed", "extra_top_level_key",
         "extra_window_key"])
 def test_generate_inconsistent_checkpoint_header_exits_1(tmp_path, capsys,
                                                          edit, needle):
@@ -657,6 +672,22 @@ def test_sweep_partial_failure_keeps_valid_rows(tmp_path):
         failures = read_csv(out / "sweep_failures.csv")
         assert len(failures) == 1
         assert failures[0]["t"] == "600"
+
+
+@pytest.mark.parametrize("override", [
+    "sweep.eval_samples=0", "sweep.eval_samples=-1", "sweep.neurons=",
+    "sweep.timesteps=", "sweep.k_values=", "sweep.seeds=",
+])
+def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, override):
+    data = make_surrogate(tmp_path, cols=500)
+    out = tmp_path / "sweep"
+    cfg = write_sweep_config(tmp_path, data, out)
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg, "--set", override) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert override.split("=", 1)[0] in err
+    assert not (out / "sweep_results.csv").exists()
 
 
 def _die(*args, **kwargs):

@@ -68,7 +68,7 @@ def backward_one(p, x):
     """Parameter gradients (w1, b1, w2, b2) and input gradient of C(x)."""
     grads, input_grads = cr.critic_backward_batch(
         p, np.asarray(x, dtype=float)[None], np.ones(1))
-    return cr.CriticParams.from_tensors(grads), input_grads[0]
+    return cr.CriticParams(*grads), input_grads[0]
 
 
 def test_backward_bias_gradient_is_one():

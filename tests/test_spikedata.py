@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from spiqgan import spikedata as sd
 from spiqgan.errors import ConfigurationError, DataFormatError
+from spiqgan.training import PURPOSE_SURROGATE, substream
 
 from _oracles import brute_windows, flatten_windows, state_index
 
@@ -201,6 +204,15 @@ def test_surrogate_bursting_positive_covariances():
         for j in range(i + 1, 4):
             cov = (data[i] * data[j]).mean() - data[i].mean() * data[j].mean()
             assert cov > 0
+
+
+def test_surrogate_bytes_are_pinned():
+    """One seed's raster is fixed: the row-by-row draw must take Philox's
+    uniforms in the order of one (n, cols) draw."""
+    m = sd.synthesize_surrogate(3, 5000, [0.05, 0.1, 0.3], 0.9, 2.5,
+                                substream(1234, PURPOSE_SURROGATE))
+    assert hashlib.sha256(m.data.tobytes()).hexdigest() == (
+        "dfcfd0549a9e6eea04ea3e1a7da5c94397d17f0df18140328b04209d1e969547")
 
 
 def test_surrogate_validation():
