@@ -39,15 +39,6 @@ from .training import (PURPOSE_SURROGATE, TrainConfig, generation_noise,
 
 # --- config schema ---------------------------------------------------------
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip() != "")
 
@@ -59,7 +50,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 _REQUIRED = object()
 
 # Converter of a config dataclass field, by its annotation.
-_CONVERTERS = {int: int, float: float, bool: _parse_bool, str: str}
+_CONVERTERS = {int: int, float: float, str: str}
 
 # INI keys whose config dataclass field has another name.
 _INI_TO_FIELD = {"neurons": "n_feature", "timesteps": "n_patches",
@@ -181,8 +172,6 @@ def _read_config(path: str | None, overrides: list[str],
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (tuple, list)):

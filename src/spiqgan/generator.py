@@ -85,7 +85,6 @@ class GeneratorConfig:
     n_aux: int = 0
     noise_low: float = 0.0
     noise_high: float = math.pi
-    resample_noise_each_layer: bool = False
 
     def __post_init__(self):
         if self.n_feature < 1:
@@ -126,9 +125,8 @@ class GeneratorConfig:
         return self.params_per_patch * self.n_patches
 
     def noise_shape(self) -> tuple[int, ...]:
-        """Per-sample noise tensor shape."""
-        if self.resample_noise_each_layer:
-            return (self.n_patches, self.n_layers, self.n_qubits)
+        """Per-sample noise tensor shape: one angle per qubit of each
+        patch, re-uploaded on every layer."""
         return (self.n_patches, self.n_qubits)
 
 
@@ -239,8 +237,8 @@ class _Block(NamedTuple):
     patches: slice
     samples: slice
     factors: Callable     # layer -> its (P, 2^hi, 2^hi), (P, 2^lo, 2^lo)
-    phase_hi: np.ndarray  # (P, 1 or L, 2^hi, S) noise phases
-    phase_lo: np.ndarray  # (P, 1 or L, 2^lo, S)
+    phase_hi: np.ndarray  # (P, 2^hi, S) noise phases
+    phase_lo: np.ndarray  # (P, 2^lo, S)
     work: np.ndarray      # (3, P, states, 2^q, S) scratch
 
 
@@ -257,7 +255,7 @@ def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
     group = (min(patches, max(1, _CHUNK_ELEMS // max(amps * batch, held)))
              if samples == batch else 1)
     flat = np.empty(3 * group * samples * amps, dtype=complex)
-    z = np.moveaxis(noise_batch.reshape(batch, patches, -1, q), 0, -1)
+    z = np.moveaxis(noise_batch, 0, -1)
     for p0 in range(0, patches, group):
         part = slice(p0, min(p0 + group, patches))
         factors = partial(_layer_factors, theta[part], split)
@@ -271,10 +269,9 @@ def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
                 :size].reshape(3, part.stop - p0, states, 2**q, -1))
 
 
-def _diag(blk: _Block, layer: int) -> np.ndarray:
-    """The rows' noise phases d(z) on ``layer``, in the third scratch."""
-    k = layer if blk.phase_hi.shape[1] > 1 else 0
-    hi, lo = blk.phase_hi[:, k], blk.phase_lo[:, k]
+def _diag(blk: _Block) -> np.ndarray:
+    """The rows' noise phases d(z), in state 0 of the third scratch."""
+    hi, lo = blk.phase_hi, blk.phase_lo
     out = blk.work[2][:, :1]
     np.multiply(hi[:, :, None], lo[:, None],
                 out=out.reshape(hi.shape[:2] + lo.shape[1:], copy=False))
@@ -347,20 +344,18 @@ def _forward(cfg: GeneratorConfig, blk: _Block):
     q, layers = cfg.n_qubits, cfg.n_layers
     split = q // 2
     last = min(layers - 1, split - 1) if q >= _PREFIX_QUBITS else 0
-    (p, _, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[2]
+    (p, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[1]
     parity_rows, cols_hi, sources = _cut(q) if last else (slice(None),) * 3
     hi, lo = blk.factors(0)
-    top = np.matmul(hi[:, parity_rows], blk.phase_hi[:, 0], out=_slot(
+    top = np.matmul(hi[:, parity_rows], blk.phase_hi, out=_slot(
         blk.work[1 + (last - 1) % 2], 0, (h, s)))[:, :, None]
-    bottom = np.matmul(lo * 2.0**-q, blk.phase_lo[:, 0], out=_slot(
+    bottom = np.matmul(lo * 2.0**-q, blk.phase_lo, out=_slot(
         blk.work[1 + last % 2], 0, (n, s)))[:, :, None]
     rows = blk.work[0][:, 0].reshape((p, h, n, s), copy=False)
+    if last:
+        phase_hi = np.take(blk.phase_hi, cols_hi, axis=1)[:, :, :, None]
+        phase_lo = blk.phase_lo[:, :, None, None]
     for layer in range(1, last + 1):
-        if layer == 1 or blk.phase_hi.shape[1] > 1:
-            k = layer if blk.phase_hi.shape[1] > 1 else 0
-            phase_hi = np.take(blk.phase_hi[:, k], cols_hi, axis=1)[
-                :, :, :, None]
-            phase_lo = blk.phase_lo[:, k, :, None, None]
         hi, lo = blk.factors(layer)
         into, r = blk.work[1 + (last - layer + 1) % 2], top.shape[2]
         branch = np.take(bottom, sources, axis=1,
@@ -397,10 +392,10 @@ def _forward(cfg: GeneratorConfig, blk: _Block):
     if not last:
         states, spare = blk.work[0], blk.work[1]
         np.multiply(top[:, :, None, 0], bottom[:, None, :, 0], out=rows)
+    if last + 1 < layers:
+        diag = _diag(blk)
     for layer in range(last, layers):
         if layer > last:
-            if layer == last + 1 or blk.phase_hi.shape[1] > 1:
-                diag = _diag(blk, layer)
             states[:, :1] *= diag
             _gates(states[:, :1], spare[:, :1], *blk.factors(layer))
         np.take(states[:, :1], _chain_permutation(q, layer < layers - 1),
@@ -429,12 +424,11 @@ def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
                       z: np.ndarray) -> np.ndarray:
     """Measurement distributions for many patch instances at once.
 
-    ``thetas``: (m, L, q, 2); ``z``: (m, q) or (m, L, q).  Returns (m, 2^q).
-    The instances run as the patches of one sample.
+    ``thetas``: (m, L, q, 2); ``z``: (m, q).  Returns (m, 2^q).  The
+    instances run as the patches of one sample.
     """
-    m, q, layers = thetas.shape[0], cfg.n_qubits, cfg.n_layers
-    if (thetas.shape[1:] != (layers, q, 2)
-            or z.shape not in ((m, q), (m, layers, q))):
+    m, q = thetas.shape[0], cfg.n_qubits
+    if thetas.shape[1:] != (cfg.n_layers, q, 2) or z.shape != (m, q):
         raise ConfigurationError("patch angles or noise do not match the config")
     out = np.empty((m, 2**q))
     for blk in _blocks(cfg, thetas, z[None]):
@@ -519,7 +513,7 @@ def _pair_sums(blk: _Block, states: np.ndarray,
     states (P, 2, 2^q, S) holding psi and lam: partial traces of the Gram
     matrices of conj(lam) against psi over the h = 2^hi top and the bottom
     indices, the latter with both copied to (P, 2^lo, h, S) in ``spare``."""
-    (p, _, n, s), h = states.shape, blk.phase_hi.shape[2]
+    (p, _, n, s), h = states.shape, blk.phase_hi.shape[-2]
     bra = np.conjugate(states[:, 1], out=blk.work[2][:, 1])
     psi, bra = (x.reshape(p, h, -1, s) for x in (states[:, 0], bra))
     top = bra.reshape(p, h, -1) @ psi.reshape(p, h, -1).swapaxes(1, 2)
@@ -557,6 +551,7 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
     grad = np.zeros(params.theta.shape)
     for blk in _blocks(cfg, params.theta, noise_batch, 2):
         states, spare = _forward(cfg, blk)
+        diag = _diag(blk)  # kept: ``_pair_sums`` writes only state 1 there
         np.multiply(bits @ upstream[blk.patches, :, blk.samples],
                     states[:, 0], out=states[:, 1])
         for layer in reversed(range(layers)):
@@ -575,5 +570,5 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
             if layer:  # the states before the first layer are not needed
                 _gates(states, spare, *(f.conj().swapaxes(1, 2)
                                         for f in blk.factors(layer)))
-                states /= _diag(blk, layer)
+                states /= diag
     return grad

@@ -218,7 +218,7 @@ def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
     rates = np.broadcast_to(rates, (n,)).copy()
     if not ((rates > 0) & (rates < 1)).all():
         raise ConfigurationError("rates must lie strictly in (0, 1)")
-    if burst_gain <= 0 or burst_gain * rates.max() > 1:
+    if not (burst_gain > 0 and burst_gain * rates.max() <= 1):  # refuses NaN
         raise ConfigurationError(
             "burst_gain must be > 0 with burst_gain * max(rates) <= 1"
         )

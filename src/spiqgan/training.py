@@ -206,8 +206,8 @@ def generator_loss_given_noise(gen_cfg: GeneratorConfig,
                                mode: str) -> float:
     """Generator loss as a deterministic function of the parameters.
 
-    Holds noise, real batch, and critic fixed; used both by the training
-    step and by finite-difference checks of the full gradient path.
+    Holds noise, real batch, and critic fixed; finite-difference checks of
+    the gradient call it, while training uses ``generator_loss_and_grad``.
     """
     marg = gen_mod.forward_batch(gen_cfg, params, z_block)
     c_fake = critic_mod.critic_forward_batch(critic, marg)
@@ -453,13 +453,12 @@ def load_checkpoint(path) -> Checkpoint:
 
 # JSON values a header field of each config type accepts: a bool is not an
 # int, and a float field takes any real number.
-_HEADER_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+_HEADER_TYPES = {int: int, float: (int, float), str: str}
 
 
 def _header_value(value, kind: type, label: str):
     """``value``, once it is a JSON value of a header field typed ``kind``."""
-    if (isinstance(value, bool) != (kind is bool)
-            or not isinstance(value, _HEADER_TYPES[kind])):
+    if isinstance(value, bool) or not isinstance(value, _HEADER_TYPES[kind]):
         raise CheckpointFormatError(
             f"checkpoint {label} must be {kind.__name__}, got {value!r}")
     return value

@@ -55,17 +55,16 @@ def dense_readout(gates):
 def ansatz_gates(theta, z):
     """Dense gates of one patch in circuit order, one at a time.
 
-    ``theta`` is (L, q, 2) with axis 0 = RY, 1 = RZ; ``z`` is (q,) or (L, q).
+    ``theta`` is (L, q, 2) with axis 0 = RY, 1 = RZ; ``z`` is (q,).
     Per layer: RX(z) on every qubit, RY then RZ on every qubit, then
     CNOT(k, k+1) for k = 0 .. q-2.  So the gate of angle ``theta[l, k, a]``
     sits at index ``l * (4q - 1) + q + 2k + a``.
     """
     theta = np.asarray(theta, dtype=float)
     n_layers, q, _ = theta.shape
-    z = np.broadcast_to(z, (n_layers, q))
     for layer in range(n_layers):
         for k in range(q):
-            yield single_qubit_unitary(q, k, rotation_matrix("RX", z[layer, k]))
+            yield single_qubit_unitary(q, k, rotation_matrix("RX", z[k]))
         for k in range(q):
             yield single_qubit_unitary(
                 q, k, rotation_matrix("RY", theta[layer, k, 0]))
@@ -103,7 +102,7 @@ def oracle_forward(theta, noise, n_feature):
 def param_shift_oracle(theta, z, upstream, angles=None):
     """Sum over samples of d(marginals . upstream)/d theta, theta-shaped.
 
-    ``theta`` is (t, L, q, 2), ``z`` one noise tensor per sample (B, t, ...)
+    ``theta`` is (t, L, q, 2), ``z`` the noise (B, t, q)
     and ``upstream`` (B, n*t), patch-major.  Each angle's RY or RZ gate is
     rebuilt at the angle +-pi/2 in the patch's dense gate list, and the
     exact derivative of each marginal is half the difference of the two

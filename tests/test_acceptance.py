@@ -59,8 +59,8 @@ def test_criterion_1_simulator_oracle_equivalence():
         for _ in range(100):
             cfg = gen.GeneratorConfig(
                 n_feature=int(rng.integers(1, 5)), n_patches=1,
-                n_layers=int(rng.integers(1, 5)), n_aux=int(rng.integers(0, 2)),
-                resample_noise_each_layer=bool(rng.integers(0, 2)))
+                n_layers=int(rng.integers(1, 5)),
+                n_aux=int(rng.integers(0, 2)))
             thetas = gen.init_params(cfg, rng).theta
             z = gen.sample_noise(cfg, rng, batch=1)[:, 0]
             probs = gen.batch_patch_probs(cfg, thetas, z)[0]

@@ -123,6 +123,8 @@ def test_surrogate_via_config_file(tmp_path):
     ["train", "--config", "{cfg}", "--set", "training.k_coeff=inf"],
     ["train", "--config", "{cfg}", "--set", "training.clip_c=inf"],
     ["train", "--config", "{cfg}", "--set", "training.lr_critic=-inf"],
+    ["surrogate", "--neurons", "2", "--cols", "10", "--rates", "0.1",
+     "--burst-gain", "nan", "--out", "{out}"],
     # 2.8 PiB of angles: the allocation fails at once.
     ["train", "--config", "{cfg}", "--set",
      "generator.layers=100000000000000"],
@@ -132,7 +134,7 @@ def test_surrogate_via_config_file(tmp_path):
         "non-ascii-spike-entry", "train-noise-range-overflow",
         "generate-noise-range-overflow", "nan-clip-c", "nan-k-coeff",
         "infinite-lr-gen", "infinite-k-coeff", "infinite-clip-c",
-        "infinite-lr-critic", "out-of-memory"])
+        "infinite-lr-critic", "nan-burst-gain", "out-of-memory"])
 def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
     data = make_surrogate(tmp_path, cols=100)
     ckpt = (trained_checkpoint(tmp_path)
@@ -163,8 +165,8 @@ def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("override", [
     "training.batch_size=8x", "training.lr_gen=fast",
-    "generator.resample_noise_each_layer=maybe", "window.neuron_subset=1,x",
-], ids=["int", "float", "bool", "list"])
+    "window.neuron_subset=1,x",
+], ids=["int", "float", "list"])
 def test_bad_value_diagnostic_names_the_key(tmp_path, capsys, override):
     data = make_surrogate(tmp_path, cols=100)
     cfg = write_train_config(tmp_path, data, tmp_path / "run")
@@ -196,11 +198,19 @@ def test_train_zero_steps_checkpoint_equals_init(tmp_path):
     assert (out / "resolved_config.ini").exists()
 
 
-def test_train_unknown_key_rejected(tmp_path):
+def test_train_unknown_key_rejected(tmp_path, capsys):
     data = make_surrogate(tmp_path)
     cfg = write_train_config(tmp_path, data, tmp_path / "out",
                              extra="mystery_knob = 3")
     assert run_cli("train", "--config", cfg) == 1
+    # a key that older versions accepted is unknown like any other
+    cfg = write_train_config(tmp_path, data, tmp_path / "out")
+    capsys.readouterr()
+    assert run_cli("train", "--config", cfg, "--set",
+                   "generator.resample_noise_each_layer=true") == 1
+    assert capsys.readouterr().err == (
+        "error: unknown key 'resample_noise_each_layer' in section "
+        "[generator]\n")
 
 
 def test_train_malformed_ini_exits_1(tmp_path):
@@ -360,12 +370,6 @@ def rewrite_checkpoint_header(ckpt_path, out_path, edit):
     (lambda h: h.update(bin_width=True), "bin_width must be float"),
     (lambda h: h.update(bin_width=0.0), "bin_width must be finite and > 0"),
     (lambda h: h.update(bin_width=float("inf")), "finite and > 0, got inf"),
-    (lambda h: h["gen_cfg"].update(resample_noise_each_layer=[]),
-     "gen_cfg.resample_noise_each_layer must be bool, got []"),
-    (lambda h: h["gen_cfg"].update(resample_noise_each_layer={}),
-     "gen_cfg.resample_noise_each_layer must be bool, got {}"),
-    (lambda h: h["gen_cfg"].update(resample_noise_each_layer=0),
-     "gen_cfg.resample_noise_each_layer must be bool, got 0"),
     (lambda h: h["gen_cfg"].update(n_layers=4.0),
      "gen_cfg.n_layers must be int, got 4.0"),
     (lambda h: h["gen_cfg"].update(n_aux=False),
@@ -378,6 +382,8 @@ def rewrite_checkpoint_header(ckpt_path, out_path, edit):
      "k_coeff must be finite, got nan"),
     (lambda h: h["train_cfg"].update(clip_enabled=True),
      "checkpoint train_cfg has unknown keys ['clip_enabled']"),
+    (lambda h: h["gen_cfg"].update(resample_noise_each_layer=False),
+     "checkpoint gen_cfg has unknown keys ['resample_noise_each_layer']"),
     (lambda h: h["rng"].update(seed=999), "differs in ['rng']"),
     (lambda h: h["rng"].update(seed="x"), "differs in ['rng']"),
     (lambda h: h.update(bogus=1), "differs in ['bogus']"),
@@ -386,10 +392,10 @@ def rewrite_checkpoint_header(ckpt_path, out_path, edit):
         "transposed_adam_tensor", "missing_window", "null_bin_width",
         "string_bin_width", "list_bin_width", "dict_bin_width",
         "bool_bin_width", "zero_bin_width", "infinite_bin_width",
-        "list_resample", "dict_resample", "int_resample", "float_n_layers",
-        "bool_n_aux", "string_noise_high", "int_penalty_mode",
-        "nan_k_coeff", "removed_clip_enabled", "other_rng_seed", "string_rng_seed", "extra_top_level_key",
-        "extra_window_key"])
+        "float_n_layers", "bool_n_aux", "string_noise_high",
+        "int_penalty_mode", "nan_k_coeff", "removed_clip_enabled",
+        "removed_resample", "other_rng_seed", "string_rng_seed",
+        "extra_top_level_key", "extra_window_key"])
 def test_generate_inconsistent_checkpoint_header_exits_1(tmp_path, capsys,
                                                          edit, needle):
     bad = rewrite_checkpoint_header(trained_checkpoint(tmp_path),
@@ -449,7 +455,7 @@ def test_generate_never_raises_on_any_checkpoint_header_entry(tmp_path):
     header = {}
     rewrite_checkpoint_header(ckpt, bad, header.update)
     entries = list(_header_entries(header))
-    assert {("bin_width",), ("gen_cfg", "resample_noise_each_layer"),
+    assert {("bin_width",), ("gen_cfg", "noise_high"),
             ("tensors", 0, 1, 0)} <= set(entries)
 
     @settings(max_examples=4, deadline=None)

@@ -311,18 +311,6 @@ def test_batch_kernels_match_single_path():
             batch[j], oracle_forward(params.theta, z[j], 3), atol=1e-12)
 
 
-def test_batch_probs_match_single_path_resampled_noise():
-    cfg = cfg_for(2, 1, layers=3, resample_noise_each_layer=True)
-    rng = np.random.default_rng(6)
-    params = gen.init_params(cfg, rng)
-    z = gen.sample_noise(cfg, rng, batch=4)
-    assert z.shape == (4, 1, 3, 2)
-    batch = gen.forward_batch(cfg, params, z)
-    for j in range(4):
-        np.testing.assert_allclose(
-            batch[j], oracle_forward(params.theta, z[j], 2), atol=1e-12)
-
-
 def test_chunked_probs_match_oracle(monkeypatch):
     cfg = cfg_for(2, 1, layers=2, aux=1)
     rng = np.random.default_rng(12)
@@ -335,23 +323,24 @@ def test_chunked_probs_match_oracle(monkeypatch):
                                    atol=1e-12)
 
 
-# (qubits, aux qubits, layers, per-layer noise) for every width from 1 to 10:
-# odd widths split into Kronecker factors of unequal size, and every width
-# from 6 up has a layer after the first.
-WIDTHS = [(1, 0, 1, False), (2, 1, 4, True), (3, 0, 3, False),
-          (4, 1, 2, True), (5, 0, 1, True), (6, 1, 4, False),
-          (7, 0, 3, True), (8, 1, 2, False), (9, 0, 4, True),
-          (10, 1, 3, False)]
+# (qubits, aux qubits, layers) for every width from 1 to 10: odd widths
+# split into Kronecker factors of unequal size, and every width from 6 up
+# has a layer after the first.  The ids keep the flag of the removed
+# per-layer noise option, so each still names the case it named before.
+WIDTHS = [pytest.param(q, aux, layers, id=f"{q}-{aux}-{layers}-{old}")
+          for q, aux, layers, old in [
+              (1, 0, 1, False), (2, 1, 4, True), (3, 0, 3, False),
+              (4, 1, 2, True), (5, 0, 1, True), (6, 1, 4, False),
+              (7, 0, 3, True), (8, 1, 2, False), (9, 0, 4, True),
+              (10, 1, 3, False)]]
 
 
-@pytest.mark.parametrize("q, aux, layers, resample", WIDTHS)
-def test_batch_probs_match_dense_oracle_at_every_width(q, aux, layers,
-                                                       resample):
-    cfg = cfg_for(q - aux, 1, layers=layers, aux=aux,
-                  resample_noise_each_layer=resample)
+@pytest.mark.parametrize("q, aux, layers", WIDTHS)
+def test_batch_probs_match_dense_oracle_at_every_width(q, aux, layers):
+    cfg = cfg_for(q - aux, 1, layers=layers, aux=aux)
     rng = np.random.default_rng(40 + q)
     thetas = rng.uniform(0, 2 * np.pi, (2, layers, q, 2))
-    z = rng.uniform(0, np.pi, (2, layers, q) if resample else (2, q))
+    z = rng.uniform(0, np.pi, (2, q))
     probs = gen.batch_patch_probs(cfg, thetas, z)
     for j in range(2):
         np.testing.assert_allclose(probs[j], ansatz_probs(thetas[j], z[j]),
@@ -362,18 +351,20 @@ def test_batch_probs_match_dense_oracle_at_every_width(q, aux, layers,
 # different layers: q=4 and q=6 after layer 0 (narrower than the factored
 # prefix), q=7 after layer 1 of 2 and after layer 2 of 4, q=8 after layer 3
 # of 6 or 8, and q=7 after layer 2 of 3, with one of its qubits auxiliary.
-HANDOVERS = [(4, 0, 4), (6, 0, 4), (7, 0, 2), (7, 0, 4), (8, 0, 6), (8, 0, 8),
-             (6, 1, 3)]
+# The ids keep the flag of the removed per-layer noise option, so each
+# still names the case it named before.
+HANDOVERS = [pytest.param(n, aux, layers, id=f"{n}-{aux}-{layers}-False")
+             for n, aux, layers in [(4, 0, 4), (6, 0, 4), (7, 0, 2),
+                                    (7, 0, 4), (8, 0, 6), (8, 0, 8),
+                                    (6, 1, 3)]]
 
 
-@pytest.mark.parametrize("resample", [False, True])
 @pytest.mark.parametrize("n, aux, layers", HANDOVERS)
-def test_factored_prefix_matches_oracles(n, aux, layers, resample):
+def test_factored_prefix_matches_oracles(n, aux, layers):
     """Probabilities match the dense unitary, draws follow the inverse-CDF
     rule and patch laws the oracle mean; the gradient of the first patch
     matches the shift-rule oracle."""
-    cfg = cfg_for(n, 2, layers=layers, aux=aux,
-                  resample_noise_each_layer=resample)
+    cfg = cfg_for(n, 2, layers=layers, aux=aux)
     rng = np.random.default_rng(80 + n + layers)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng, batch=2)
@@ -419,7 +410,7 @@ CHUNK_LAYOUTS = {8: ([(1, 1)] * 10, [(1, 1)] * 10),
 
 @pytest.mark.parametrize("chunk", sorted(CHUNK_LAYOUTS))
 def test_sample_blocks_match_oracles(monkeypatch, chunk):
-    cfg = cfg_for(2, 2, layers=2, aux=1, resample_noise_each_layer=True)
+    cfg = cfg_for(2, 2, layers=2, aux=1)
     rng = np.random.default_rng(21)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng, batch=5)
@@ -451,25 +442,26 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
         atol=1e-10)
 
 
-# (features, aux qubits, per-layer noise, timesteps) at q=3 and q=8, with
-# kernel chunks of 2 forward rows (1 gradient row) or 4 forward rows (2
-# gradient rows).  With t=3 and two samples, blocks hold one or two patches,
-# or one sample of one patch, so a row whose patch were counted from its
-# block's start would run another patch's gates, and a per-patch sum that
-# mixed blocks up would mix patches.  At t*q = 8 consecutive samples' noise
+# (features, aux qubits, timesteps) at q=3 and q=8, with kernel chunks of
+# 2 forward rows (1 gradient row) or 4 forward rows (2 gradient rows).
+# With t=3 and two samples, blocks hold one or two patches, or one sample
+# of one patch, so a row whose patch were counted from its block's start
+# would run another patch's gates, and a per-patch sum that mixed blocks up
+# would mix patches.  At t*q = 8 consecutive samples' noise
 # lies 64 B apart, a stride at which NumPy 2.4's ``np.negative(x, out=y)``
-# into a strided ``y`` has been seen to return wrong values.
+# into a strided ``y`` has been seen to return wrong values.  The ids keep
+# the flag of the removed per-layer noise option, so each still names the
+# case it named before.
 @pytest.mark.parametrize("forward_rows", [2, 4])
-@pytest.mark.parametrize("n, aux, resample, t", [
-    pytest.param(2, 1, True, 3, id="2-1-True"),
-    pytest.param(8, 0, False, 3, id="8-0-False"),
-    pytest.param(8, 0, False, 1, id="8-0-False-t1"),
-    pytest.param(2, 0, False, 4, id="2-0-False-t4"),
+@pytest.mark.parametrize("n, aux, t", [
+    pytest.param(2, 1, 3, id="2-1-True"),
+    pytest.param(8, 0, 3, id="8-0-False"),
+    pytest.param(8, 0, 1, id="8-0-False-t1"),
+    pytest.param(2, 0, 4, id="2-0-False-t4"),
 ])
-def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux,
-                                                   resample, t, forward_rows):
-    cfg = cfg_for(n, t, layers=2, aux=aux,
-                  resample_noise_each_layer=resample)
+def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux, t,
+                                                   forward_rows):
+    cfg = cfg_for(n, t, layers=2, aux=aux)
     rng = np.random.default_rng(23)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng, batch=2)
@@ -639,13 +631,11 @@ def test_param_shift_matches_finite_differences(seed):
 def random_instance(rng, max_qubits=6, min_qubits=1, min_layers=1):
     """Generator config, angles, noise and upstream of a random batch:
     ``min_qubits`` to ``max_qubits`` qubits with 0-1 of them auxiliary,
-    ``min_layers`` to 4 layers, 1-3 patches, both noise shapes and 1-4
-    samples."""
+    ``min_layers`` to 4 layers, 1-3 patches and 1-4 samples."""
     q = int(rng.integers(min_qubits, max_qubits + 1))
     aux = int(rng.integers(0, 2)) if q > 1 else 0
     cfg = cfg_for(q - aux, int(rng.integers(1, 4)),
-                  layers=int(rng.integers(min_layers, 5)), aux=aux,
-                  resample_noise_each_layer=bool(rng.integers(0, 2)))
+                  layers=int(rng.integers(min_layers, 5)), aux=aux)
     params = gen.init_params(cfg, rng)
     batch = int(rng.integers(1, 5))
     z = gen.sample_noise(cfg, rng, batch=batch)
@@ -667,18 +657,20 @@ def test_param_shift_matches_shift_rule_oracle():
             atol=1e-10)
 
 
-# (qubits, aux qubits, per-layer noise, angles): the grid's widest cells, two
-# layers each, checked on a few angles because the dense shift-rule oracle
-# takes about a second per angle at q=10.
-WIDEST = [(9, 1, True, [(0, 0, 0, 0), (0, 0, 8, 1), (0, 1, 3, 0)]),
-          (10, 0, False, [(0, 0, 4, 1), (0, 1, 0, 0)])]
+# (qubits, aux qubits, angles): the grid's widest cells, two layers each,
+# checked on a few angles because the dense shift-rule oracle takes about a
+# second per angle at q=10.  The ids keep the flag of the removed per-layer
+# noise option, so each still names the case it named before.
+WIDEST = [pytest.param(9, 1, [(0, 0, 0, 0), (0, 0, 4, 1), (0, 1, 3, 0)],
+                       id="9-1-True-angles0"),
+          pytest.param(10, 0, [(0, 0, 4, 1), (0, 1, 0, 0)],
+                       id="10-0-False-angles1")]
 
 
-@pytest.mark.parametrize("q, aux, resample, angles", WIDEST)
-def test_param_shift_matches_shift_rule_oracle_at_widest_cells(
-        q, aux, resample, angles):
-    cfg = cfg_for(q - aux, 1, layers=2, aux=aux,
-                  resample_noise_each_layer=resample)
+@pytest.mark.parametrize("q, aux, angles", WIDEST)
+def test_param_shift_matches_shift_rule_oracle_at_widest_cells(q, aux,
+                                                               angles):
+    cfg = cfg_for(q - aux, 1, layers=2, aux=aux)
     rng = np.random.default_rng(70 + q)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng, batch=1)

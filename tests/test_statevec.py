@@ -66,20 +66,17 @@ def test_cnot_truth_table():
 
 def test_random_circuit_matches_dense_oracle():
     rng = np.random.default_rng(7)
-    cfg = cfg_for(2, layers=3, aux=1, resample_noise_each_layer=True)
+    cfg = cfg_for(2, layers=3, aux=1)
     theta = rng.uniform(0, 2 * np.pi, (3, 3, 2))
-    z = rng.uniform(0, np.pi, (3, 3))
+    z = rng.uniform(0, np.pi, 3)
     np.testing.assert_allclose(readout(cfg, theta, z), ansatz_probs(theta, z),
                                atol=1e-10)
 
 
 def test_rx_pi_twice_returns_to_zero():
-    # two layers re-upload RX(pi), shared or drawn per layer
+    # two layers re-upload RX(pi)
     theta = np.zeros((2, 1, 2))
     probs = readout(cfg_for(1, layers=2), theta, [np.pi])
-    assert probs[0] == pytest.approx(1.0, abs=1e-12)
-    per_layer = cfg_for(1, layers=2, resample_noise_each_layer=True)
-    probs = readout(per_layer, theta, [[np.pi], [np.pi]])
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -90,11 +87,10 @@ def test_probabilities_basics():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 1), st.integers(1, 4), st.booleans(),
+@given(st.integers(1, 4), st.integers(0, 1), st.integers(1, 4),
        st.integers(0, 2**31))
-def test_norm_preserved(n, aux, layers, per_layer, seed):
-    cfg = cfg_for(n, layers=layers, aux=aux,
-                  resample_noise_each_layer=per_layer)
+def test_norm_preserved(n, aux, layers, seed):
+    cfg = cfg_for(n, layers=layers, aux=aux)
     rng = np.random.default_rng(seed)
     theta = gen.init_params(cfg, rng).theta[0]
     z = gen.sample_noise(cfg, rng)[0]

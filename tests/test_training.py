@@ -292,9 +292,9 @@ def test_model_state_distribution_matches_enumeration():
         dist, brute_state_distribution(gen_cfg, params.theta, z), atol=1e-12)
 
 
-def test_model_state_distribution_aux_and_resampled_noise():
+def test_model_state_distribution_aux():
     gen_cfg = gen.GeneratorConfig(n_feature=2, n_patches=2, n_layers=2,
-                                  n_aux=1, resample_noise_each_layer=True)
+                                  n_aux=1)
     rng = np.random.default_rng(17)
     params = gen.init_params(gen_cfg, rng)
     z = gen.sample_noise(gen_cfg, rng, batch=3)
@@ -308,7 +308,7 @@ def test_model_state_distribution_across_blocks(monkeypatch, chunk):
     """At 8 amplitudes a sample's two 8-amplitude rows span two chunks; at
     32 the five samples fall into blocks of two, two and one."""
     gen_cfg = gen.GeneratorConfig(n_feature=2, n_patches=2, n_layers=2,
-                                  n_aux=1, resample_noise_each_layer=True)
+                                  n_aux=1)
     rng = np.random.default_rng(18)
     params = gen.init_params(gen_cfg, rng)
     z = gen.sample_noise(gen_cfg, rng, batch=5)
