@@ -51,10 +51,18 @@ from .errors import ConfigurationError
 # 2^24 complex doubles is ~268 MB per row; more is a configuration bug.
 MAX_QUBITS = 24
 
-# Amplitudes per kernel block: 2^15 complex128 is 512 KB, so a block's
-# states and scratch stay in a core's 2 MB L2 cache.  Against 2^14 the n=10,
-# t=30, B=32 gradient went 350 -> 294 ms, no call at q = 2-10 got slower.
+# Amplitudes per kernel block, one state per row: 2^15 complex128 is 512 KB,
+# so a forward block's states and its three scratch slots stay in a core's
+# 2 MB L2 cache.  Against 2^14 the n=10, t=30, B=32 gradient went 350 -> 294
+# ms, no call at q = 2-10 got slower.
 _CHUNK_ELEMS = 1 << 15
+
+# Scratch per block over all of its slots, in chunks.  The adjoint keeps
+# one slot per layer and row, so past this its blocks hold fewer rows than
+# a forward block.  Against three chunks the n=10, t=30 gradient went about
+# 237 -> 176 ms and q = 6-9 gained 12-25 %; at 12 and 16 chunks no cell
+# gained more (one CPU of a 2-vCPU Xeon, BENCH_adjoint_keeps_psi.json).
+_SCRATCH_CHUNKS = 8
 
 # Inverse-CDF readout: blocks of at least this many samples per patch take
 # a running sum over contiguous rows instead of ``np.cumsum`` (``_draws``).
@@ -239,22 +247,29 @@ class _Block(NamedTuple):
     factors: Callable     # layer -> its (P, 2^hi, 2^hi), (P, 2^lo, 2^lo)
     phase_hi: np.ndarray  # (P, 2^hi, S) noise phases
     phase_lo: np.ndarray  # (P, 2^lo, S)
-    work: np.ndarray      # (3, P, states, 2^q, S) scratch
+    work: np.ndarray      # (slots, P, 2^q, S) scratch
 
 
 def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
-            noise_batch: np.ndarray, states: int = 1):
+            noise_batch: np.ndarray, slots: int = 3):
     """The blocks of a batch, patch-major: as many samples of one patch as
-    fit in ``_CHUNK_ELEMS`` amplitudes (``states`` vectors per row), or
-    whole patches when their whole batch fits and so do their factors; at
-    least one row.  Factors that outgrow a block are built per layer."""
+    fit in ``_CHUNK_ELEMS`` amplitudes, with ``slots`` scratch rows each in
+    ``_SCRATCH_CHUNKS`` chunks, or whole patches when their whole batch
+    fits and so do their factors; at least one row.  Factors that outgrow a
+    chunk are built per layer.  The noise must hold one angle per qubit of
+    each of ``theta``'s patches."""
     q, split = cfg.n_qubits, cfg.n_qubits // 2
+    if noise_batch.ndim != 3 or noise_batch.shape[1:] != (len(theta), q):
+        raise ConfigurationError(
+            f"noise batch has shape {noise_batch.shape}, expected "
+            f"(batch, {len(theta)}, {q})")
     batch, patches = noise_batch.shape[:2]
-    amps, held = states * 2**q, cfg.n_layers * (4**(q - split) + 4**split)
-    samples = max(1, min(batch, _CHUNK_ELEMS // amps))
-    group = (min(patches, max(1, _CHUNK_ELEMS // max(amps * batch, held)))
+    amps, held = slots * 2**q, cfg.n_layers * (4**(q - split) + 4**split)
+    rows = min(_CHUNK_ELEMS // 2**q, _SCRATCH_CHUNKS * _CHUNK_ELEMS // amps)
+    samples = max(1, min(batch, rows))
+    group = (min(patches, max(1, min(rows // batch, _CHUNK_ELEMS // held)))
              if samples == batch else 1)
-    flat = np.empty(3 * group * samples * amps, dtype=complex)
+    flat = np.empty(group * samples * amps, dtype=complex)
     z = np.moveaxis(noise_batch, 0, -1)
     for p0 in range(0, patches, group):
         part = slice(p0, min(p0 + group, patches))
@@ -264,15 +279,15 @@ def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
         for s0 in range(0, batch, samples):
             cols = slice(s0, min(s0 + samples, batch))
             zb = z[part, ..., cols]
-            size = 3 * (part.stop - p0) * amps * (cols.stop - cols.start)
+            size = (part.stop - p0) * amps * (cols.stop - cols.start)
             yield _Block(part, cols, factors, *_phases(zb, split), flat[
-                :size].reshape(3, part.stop - p0, states, 2**q, -1))
+                :size].reshape(slots, part.stop - p0, 2**q, -1))
 
 
 def _diag(blk: _Block) -> np.ndarray:
-    """The rows' noise phases d(z), in state 0 of the third scratch."""
+    """The rows' noise phases d(z), in scratch slot 2."""
     hi, lo = blk.phase_hi, blk.phase_lo
-    out = blk.work[2][:, :1]
+    out = blk.work[2]
     np.multiply(hi[:, :, None], lo[:, None],
                 out=out.reshape(hi.shape[:2] + lo.shape[1:], copy=False))
     return out
@@ -280,14 +295,14 @@ def _diag(blk: _Block) -> np.ndarray:
 
 def _gates(x: np.ndarray, spare: np.ndarray, hi: np.ndarray,
            lo: np.ndarray) -> None:
-    """``x <- (hi (x) lo) x`` for states x (P, m, 2^q, S) and factors hi,
-    lo (P, ., .): per patch one matmul by ``hi`` over all of its rows and
-    one batched matmul by ``lo``, through ``spare`` of x's shape."""
-    (p, m, _, s), h = x.shape, hi.shape[-1]
-    np.matmul(hi[:, None], x.reshape((p, m, h, -1), copy=False),
-              out=spare.reshape((p, m, h, -1), copy=False))
-    np.matmul(lo[:, None, None], spare.reshape((p, m, h, -1, s), copy=False),
-              out=x.reshape((p, m, h, -1, s), copy=False))
+    """``x <- (hi (x) lo) x`` for states x (P, 2^q, S) and factors hi, lo
+    (P, ., .): per patch one matmul by ``hi`` over all of its rows and one
+    batched matmul by ``lo``, through ``spare`` of x's shape."""
+    (p, _, s), h = x.shape, hi.shape[-1]
+    np.matmul(hi, x.reshape((p, h, -1), copy=False),
+              out=spare.reshape((p, h, -1), copy=False))
+    np.matmul(lo[:, None], spare.reshape((p, h, -1, s), copy=False),
+              out=x.reshape((p, h, -1, s), copy=False))
 
 
 @lru_cache(maxsize=None)
@@ -314,16 +329,58 @@ def _cut(num_qubits: int):
 
 
 def _slot(work: np.ndarray, start: int, shape: tuple) -> np.ndarray:
-    """A contiguous (P, *shape) array in a scratch slot (P, states, 2^q,
-    S), from element P * ``start`` of the slot."""
+    """A contiguous (P, *shape) array in a scratch slot (P, 2^q, S), from
+    element P * ``start`` of the slot."""
     p, size = len(work), math.prod(shape)
     return work.reshape(-1, copy=False)[p * start:p * (start + size)].reshape(
         (p,) + shape)
 
 
-def _forward(cfg: GeneratorConfig, blk: _Block):
-    """Run a block's rows through every layer, returned as ``(states,
-    spare)``, two of its scratch arrays with the rows in slot 0.
+def _prefix_end(cfg: GeneratorConfig) -> int:
+    """The layer whose factors end the factored prefix: the last layer, or
+    the one whose chain would reach the rank bound 2^min(hi, lo); 0 below
+    ``_PREFIX_QUBITS``, where the rows run dense after the first layer."""
+    if cfg.n_qubits < _PREFIX_QUBITS:
+        return 0
+    return min(cfg.n_layers - 1, cfg.n_qubits // 2 - 1)
+
+
+def _kept_slots(cfg: GeneratorConfig) -> int:
+    """Scratch slots per row of the adjoint: 0 and 1 for the forward
+    pass's scratch and the pair sums' copies, 2 for d(z), 3 and 4 for bra
+    and its spare, 5 for the prefix layers' terms if there is a prefix,
+    then one per layer from the prefix's end (``_forward`` with ``keep``)."""
+    last = _prefix_end(cfg)
+    return 5 + (last > 0) + cfg.n_layers - last
+
+
+def _terms(store: np.ndarray, layer: int, h: int, n: int, s: int):
+    """A prefix layer's kept terms in ``store``, top (P, R, S, 2^hi) and
+    bottom (P, R, S, 2^lo) with R = 2^layer, after the terms of the layers
+    before it.  Only the layers before ``_prefix_end`` <= lo - 1 keep
+    terms, so together they take fewer than 2^{lo-1} (2^hi + 2^lo) <= 2^q
+    amplitudes per sample, one slot."""
+    r = 2**layer
+    start = (r - 1) * (h + n) * s
+    return (_slot(store, start, (r, s, h)),
+            _slot(store, start + r * s * h, (r, s, n)))
+
+
+def _assemble(top: np.ndarray, bottom: np.ndarray, scratch: np.ndarray,
+              rows: np.ndarray) -> None:
+    """Rows (P, 2^hi, 2^lo, S) <- sum_k top_k (x) bottom_k of terms top
+    (P, R, S, 2^hi) and bottom (P, R, S, 2^lo): one matmul per row, written
+    sample-major to ``scratch`` and copied into place."""
+    s, h = top.shape[2:]
+    by_sample = _slot(scratch, 0, (s, h, bottom.shape[-1]))
+    np.matmul(top.transpose(0, 2, 3, 1), bottom.swapaxes(1, 2),
+              out=by_sample)
+    np.copyto(rows, by_sample.transpose(0, 2, 3, 1))
+
+
+def _forward(cfg: GeneratorConfig, blk: _Block, keep: bool = False):
+    """Run a block's rows through every layer: returns the output rows
+    (P, 2^q, S), and d(z) (``_diag``) if the layers needed it, else None.
 
     The rows start at 2^{-q} (1, ..., 1), a product over the qubit halves.
     From ``_PREFIX_QUBITS`` on, the first layers keep them as sums of r
@@ -333,33 +390,48 @@ def _forward(cfg: GeneratorConfig, blk: _Block):
     columns and phase rows, as each term's top half is kept as its even and
     odd halves, which the top factor before writes first and second; X F_lo
     is one gather of the bottom terms.  The prefix ends with the factors of
-    the last layer, or of the layer m whose chain would reach the rank
-    bound 2^min(hi, lo).  m's factors act on the terms, written
-    sample-major, and one matmul per row assembles them into the rows,
-    which run the chain of m and the layers after it dense.  Narrower rows
-    are one product after layer 0 and run dense from its chain.  Layer m
-    reads its top terms from scratch slot 1 and writes to slot 2, the
-    layers before it alternate, and slot 0 holds the gathered bottom terms
-    until the rows replace them."""
+    layer m = ``_prefix_end``.  m's factors act on the terms, written
+    sample-major, and ``_assemble`` turns them into the rows, which run the
+    chain of m and the layers after it dense.  Narrower rows are one
+    product after layer 0 and run dense from its chain.  Layer m reads its
+    top terms from scratch slot 1 and writes to slot 2, the layers before
+    it alternate, and slot 0 holds the gathered bottom terms until the rows
+    replace them; the dense layers alternate slots 0 and 1.
+
+    With ``keep`` each layer's rows after its gates stay for the adjoint:
+    the prefix layers' terms, top rows in order, in slot 5 (``_terms``),
+    and the rows of layer m + i in slot 5 + (m > 0) + i, whose chain
+    gathers them into the next layer's slot; the output goes to slot 3 and
+    d(z) is always built."""
     q, layers = cfg.n_qubits, cfg.n_layers
-    split = q // 2
-    last = min(layers - 1, split - 1) if q >= _PREFIX_QUBITS else 0
+    last = _prefix_end(cfg)
     (p, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[1]
+    work = blk.work
+    if keep:
+        dests = [*work[5 + (last > 0):], work[3]]
+    else:
+        dests = [work[i % 2] for i in range(layers - last + 1)]
     parity_rows, cols_hi, sources = _cut(q) if last else (slice(None),) * 3
     hi, lo = blk.factors(0)
     top = np.matmul(hi[:, parity_rows], blk.phase_hi, out=_slot(
-        blk.work[1 + (last - 1) % 2], 0, (h, s)))[:, :, None]
+        work[1 + (last - 1) % 2], 0, (h, s)))[:, :, None]
     bottom = np.matmul(lo * 2.0**-q, blk.phase_lo, out=_slot(
-        blk.work[1 + last % 2], 0, (n, s)))[:, :, None]
-    rows = blk.work[0][:, 0].reshape((p, h, n, s), copy=False)
+        work[1 + last % 2], 0, (n, s)))[:, :, None]
+    rows = dests[0].reshape((p, h, n, s), copy=False)
     if last:
         phase_hi = np.take(blk.phase_hi, cols_hi, axis=1)[:, :, :, None]
         phase_lo = blk.phase_lo[:, :, None, None]
+        in_order = np.argsort(parity_rows)
     for layer in range(1, last + 1):
+        if keep:
+            kept_top, kept_bottom = _terms(work[5], layer - 1, h, n, s)
+            np.take(top, in_order, axis=1, mode="clip",
+                    out=kept_top.transpose(0, 3, 1, 2))
+            np.copyto(kept_bottom.transpose(0, 3, 1, 2), bottom)
         hi, lo = blk.factors(layer)
-        into, r = blk.work[1 + (last - layer + 1) % 2], top.shape[2]
+        into, r = work[1 + (last - layer + 1) % 2], top.shape[2]
         branch = np.take(bottom, sources, axis=1,
-                         out=_slot(blk.work[0], 0, (n, 2, r, s)))
+                         out=_slot(work[0], 0, (n, 2, r, s)))
         branch *= phase_lo
         terms = top.reshape((p, 2, h // 2, r, s), copy=False)
         terms *= phase_hi
@@ -384,29 +456,23 @@ def _forward(cfg: GeneratorConfig, blk: _Block):
             np.matmul(terms.reshape(p, 2, h // 2, -1).swapaxes(2, 3),
                       np.take(hi, cols_hi, axis=2).transpose(0, 2, 3, 1),
                       out=top)
-            states, spare = blk.work[0], blk.work[1]
-            by_sample = spare[:, 0].reshape((p, s, h, n), copy=False)
-            np.matmul(top.reshape(p, 2 * r, s, h).transpose(0, 2, 3, 1),
-                      bottom.swapaxes(1, 2), out=by_sample)
-            np.copyto(rows, by_sample.transpose(0, 2, 3, 1))
+            _assemble(top.reshape(p, 2 * r, s, h), bottom, work[1], rows)
     if not last:
-        states, spare = blk.work[0], blk.work[1]
         np.multiply(top[:, :, None, 0], bottom[:, None, :, 0], out=rows)
-    if last + 1 < layers:
-        diag = _diag(blk)
+    diag = _diag(blk) if keep or last + 1 < layers else None
     for layer in range(last, layers):
+        states, chained = dests[layer - last], dests[layer - last + 1]
         if layer > last:
-            states[:, :1] *= diag
-            _gates(states[:, :1], spare[:, :1], *blk.factors(layer))
-        np.take(states[:, :1], _chain_permutation(q, layer < layers - 1),
-                axis=2, out=spare[:, :1], mode="clip")
-        states, spare = spare, states
-    return states, spare
+            states *= diag
+            _gates(states, chained, *blk.factors(layer))
+        np.take(states, _chain_permutation(q, layer < layers - 1), axis=1,
+                out=chained, mode="clip")
+    return dests[-1], diag
 
 
 def _probs(cfg: GeneratorConfig, blk: _Block) -> np.ndarray:
     """Measurement distributions (P, 2^q, S) of a block's rows."""
-    psi = _forward(cfg, blk)[0][:, 0]
+    psi = _forward(cfg, blk)[0]
     return np.square(psi.real) + np.square(psi.imag)
 
 
@@ -427,10 +493,9 @@ def batch_patch_probs(cfg: GeneratorConfig, thetas: np.ndarray,
     ``thetas``: (m, L, q, 2); ``z``: (m, q).  Returns (m, 2^q).  The
     instances run as the patches of one sample.
     """
-    m, q = thetas.shape[0], cfg.n_qubits
-    if thetas.shape[1:] != (cfg.n_layers, q, 2) or z.shape != (m, q):
-        raise ConfigurationError("patch angles or noise do not match the config")
-    out = np.empty((m, 2**q))
+    if thetas.shape[1:] != (cfg.n_layers, cfg.n_qubits, 2):
+        raise ConfigurationError("patch angles do not match the config")
+    out = np.empty((len(thetas), 2**cfg.n_qubits))
     for blk in _blocks(cfg, thetas, z[None]):
         out[blk.patches] = _probs(cfg, blk)[..., 0]
     return out
@@ -506,22 +571,20 @@ def _trace_index(n: int):
     return rows, rows ^ (a ^ b) << j
 
 
-def _pair_sums(blk: _Block, states: np.ndarray,
-               spare: np.ndarray) -> np.ndarray:
-    """Each qubit's pair sums ``s_ab = sum conj(lam_a) psi_b`` over its
-    amplitude pairs (a, b its bit values) and all rows, (P, q, 2, 2), for
-    states (P, 2, 2^q, S) holding psi and lam: partial traces of the Gram
-    matrices of conj(lam) against psi over the h = 2^hi top and the bottom
-    indices, the latter with both copied to (P, 2^lo, h, S) in ``spare``."""
-    (p, _, n, s), h = states.shape, blk.phase_hi.shape[-2]
-    bra = np.conjugate(states[:, 1], out=blk.work[2][:, 1])
-    psi, bra = (x.reshape(p, h, -1, s) for x in (states[:, 0], bra))
+def _pair_sums(blk: _Block, psi: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """Each qubit's pair sums ``s_ab = sum bra_a psi_b`` over its amplitude
+    pairs (a, b its bit values) and all rows, (P, q, 2, 2), for states
+    (P, 2^q, S): partial traces of the Gram matrices of ``bra`` against
+    ``psi`` over the h = 2^hi top and the bottom indices, the latter with
+    both copied to (P, 2^lo, h, S) in scratch slots 0 and 1."""
+    (p, n, s), h = psi.shape, blk.phase_hi.shape[-2]
     top = bra.reshape(p, h, -1) @ psi.reshape(p, h, -1).swapaxes(1, 2)
-    flip = spare.reshape((p, 2, n // h, h, s), copy=False)
-    np.copyto(flip[:, 0], psi.swapaxes(1, 2))
-    np.copyto(flip[:, 1], bra.swapaxes(1, 2))
-    flip = flip.reshape(p, 2, n // h, -1)
-    bottom = flip[:, 1] @ flip[:, 0].swapaxes(1, 2)
+    flips = []
+    for x, slot in ((psi, blk.work[0]), (bra, blk.work[1])):
+        flip = slot.reshape((p, n // h, h, s), copy=False)
+        np.copyto(flip, x.reshape(p, h, -1, s).swapaxes(1, 2))
+        flips.append(flip.reshape(p, n // h, -1))
+    bottom = flips[1] @ flips[0].swapaxes(1, 2)
     (bi, bj), (ti, tj) = _trace_index(n // h), _trace_index(h)
     return np.concatenate([bottom[:, bi, bj].sum(axis=-1),
                            top[:, ti, tj].sum(axis=-1)], axis=1)
@@ -534,41 +597,53 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
 
     The exact gradient of the +-pi/2 parameter-shift rule, whose name it
     keeps, by adjoint differentiation (Jones & Gacon, arXiv:2009.02823): a
-    row's loss is <psi|O|psi>, O = sum_k u_k |1><1|_k.  Per block psi and
-    lam = O psi walk the layers backwards: undo the chain, take each
-    qubit's pair sums s, un-apply the gates and d(z).  Partial traces are
-    invariant under unitaries on the other qubits, so in the frame
-    s = H s^H H, over 2^q as un-applying the last layer scales psi and lam
-    by 2^{q/2}.  With phi the RZ angle, d/dphi = Im(s00 - s11) and
-    d/dtheta = Re(e^{i phi} s10 - e^{-i phi} s01).
+    row's loss is <psi|O|psi>, O = sum_k u_k |1><1|_k.  Per block the
+    forward pass keeps each layer's psi after its gates (``_forward`` with
+    ``keep``), and bra = conj(O psi) walks the layers backwards alone: undo
+    the chain, take each qubit's pair sums s against that layer's psi,
+    apply the transposed gates and d(z), as conj(d*) = d.  A prefix
+    layer's psi is assembled from its kept terms into the slot bra left.
+    Partial traces are invariant under unitaries on the other qubits, so
+    in the frame s = H s^H H; the frame's psi is 2^{-q/2} of the true one
+    and bra, back through the last layer's factors, 2^{q/2} of it.  With
+    phi the RZ angle, d/dphi = Im(s00 - s11) and d/dtheta =
+    Re(e^{i phi} s10 - e^{-i phi} s01).
     """
     q, layers = cfg.n_qubits, cfg.n_layers
+    last = _prefix_end(cfg)
     upstream = np.moveaxis(upstream_batch.reshape(
         len(noise_batch), cfg.n_patches, cfg.n_feature), 0, -1)
     bits = _feature_bits(cfg)
     undo = [np.argsort(_chain_permutation(q, f)) for f in (False, True)]
     rz_phase = np.exp(1j * params.theta[..., 1])
     grad = np.zeros(params.theta.shape)
-    for blk in _blocks(cfg, params.theta, noise_batch, 2):
-        states, spare = _forward(cfg, blk)
-        diag = _diag(blk)  # kept: ``_pair_sums`` writes only state 1 there
-        np.multiply(bits @ upstream[blk.patches, :, blk.samples],
-                    states[:, 0], out=states[:, 1])
+    for blk in _blocks(cfg, params.theta, noise_batch, _kept_slots(cfg)):
+        (p, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[1]
+        bra, diag = _forward(cfg, blk, keep=True)
+        np.conjugate(bra, out=bra)
+        bra *= bits @ upstream[blk.patches, :, blk.samples]
+        spare = blk.work[4]
+        sums = np.empty((p, layers, q, 2, 2), dtype=complex)
         for layer in reversed(range(layers)):
-            frame = layer < layers - 1
-            np.take(states, undo[frame], axis=2, out=spare, mode="clip")
-            states, spare = spare, states
-            s = _pair_sums(blk, states, spare)
-            if frame:
-                s = np.einsum("ab,pkbc,cd->pkad", _HADAMARD, s,
-                              _HADAMARD) * 2.0 ** -(q + 1)
-            phase = rz_phase[blk.patches, layer]
-            part = grad[blk.patches, layer]
-            part[..., 1] += (s[..., 0, 0] - s[..., 1, 1]).imag
-            part[..., 0] += (phase * s[..., 1, 0]
-                             - phase.conj() * s[..., 0, 1]).real
-            if layer:  # the states before the first layer are not needed
-                _gates(states, spare, *(f.conj().swapaxes(1, 2)
-                                        for f in blk.factors(layer)))
-                states /= diag
+            np.take(bra, undo[layer < layers - 1], axis=1, out=spare,
+                    mode="clip")
+            bra, spare = spare, bra
+            if layer >= last:
+                psi = blk.work[5 + (last > 0) + layer - last]
+            else:
+                psi = spare
+                _assemble(*_terms(blk.work[5], layer, h, n, s), blk.work[0],
+                          psi.reshape((p, h, n, s), copy=False))
+            sums[:, layer] = _pair_sums(blk, psi, bra)
+            if layer:
+                _gates(bra, spare, *(f.swapaxes(1, 2)
+                                     for f in blk.factors(layer)))
+                bra *= diag
+        sums[:, :-1] = np.einsum("ab,plkbc,cd->plkad", _HADAMARD,
+                                 sums[:, :-1], _HADAMARD) / 2
+        phase = rz_phase[blk.patches]
+        part = grad[blk.patches]
+        part[..., 1] += (sums[..., 0, 0] - sums[..., 1, 1]).imag
+        part[..., 0] += (phase * sums[..., 1, 0]
+                         - phase.conj() * sums[..., 0, 1]).real
     return grad

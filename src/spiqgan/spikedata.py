@@ -12,6 +12,7 @@ twice produces byte-identical files.
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 from dataclasses import dataclass
@@ -98,16 +99,26 @@ def first_n_spec(n: int, window_len: int) -> WindowSpec:
 
 
 def load_spikes(path) -> SpikeMatrix:
-    """Parse a ``SPIKES v1`` file, validating every entry."""
+    """Parse a ``SPIKES v1`` file, validating every entry.
+
+    A regular file's rows are read as bytes straight into the raster.  Any
+    file that this does not take as plainly well formed, and any pipe, is
+    parsed as text, which names the fault."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _parse_spikes(fh)
+        with open(path, "rb") as fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                m = _read_rows(fh)
+                if m is not None:
+                    return m
+                fh.seek(0)
+            with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                return _parse_spikes(text)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _parse_spikes(fh) -> SpikeMatrix:
-    header = fh.readline().rstrip("\n")
+def _parse_header(header: str, fh) -> tuple[int, int, float]:
+    """Neurons, bins and bin width of a header line without its newline."""
     parts = header.split(" ")
     if len(parts) != 5 or " ".join(parts[:2]) != _HEADER_PREFIX:
         raise DataFormatError(
@@ -126,6 +137,33 @@ def _parse_spikes(fh) -> SpikeMatrix:
     if stat.S_ISREG(info.st_mode) and n_neurons * n_bins > info.st_size:
         raise DataFormatError(f"header declares {n_neurons} x {n_bins} "
                               f"entries in a {info.st_size}-byte file")
+    return n_neurons, n_bins, bin_width
+
+
+def _read_rows(fh) -> SpikeMatrix | None:
+    """The raster of a binary file whose header is ASCII and whose lines
+    end in LF, rows of exactly '0' and '1' bytes with nothing after them,
+    or None, for the text parser to name the fault."""
+    header = fh.readline()
+    if not (header.isascii() and header.endswith(b"\n")) or b"\r" in header:
+        return None
+    n_neurons, n_bins, bin_width = _parse_header(
+        header[:-1].decode("ascii"), fh)
+    rows = np.empty((n_neurons, n_bins), dtype=np.uint8)
+    for row in rows:
+        if fh.readinto(row) != n_bins or fh.read(1) != b"\n":
+            return None
+    if fh.read(1):
+        return None
+    rows -= ord("0")
+    if rows.max() > 1:
+        return None
+    return SpikeMatrix(rows, bin_width=bin_width)
+
+
+def _parse_spikes(fh) -> SpikeMatrix:
+    n_neurons, n_bins, bin_width = _parse_header(
+        fh.readline().rstrip("\n"), fh)
     rows = np.empty((n_neurons, n_bins), dtype=np.uint8)
     for i in range(n_neurons):
         line = fh.readline().rstrip("\n")
@@ -228,7 +266,8 @@ def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
     switches = rng.random(cols - 1) >= burst_prob
     bursting = np.empty(cols, dtype=bool)
     bursting[0] = start
-    bursting[1:] = start ^ (np.cumsum(switches) % 2).astype(bool)
+    np.logical_xor.accumulate(switches, out=bursting[1:])
+    bursting[1:] ^= start
     # One row at a time: Philox fills each row's uniforms in the order a
     # single (n, cols) draw would, without an (n, cols) float64 array.
     data = np.empty((n, cols), dtype=np.uint8)

@@ -173,13 +173,11 @@ def init_trainer(train_cfg: TrainConfig, gen_cfg: GeneratorConfig,
 
 
 def critic_step(state: Checkpoint, real_batch: np.ndarray,
-                rng: np.random.Generator) -> float:
-    """One critic update on a fresh fake batch; generator stays frozen."""
-    cfg = state.gen_cfg
+                fake: np.ndarray) -> float:
+    """One critic update on the generator's marginals ``fake`` against
+    ``real_batch``; the generator stays frozen."""
     tcfg = state.train_cfg
     b = real_batch.shape[0]
-    z = gen_mod.sample_noise(cfg, rng, batch=b)
-    fake = gen_mod.forward_batch(cfg, state.gen_params, z)
     c_fake = critic_mod.critic_forward_batch(state.critic, fake)
     c_real = critic_mod.critic_forward_batch(state.critic, real_batch)
     loss = critic_loss(c_fake, c_real)
@@ -221,10 +219,14 @@ def generator_loss_and_grad(gen_cfg: GeneratorConfig,
                             z_block: np.ndarray,
                             real_batch: np.ndarray,
                             k_coeff: float,
-                            mode: str):
-    """Returns (loss, dL/dtheta, mean |expected count gap|)."""
+                            mode: str,
+                            marg: np.ndarray | None = None):
+    """Returns (loss, dL/dtheta, mean |expected count gap|).  ``marg`` are
+    the marginals of ``z_block`` under ``params``, computed here if not
+    given."""
     b = z_block.shape[0]
-    marg = gen_mod.forward_batch(gen_cfg, params, z_block)
+    if marg is None:
+        marg = gen_mod.forward_batch(gen_cfg, params, z_block)
     c_fake = critic_mod.critic_forward_batch(critic, marg)
     fake_counts = marg.sum(axis=1)
     real_counts = real_batch.sum(axis=1)
@@ -242,17 +244,16 @@ def generator_loss_and_grad(gen_cfg: GeneratorConfig,
 
 
 def generator_step(state: Checkpoint, real_batch: np.ndarray,
-                   rng: np.random.Generator) -> tuple[float, float]:
-    """One generator update on fresh noise; critic stays frozen.
+                   z: np.ndarray, fake: np.ndarray) -> tuple[float, float]:
+    """One generator update on noise ``z``, whose marginals are ``fake``;
+    the critic stays frozen.
 
     Returns (loss, mean absolute expected-spike-count gap).
     """
-    cfg = state.gen_cfg
     tcfg = state.train_cfg
-    z = gen_mod.sample_noise(cfg, rng, batch=real_batch.shape[0])
     loss, grad, gap = generator_loss_and_grad(
-        cfg, state.gen_params, state.critic, z, real_batch,
-        tcfg.k_coeff, tcfg.penalty_mode)
+        state.gen_cfg, state.gen_params, state.critic, z, real_batch,
+        tcfg.k_coeff, tcfg.penalty_mode, fake)
     if not np.isfinite(loss):
         raise NumericalError(f"generator loss is not finite: {loss}")
     (theta,), state.adam_gen = adam_step(
@@ -342,19 +343,26 @@ def train(train_cfg: TrainConfig, data: SpikeMatrix, gen_cfg: GeneratorConfig,
             batch=train_cfg.js_noise_draws)
 
     rows: list[LogRow] = []
-    b = train_cfg.batch_size
+    b, subs = train_cfg.batch_size, train_cfg.critic_steps_per_gen
     for step in range(train_cfg.total_gen_steps):
-        loss_c = float("nan")
-        for sub in range(train_cfg.critic_steps_per_gen):
+        # The critic steps leave theta as it is, so one forward pass gives
+        # the marginals of every fake batch of the step: each critic step's
+        # noise block, then the generator step's.
+        rngs = [substream(seed, PURPOSE_CRITIC_NOISE, step, sub)
+                for sub in range(subs)]
+        rngs.append(substream(seed, PURPOSE_GEN_NOISE, step))
+        z = np.concatenate([gen_mod.sample_noise(gen_cfg, rng, batch=b)
+                            for rng in rngs])
+        fake = gen_mod.forward_batch(gen_cfg, state.gen_params, z)
+        for sub in range(subs):
             real = sample_windows(
                 data, window, b,
                 substream(seed, PURPOSE_CRITIC_WINDOW, step, sub))
-            loss_c = critic_step(
-                state, real, substream(seed, PURPOSE_CRITIC_NOISE, step, sub))
+            loss_c = critic_step(state, real, fake[sub * b:(sub + 1) * b])
         real = sample_windows(
             data, window, b, substream(seed, PURPOSE_GEN_WINDOW, step))
-        loss_g, gap = generator_step(
-            state, real, substream(seed, PURPOSE_GEN_NOISE, step))
+        loss_g, gap = generator_step(state, real, z[subs * b:],
+                                     fake[subs * b:])
         js = None
         if track_js and (step % train_cfg.js_log_interval == 0
                          or step == train_cfg.total_gen_steps - 1):

@@ -395,17 +395,16 @@ def test_factored_prefix_matches_oracles(n, aux, layers):
 
 
 # Kernel chunk sizes, in amplitudes, for a q=3 (two features, one aux), t=2
-# batch of five samples: (forward and sampling blocks, gradient blocks), as
-# (patches, samples) per block.  A forward row is one 8-amplitude state, a
-# gradient row two (psi and lam).  At 8 every block is one row; at 32 a
-# forward block holds four samples of one patch and a gradient block two,
-# so the last block of each patch is short; at 64 a forward block holds a
-# patch's whole batch and a gradient block four samples; at 800 one block
-# holds both patches' whole batch.
-CHUNK_LAYOUTS = {8: ([(1, 1)] * 10, [(1, 1)] * 10),
-                 32: ([(1, 4), (1, 1)] * 2, [(1, 2), (1, 2), (1, 1)] * 2),
-                 64: ([(1, 5)] * 2, [(1, 4), (1, 1)] * 2),
-                 800: ([(2, 5)], [(2, 5)])}
+# batch of five samples: the blocks, as (patches, samples), that forward
+# and sampling walk and that the gradient walks too, since its seven slots
+# per row (each layer's psi and five more) stay within ``_SCRATCH_CHUNKS``.
+# At 8 every block is one row; at 32 a block holds four samples of one
+# patch, so the last block of each patch is short; at 64 a block holds a
+# patch's whole batch; at 800 one block holds both patches' whole batch.
+CHUNK_LAYOUTS = {8: [(1, 1)] * 10,
+                 32: [(1, 4), (1, 1)] * 2,
+                 64: [(1, 5)] * 2,
+                 800: [(2, 5)]}
 
 
 @pytest.mark.parametrize("chunk", sorted(CHUNK_LAYOUTS))
@@ -419,9 +418,9 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
     monkeypatch.setattr(gen, "_CHUNK_ELEMS", chunk)
     layout = tuple([(blk.patches.stop - blk.patches.start,
                      blk.samples.stop - blk.samples.start)
-                    for blk in gen._blocks(cfg, params.theta, z, states)]
-                   for states in (1, 2))
-    assert layout == CHUNK_LAYOUTS[chunk]
+                    for blk in gen._blocks(cfg, params.theta, z, slots)]
+                   for slots in (3, gen._kept_slots(cfg)))
+    assert layout == (CHUNK_LAYOUTS[chunk],) * 2
 
     forward = gen.forward_batch(cfg, params, z)
     sampled = gen.sample_batch(cfg, params, z, uniforms)
@@ -443,16 +442,16 @@ def test_sample_blocks_match_oracles(monkeypatch, chunk):
 
 
 # (features, aux qubits, timesteps) at q=3 and q=8, with kernel chunks of
-# 2 forward rows (1 gradient row) or 4 forward rows (2 gradient rows).
-# With t=3 and two samples, blocks hold one or two patches, or one sample
-# of one patch, so a row whose patch were counted from its block's start
-# would run another patch's gates, and a per-patch sum that mixed blocks up
-# would mix patches.  At t*q = 8 consecutive samples' noise
-# lies 64 B apart, a stride at which NumPy 2.4's ``np.negative(x, out=y)``
-# into a strided ``y`` has been seen to return wrong values.  The ids keep
-# the flag of the removed per-layer noise option, so each still names the
-# case it named before.
-@pytest.mark.parametrize("forward_rows", [2, 4])
+# 2, 4 or 12 rows, for forward and gradient blocks alike.  With t=3 and two
+# samples, blocks hold one sample of one patch, a patch's whole batch, or
+# (at 12 rows) two or three patches, so a row whose patch were counted
+# from its block's start would run another patch's gates, and a per-patch
+# sum that mixed blocks up would mix patches.  At t*q = 8
+# consecutive samples' noise lies 64 B apart, a stride at which NumPy 2.4's
+# ``np.negative(x, out=y)`` into a strided ``y`` has been seen to return
+# wrong values.  The ids keep the flag of the removed per-layer noise
+# option, so each still names the case it named before.
+@pytest.mark.parametrize("forward_rows", [2, 4, 12])
 @pytest.mark.parametrize("n, aux, t", [
     pytest.param(2, 1, 3, id="2-1-True"),
     pytest.param(8, 0, 3, id="8-0-False"),
@@ -532,20 +531,26 @@ def test_sample_batch_is_the_inverse_cdf_of_the_kernel_probs(
         sampled, (basis[:, None, :] >> np.arange(n)[:, None]) & 1)
 
 
-@pytest.mark.parametrize("call, n, t, batch", [
-    ("sample_batch", 2, 30, 25_000),
-    ("sample_batch", 10, 2, 1000),
-    ("sample_batch", 10, 30, 1),
-    ("param_shift_batch", 8, 2, 32),
-    ("param_shift_batch", 10, 2, 32),
-    ("param_shift_batch", 10, 30, 32),
-    ("param_shift_batch", 10, 30, 1),
-])
-def test_kernel_memory_stays_chunk_sized(call, n, t, batch):
+# (call, n, t, batch, layers).  At 32 layers the adjoint keeps 28 dense
+# layers of psi per row, so a block that held as many samples as at 4
+# layers would pass the bound.
+@pytest.mark.parametrize("call, n, t, batch, layers", [
+    pytest.param(*case, 4, id="-".join(map(str, case))) for case in [
+        ("sample_batch", 2, 30, 25_000),
+        ("sample_batch", 10, 2, 1000),
+        ("sample_batch", 10, 30, 1),
+        ("param_shift_batch", 8, 2, 32),
+        ("param_shift_batch", 10, 2, 32),
+        ("param_shift_batch", 10, 30, 32),
+        ("param_shift_batch", 10, 30, 1)]
+] + [pytest.param("param_shift_batch", 10, 2, 32, 32,
+                  id="param_shift_batch-10-2-32-layers32")])
+def test_kernel_memory_stays_chunk_sized(call, n, t, batch, layers):
     """Peak allocation is the output plus a few chunks, never a stacked
     copy of angles, states or probabilities for the whole batch, nor, at
-    batch 1, the factors of every patch or a Gram product per row."""
-    cfg = cfg_for(n, t)
+    batch 1, the factors of every patch or a Gram product per row, nor
+    kept layers of psi beyond the chunk budget."""
+    cfg = cfg_for(n, t, layers=layers)
     rng = np.random.default_rng(22)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng, batch=batch)
@@ -587,6 +592,44 @@ def test_block_factors_fit_the_chunk(q, layers, t):
         tracemalloc.stop()
     if stack > gen._CHUNK_ELEMS:
         assert peak < 16 * stack
+
+
+@pytest.mark.parametrize("call", ["forward_batch", "sample_batch",
+                                  "patch_distributions", "param_shift_batch"])
+def test_entry_points_check_the_noise(call):
+    """A noise batch must hold one angle per qubit of each patch: one patch
+    short, or a per-layer axis, is refused in one line."""
+    cfg = cfg_for(2, 3)
+    rng = np.random.default_rng(15)
+    params = gen.init_params(cfg, rng)
+    extra = {"sample_batch": (rng.random((4, 3)),),
+             "param_shift_batch": (rng.normal(size=(4, 6)),)}.get(call, ())
+    for shape in ((4, 2, 2), (4, 3, 4, 2)):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^noise batch has shape \({shape[0]}, "):
+            getattr(gen, call)(cfg, params, rng.uniform(0, np.pi, shape),
+                               *extra)
+
+
+# (qubits, layers): one layer and eight, below the factored prefix and
+# inside it, where q=7's eight layers keep their first two as Schmidt terms
+# and the other six as dense rows.  With chunks of four rows, the eight
+# layers' slots pass ``_SCRATCH_CHUNKS``, so their gradient blocks hold two
+# of the three samples where forward blocks hold all three.
+@pytest.mark.parametrize("q, layers", [(5, 1), (5, 8), (7, 1), (7, 8)])
+def test_adjoint_keeps_every_layer(monkeypatch, q, layers):
+    cfg = cfg_for(q, 1, layers=layers)
+    monkeypatch.setattr(gen, "_CHUNK_ELEMS", 4 * 2**q)
+    rng = np.random.default_rng(90 + q + layers)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=3)
+    slots = gen._kept_slots(cfg)
+    assert [blk.samples.stop - blk.samples.start for blk in gen._blocks(
+        cfg, params.theta, z, slots)] == ([2, 1] if layers == 8 else [3])
+    upstream = rng.normal(size=(3, cfg.output_dim))
+    np.testing.assert_allclose(
+        gen.param_shift_batch(cfg, params, z, upstream),
+        param_shift_oracle(params.theta, z, upstream), rtol=0, atol=1e-10)
 
 
 def test_param_shift_zero_upstream():

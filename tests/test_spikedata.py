@@ -20,6 +20,22 @@ def test_load_simple_file(tmp_path):
     assert m.bin_width == 0.02
 
 
+@pytest.mark.parametrize("text", [
+    b"SPIKES v1 2 4 0.02\r\n0101\r\n0011\r\n",
+    b"SPIKES v1 2 4 0.02\r0101\r0011\r",
+    b"SPIKES v1 2 4 0.02\n0101\n0011",
+    b"SPIKES v1 2 4 0.02\n0101\n0011\n\n \n",
+])
+def test_load_reads_text_that_is_not_plain_lf_rows(tmp_path, text):
+    """Rows are read as bytes only where every line ends in LF and nothing
+    follows the last one; CR line ends, a missing last LF and trailing
+    blank lines go through the text parser, which takes them as before."""
+    path = tmp_path / "text.spk"
+    path.write_bytes(text)
+    np.testing.assert_array_equal(sd.load_spikes(path).data,
+                                  [[0, 1, 0, 1], [0, 0, 1, 1]])
+
+
 def test_load_rejects_non_binary_entry(tmp_path):
     path = tmp_path / "bad.spk"
     path.write_text("SPIKES v1 1 3 0.02\n012\n")

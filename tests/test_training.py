@@ -63,13 +63,21 @@ def test_generator_loss_k0_is_negated_mean():
 
 # --- steps --------------------------------------------------------------------
 
+def fake_batch(state, rng, b=4):
+    """A noise block of ``b`` samples and its marginals under the state's
+    generator, the arguments a training step takes."""
+    z = gen.sample_noise(state.gen_cfg, rng, batch=b)
+    return z, gen.forward_batch(state.gen_cfg, state.gen_params, z)
+
+
 def test_critic_step_zero_critic_gives_zero_loss():
     state = make_state(seed=1)
     state.critic = cr.CriticParams(
         w1=np.zeros_like(state.critic.w1), b1=np.zeros_like(state.critic.b1),
         w2=np.zeros_like(state.critic.w2), b2=np.asarray(0.0))
     real = np.zeros((4, 2))
-    loss = tr.critic_step(state, real, tr.substream(1, 99))
+    loss = tr.critic_step(state, real,
+                          fake_batch(state, tr.substream(1, 99))[1])
     assert loss == 0.0
 
 
@@ -78,7 +86,8 @@ def test_critic_step_deterministic():
     for _ in range(2):
         state = make_state(seed=2)
         real = np.ones((4, 2))
-        tr.critic_step(state, real, tr.substream(2, 50))
+        tr.critic_step(state, real,
+                       fake_batch(state, tr.substream(2, 50))[1])
         results.append(state.critic)
     for a, b in zip(results[0].tensors(), results[1].tensors()):
         np.testing.assert_array_equal(a, b)
@@ -88,7 +97,8 @@ def test_critic_step_freezes_generator_and_updates_critic():
     state = make_state(seed=3)
     theta_before = state.gen_params.theta.copy()
     critic_before = state.critic.copy()
-    tr.critic_step(state, np.ones((4, 2)), tr.substream(3, 50))
+    tr.critic_step(state, np.ones((4, 2)),
+                   fake_batch(state, tr.substream(3, 50))[1])
     np.testing.assert_array_equal(state.gen_params.theta, theta_before)
     assert any(not np.array_equal(a, b) for a, b
                in zip(state.critic.tensors(), critic_before.tensors()))
@@ -97,7 +107,8 @@ def test_critic_step_freezes_generator_and_updates_critic():
 def test_critic_step_clips_weights():
     state = make_state(seed=4, clip_c=0.01)
     for _ in range(3):
-        tr.critic_step(state, np.ones((4, 2)), tr.substream(4, 50))
+        tr.critic_step(state, np.ones((4, 2)),
+                       fake_batch(state, tr.substream(4, 50))[1])
     for t in state.critic.tensors():
         assert (np.abs(t) <= 0.01 + 1e-12).all()
 
@@ -135,7 +146,8 @@ def test_generator_step_no_signal_keeps_params():
         w2=np.zeros_like(state.critic.w2), b2=np.asarray(0.0))
     theta_before = state.gen_params.theta.copy()
     real = np.ones((4, 2))
-    loss, gap = tr.generator_step(state, real, tr.substream(6, 70))
+    loss, gap = tr.generator_step(
+        state, real, *fake_batch(state, tr.substream(6, 70)))
     np.testing.assert_array_equal(state.gen_params.theta, theta_before)
     assert loss == 0.0
 
@@ -143,7 +155,8 @@ def test_generator_step_no_signal_keeps_params():
 def test_generator_step_freezes_critic():
     state = make_state(seed=7)
     critic_before = state.critic.copy()
-    tr.generator_step(state, np.ones((4, 2)), tr.substream(7, 70))
+    tr.generator_step(state, np.ones((4, 2)),
+                      *fake_batch(state, tr.substream(7, 70)))
     for a, b in zip(state.critic.tensors(), critic_before.tensors()):
         np.testing.assert_array_equal(a, b)
 
@@ -228,6 +241,42 @@ def test_train_schedule_counts_adam_steps():
     assert ckpt.adam_critic.step_count == 6   # 2 critic updates per gen step
     assert ckpt.adam_gen.step_count == 3
     assert [r.step for r in rows] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n, t", [(2, 30), (8, 3)])
+def test_train_step_fakes_equal_separate_forward_calls(monkeypatch, n, t):
+    """One forward pass over a step's noise blocks gives each critic step
+    and the generator step, byte for byte, the marginals of its own block:
+    at n=2, t=30 in one kernel block, at n=8, t=3 (factored prefix) in one
+    block per patch where separate calls hold all three patches."""
+    data = tiny_data(seed=3, n=n, cols=200)
+    gen_cfg = gen.GeneratorConfig(n_feature=n, n_patches=t)
+    cfg = tr.TrainConfig(total_gen_steps=1, seed=14, batch_size=32)
+    seen = []
+    critic_step, generator_step = tr.critic_step, tr.generator_step
+
+    def spy_critic(state, real, fake):
+        seen.append((None, fake.copy()))
+        return critic_step(state, real, fake)
+
+    def spy_generator(state, real, z, fake):
+        seen.append((z.copy(), fake.copy()))
+        return generator_step(state, real, z, fake)
+
+    monkeypatch.setattr(tr, "critic_step", spy_critic)
+    monkeypatch.setattr(tr, "generator_step", spy_generator)
+    ckpt, _ = tr.train(cfg, data, gen_cfg)
+    params = tr.init_trainer(cfg, gen_cfg, ckpt.window,
+                             ckpt.bin_width).gen_params
+    rngs = [tr.substream(14, tr.PURPOSE_CRITIC_NOISE, 0, sub)
+            for sub in range(cfg.critic_steps_per_gen)]
+    rngs.append(tr.substream(14, tr.PURPOSE_GEN_NOISE, 0))
+    for (z_seen, fake), rng in zip(seen, rngs, strict=True):
+        z = gen.sample_noise(gen_cfg, rng, batch=32)
+        np.testing.assert_array_equal(fake,
+                                      gen.forward_batch(gen_cfg, params, z))
+        if z_seen is not None:
+            np.testing.assert_array_equal(z_seen, z)
 
 
 def test_train_rejects_small_data():
