@@ -87,7 +87,6 @@ _WINDOW_SCHEMA = {
 _PATHS_SCHEMA = {
     "data": (str, _REQUIRED),
     "out": (str, "out"),
-    "checkpoint": (str, ""),
 }
 
 _SWEEP_SCHEMA = {

@@ -110,11 +110,13 @@ class GeneratorConfig:
         if not (math.isfinite(self.noise_low)
                 and math.isfinite(self.noise_high)):
             raise ConfigurationError("noise_low and noise_high must be finite")
-        if not math.isfinite(self.noise_high - self.noise_low):
+        span = self.noise_high - self.noise_low
+        if not math.isfinite(span):
+            raise ConfigurationError("noise_high - noise_low must be finite")
+        # NumPy's uniform reads the sign bit, so it refuses 0.0 to -0.0 too.
+        if math.copysign(1.0, span) < 0:
             raise ConfigurationError(
-                "noise_high - noise_low must be finite")
-        if not self.noise_low <= self.noise_high:
-            raise ConfigurationError("noise_low must be <= noise_high")
+                f"noise_high - noise_low must be >= +0.0, got {span!r}")
 
     @property
     def n_qubits(self) -> int:

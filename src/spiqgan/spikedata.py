@@ -6,13 +6,13 @@ File format (``SPIKES v1``), chosen for diff-ability and trivial parsing:
     0101...        one line of 0/1 characters per neuron
     0011...
 
-UTF-8, LF line endings, no separators inside a row.  Saving the same matrix
-twice produces byte-identical files.
+UTF-8, no separators inside a row.  Files are written with LF line ends and
+read with LF, CRLF or CR ones.  Saving the same matrix twice produces
+byte-identical files.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import stat
 from dataclasses import dataclass
@@ -99,26 +99,66 @@ def first_n_spec(n: int, window_len: int) -> WindowSpec:
 
 
 def load_spikes(path) -> SpikeMatrix:
-    """Parse a ``SPIKES v1`` file, validating every entry.
+    """Read a ``SPIKES v1`` file or pipe, validating every entry.
 
-    A regular file's rows are read as bytes straight into the raster.  Any
-    file that this does not take as plainly well formed, and any pipe, is
-    parsed as text, which names the fault."""
-    try:
-        with open(path, "rb") as fh:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                m = _read_rows(fh)
-                if m is not None:
-                    return m
-                fh.seek(0)
-            with io.TextIOWrapper(fh, encoding="utf-8") as text:
-                return _parse_spikes(text)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    Lines end in LF, CRLF or CR, the last one may have none, and blank
+    space may follow the last row.  Each row is read as bytes straight into
+    the raster, and the raster is scanned once for bad entries."""
+    with open(path, "rb") as fh:
+        n_neurons, n_bins, bin_width = _parse_header(
+            _read_line(fh).decode("utf-8", "replace"), fh)
+        rows = np.empty((n_neurons, n_bins), dtype=np.uint8)
+        for i, row in enumerate(rows):
+            got = fh.readinto(row)
+            if got < n_bins or not _at_line_end(fh):
+                length = got if got < n_bins else n_bins + len(_read_line(fh))
+                row[got:] = ord("0")
+                _refuse(rows[:i + 1],
+                        f"row {i} has {length} entries, expected {n_bins}")
+        if fh.read().decode("utf-8", "replace").strip():
+            _refuse(rows, f"trailing content after {n_neurons} declared rows")
+    rows -= ord("0")
+    if rows.max() > 1:
+        i, j = np.argwhere(rows > 1)[0]
+        rows += ord("0")
+        byte = int(rows[i, j])
+        entry = repr(chr(byte) if byte < 128 else bytes([byte]))
+        _refuse(rows, f"non-binary entry {entry} at row {i}, column {j}")
+    return SpikeMatrix(rows, bin_width=bin_width)
+
+
+def _refuse(rows: np.ndarray, fault: str):
+    """Raise ``fault``, unless a line end inside one of the ``rows`` read
+    cuts that row short first."""
+    cut = np.argwhere((rows == ord("\n")) | (rows == ord("\r")))
+    if cut.size:
+        i, j = cut[0]
+        fault = f"row {i} has {j} entries, expected {rows.shape[1]}"
+    raise DataFormatError(fault)
+
+
+def _at_line_end(fh) -> bool:
+    """Whether ``fh`` is at a line end or at the end of the file; a LF, CR
+    or CRLF line end is consumed."""
+    end = fh.peek(1)[:1]
+    if end not in (b"", b"\n", b"\r"):
+        return False
+    if fh.read(1) == b"\r" and fh.peek(1)[:1] == b"\n":
+        fh.read(1)
+    return True
+
+
+def _read_line(fh) -> bytearray:
+    """The bytes up to the next line end or the end of the file, after
+    which the line end is consumed."""
+    line = bytearray()
+    while not _at_line_end(fh):
+        line += fh.read(len(fh.peek().split(b"\n", 1)[0].split(b"\r", 1)[0]))
+    return line
 
 
 def _parse_header(header: str, fh) -> tuple[int, int, float]:
-    """Neurons, bins and bin width of a header line without its newline."""
+    """Neurons, bins and bin width of a header line without its line end."""
     parts = header.split(" ")
     if len(parts) != 5 or " ".join(parts[:2]) != _HEADER_PREFIX:
         raise DataFormatError(
@@ -140,62 +180,16 @@ def _parse_header(header: str, fh) -> tuple[int, int, float]:
     return n_neurons, n_bins, bin_width
 
 
-def _read_rows(fh) -> SpikeMatrix | None:
-    """The raster of a binary file whose header is ASCII and whose lines
-    end in LF, rows of exactly '0' and '1' bytes with nothing after them,
-    or None, for the text parser to name the fault."""
-    header = fh.readline()
-    if not (header.isascii() and header.endswith(b"\n")) or b"\r" in header:
-        return None
-    n_neurons, n_bins, bin_width = _parse_header(
-        header[:-1].decode("ascii"), fh)
-    rows = np.empty((n_neurons, n_bins), dtype=np.uint8)
-    for row in rows:
-        if fh.readinto(row) != n_bins or fh.read(1) != b"\n":
-            return None
-    if fh.read(1):
-        return None
-    rows -= ord("0")
-    if rows.max() > 1:
-        return None
-    return SpikeMatrix(rows, bin_width=bin_width)
-
-
-def _parse_spikes(fh) -> SpikeMatrix:
-    n_neurons, n_bins, bin_width = _parse_header(
-        fh.readline().rstrip("\n"), fh)
-    rows = np.empty((n_neurons, n_bins), dtype=np.uint8)
-    for i in range(n_neurons):
-        line = fh.readline().rstrip("\n")
-        if len(line) != n_bins:
-            raise DataFormatError(
-                f"row {i} has {len(line)} entries, expected {n_bins}"
-            )
-        if not line.isascii():
-            j = next(j for j, ch in enumerate(line) if not ch.isascii())
-            raise DataFormatError(
-                f"non-binary entry {line[j]!r} at row {i}, column {j}")
-        rows[i] = np.frombuffer(line.encode("ascii"), np.uint8)
-    if fh.read().strip():
-        raise DataFormatError(
-            f"trailing content after {n_neurons} declared rows"
-        )
-    rows -= ord("0")
-    if rows.max() > 1:
-        i, j = np.argwhere(rows > 1)[0]
-        ch = chr((int(rows[i, j]) + ord("0")) % 256)
-        raise DataFormatError(
-            f"non-binary entry {ch!r} at row {i}, column {j}")
-    return SpikeMatrix(rows, bin_width=bin_width)
-
-
 def save_spikes(m: SpikeMatrix, path) -> None:
-    """Write the canonical ``SPIKES v1`` representation."""
-    lines = [f"{_HEADER_PREFIX} {m.n_neurons} {m.n_bins} {m.bin_width!r}"]
-    lines.extend(row.tobytes().decode("ascii") for row in m.data + ord("0"))
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8",
-                                        newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the canonical ``SPIKES v1`` representation, one row at a time
+    through one reused line buffer."""
+    header = f"{_HEADER_PREFIX} {m.n_neurons} {m.n_bins} {m.bin_width!r}\n"
+    line = np.full(m.n_bins + 1, ord("\n"), dtype=np.uint8)
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(header.encode("utf-8"))
+        for row in m.data:
+            np.add(row, ord("0"), out=line[:-1])
+            fh.write(line)
 
 
 def sample_windows(m: SpikeMatrix, spec: WindowSpec, batch: int,

@@ -1,9 +1,12 @@
 """Independent brute-force oracles used to pin the fast implementations.
 
 Everything here is deliberately naive: dense Kronecker-product unitaries,
-explicit python loops over samples/bins/pairs, and plain finite differences.
+explicit python loops over samples/bins/pairs, plain finite differences, and
+a spike-file reader that parses decoded text one character at a time.
 None of it shares code with the package.
 """
+
+import os
 
 import numpy as np
 
@@ -285,3 +288,55 @@ def brute_windows(data, subset, window_len, stride):
         out.append([[row[start + u] for u in range(window_len)]
                     for row in rows])
     return np.array(out, dtype=np.uint8).reshape(-1, len(rows), window_len)
+
+
+def reference_load_spikes(path):
+    """(raster, bin width) of a ``SPIKES v1`` file, parsed as UTF-8 text
+    with universal newlines; a refused file raises ValueError naming its
+    first fault.  Faults are found in this order: the header (including a
+    declared size larger than the file), each row's length and then its
+    non-ASCII characters, content after the last row, and last the first
+    entry, in row order, that is not 0 or 1."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _reference_parse(fh, os.path.getsize(path))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _reference_parse(fh, size):
+    header = fh.readline().rstrip("\n")
+    parts = header.split(" ")
+    if len(parts) != 5 or parts[0] != "SPIKES" or parts[1] != "v1":
+        raise ValueError(f"bad header {header!r}: expected "
+                         "'SPIKES v1 <neurons> <bins> <bin_width>'")
+    try:
+        n_neurons, n_bins = int(parts[2]), int(parts[3])
+        bin_width = float(parts[4])
+    except ValueError:
+        raise ValueError(f"bad header fields in {header!r}") from None
+    if n_neurons < 1 or n_bins < 1 or not bin_width > 0:
+        raise ValueError(f"bad header values in {header!r}")
+    if n_neurons * n_bins > size:
+        raise ValueError(f"header declares {n_neurons} x {n_bins} "
+                         f"entries in a {size}-byte file")
+    lines = []
+    for i in range(n_neurons):
+        line = fh.readline().rstrip("\n")
+        if len(line) != n_bins:
+            raise ValueError(
+                f"row {i} has {len(line)} entries, expected {n_bins}")
+        for j, ch in enumerate(line):
+            if ord(ch) >= 128:
+                raise ValueError(
+                    f"non-binary entry {ch!r} at row {i}, column {j}")
+        lines.append(line)
+    if fh.read().strip():
+        raise ValueError(f"trailing content after {n_neurons} declared rows")
+    for i, line in enumerate(lines):
+        for j, ch in enumerate(line):
+            if ch not in "01":
+                raise ValueError(
+                    f"non-binary entry {ch!r} at row {i}, column {j}")
+    return (np.array([[int(ch) for ch in line] for line in lines],
+                     dtype=np.uint8), bin_width)

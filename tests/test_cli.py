@@ -128,13 +128,16 @@ def test_surrogate_via_config_file(tmp_path):
     # 2.8 PiB of angles: the allocation fails at once.
     ["train", "--config", "{cfg}", "--set",
      "generator.layers=100000000000000"],
+    # 0.0 <= -0.0, but NumPy's uniform refuses the pair.
+    ["train", "--config", "{cfg}", "--set", "generator.noise_high=-0.0"],
 ], ids=["infinite-noise-bound", "unparsable-rates", "rates-per-neuron-mismatch",
         "unparsable-neuron-list", "non-utf8-config", "non-utf8-spikes",
         "train-seed-2^128", "generate-seed-2^128", "oversized-spikes-header",
         "non-ascii-spike-entry", "train-noise-range-overflow",
         "generate-noise-range-overflow", "nan-clip-c", "nan-k-coeff",
         "infinite-lr-gen", "infinite-k-coeff", "infinite-clip-c",
-        "infinite-lr-critic", "nan-burst-gain", "out-of-memory"])
+        "infinite-lr-critic", "nan-burst-gain", "out-of-memory",
+        "negative-zero-noise-high"])
 def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
     data = make_surrogate(tmp_path, cols=100)
     ckpt = (trained_checkpoint(tmp_path)
@@ -211,6 +214,10 @@ def test_train_unknown_key_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: unknown key 'resample_noise_each_layer' in section "
         "[generator]\n")
+    assert run_cli("train", "--config", cfg, "--set",
+                   "paths.checkpoint=model.ckpt") == 1
+    assert capsys.readouterr().err == (
+        "error: unknown key 'checkpoint' in section [paths]\n")
 
 
 def test_train_malformed_ini_exits_1(tmp_path):

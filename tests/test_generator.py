@@ -47,6 +47,13 @@ def test_config_validation():
                       (-1e308, 1e308)):
         with pytest.raises(ConfigurationError, match="finite"):
             cfg_for(2, 1, noise_low=low, noise_high=high)
+    # 0.0 <= -0.0, but NumPy's uniform reads high - low = -0.0 as negative.
+    for low, high in ((1.0, 0.5), (0.0, -0.0)):
+        with pytest.raises(ConfigurationError, match=">= \\+0.0"):
+            cfg_for(2, 1, noise_low=low, noise_high=high)
+    for low, high in ((-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)):
+        cfg = cfg_for(2, 1, noise_low=low, noise_high=high)
+        assert not gen.sample_noise(cfg, np.random.default_rng(0), 2).any()
 
 
 def one_row(theta_patch, z_patch):

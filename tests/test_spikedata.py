@@ -1,15 +1,19 @@
 import hashlib
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spiqgan import spikedata as sd
 from spiqgan.errors import ConfigurationError, DataFormatError
 from spiqgan.training import PURPOSE_SURROGATE, substream
 
-from _oracles import brute_windows, flatten_windows, state_index
+from _oracles import (brute_windows, flatten_windows, reference_load_spikes,
+                      state_index)
 
 
 def test_load_simple_file(tmp_path):
@@ -27,13 +31,116 @@ def test_load_simple_file(tmp_path):
     b"SPIKES v1 2 4 0.02\n0101\n0011\n\n \n",
 ])
 def test_load_reads_text_that_is_not_plain_lf_rows(tmp_path, text):
-    """Rows are read as bytes only where every line ends in LF and nothing
-    follows the last one; CR line ends, a missing last LF and trailing
-    blank lines go through the text parser, which takes them as before."""
+    """CRLF and CR line ends, a missing last line end and trailing blank
+    lines are read like LF rows."""
     path = tmp_path / "text.spk"
     path.write_bytes(text)
     np.testing.assert_array_equal(sd.load_spikes(path).data,
                                   [[0, 1, 0, 1], [0, 0, 1, 1]])
+
+
+_LINE_ENDS = (b"\n", b"\r\n", b"\r")
+# Each edit replaces, inserts or deletes one of these byte strings.
+_EDIT_BYTES = (b"0", b"1", b"x", b"2", b" ", b"\r", b"\n",
+               "\u00e9".encode(), b"\xff")
+
+
+@st.composite
+def spike_files(draw):
+    """A valid file's bytes, with random line ends, with or without a last
+    line end and blank lines after it, and then 0-2 random byte edits."""
+    n = draw(st.integers(1, 4))
+    # Some files are long enough to cross the reader's 8 KiB buffer.
+    bins = draw(st.integers(1, 8) | st.integers(2000, 4000))
+    raster = np.random.default_rng(draw(st.integers(0, 2**32 - 1))
+                                   ).integers(0, 2, (n, bins), dtype=np.uint8)
+    width = draw(st.sampled_from(["0.02", "1.0", "2.5e-3"]))
+    lines = [f"SPIKES v1 {n} {bins} {width}".encode()]
+    lines += [(row + ord("0")).tobytes() for row in raster]
+    ends = draw(st.lists(st.sampled_from(_LINE_ENDS), min_size=n + 1,
+                         max_size=n + 1))
+    if draw(st.booleans()):
+        ends[-1] = b""
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    data += draw(st.sampled_from([b"", b"\n", b"\r\n\n", b" \n\t\r"]))
+    edits = draw(st.lists(st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(0, 2**20), st.sampled_from(_EDIT_BYTES)), max_size=2))
+    for kind, at, new in edits:
+        at %= len(data) + (kind == "insert")
+        keep = at + (kind != "insert")
+        data = data[:at] + (b"" if kind == "delete" else new) + data[keep:]
+    return data, edits
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spike_files())
+def test_load_agrees_with_reference_reader(tmp_path, case):
+    """The byte reader accepts and refuses what the reference text parser
+    does, with the same raster and bin width, and names an ASCII file's
+    single fault as it does."""
+    data, edits = case
+    path = tmp_path / "fuzz.spk"
+    path.write_bytes(data)
+    try:
+        expected, width = reference_load_spikes(path)
+    except ValueError as exc:
+        with pytest.raises(DataFormatError) as refused:
+            sd.load_spikes(path)
+        if len(edits) == 1 and data.isascii():
+            assert str(refused.value) == str(exc)
+        return
+    m = sd.load_spikes(path)
+    np.testing.assert_array_equal(m.data, expected)
+    assert m.bin_width == width
+
+
+def load_through_fifo(fifo, data):
+    """``load_spikes`` of a new FIFO that another thread writes ``data`` to."""
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader refused the file early
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return sd.load_spikes(fifo)
+    finally:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("end", _LINE_ENDS, ids=["lf", "crlf", "cr"])
+def test_load_reads_a_pipe_like_a_file(tmp_path, end):
+    """A raster larger than a pipe's buffer, read through a FIFO, equals
+    the regular file's; a bad entry is named the same way."""
+    rng = np.random.default_rng(8)
+    m = sd.SpikeMatrix(rng.integers(0, 2, (3, 50_000)), bin_width=0.005)
+    path = tmp_path / "data.spk"
+    sd.save_spikes(m, path)
+    data = path.read_bytes().replace(b"\n", end)
+    path.write_bytes(data)
+    piped = load_through_fifo(tmp_path / "good", data)
+    np.testing.assert_array_equal(piped.data, sd.load_spikes(path).data)
+    assert piped.bin_width == 0.005
+    bad = data[:-10] + b"x" + data[-9:]
+    with pytest.raises(DataFormatError,
+                       match=r"^non-binary entry 'x' at row 2, column "):
+        load_through_fifo(tmp_path / "bad", bad)
+
+
+def test_load_names_a_non_ascii_entry_as_a_byte(tmp_path):
+    path = tmp_path / "accent.spk"
+    path.write_bytes("SPIKES v1 1 3 0.02\n0\u00e9\n".encode())
+    with pytest.raises(DataFormatError, match=(
+            r"^non-binary entry b'\\xc3' at row 0, column 1$")):
+        sd.load_spikes(path)
 
 
 def test_load_rejects_non_binary_entry(tmp_path):
@@ -90,6 +197,19 @@ def test_long_raster_round_trip(tmp_path):
     assert path.read_bytes() == (
         "SPIKES v1 2 1000000 0.02\n" + "\n".join(rows) + "\n").encode()
     np.testing.assert_array_equal(sd.load_spikes(path).data, m.data)
+
+
+def test_save_holds_one_row(tmp_path):
+    """Writing a 2 x 10^6 raster allocates one row's line, not copies of
+    the raster."""
+    m = sd.SpikeMatrix(np.ones((2, 1_000_000), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        sd.save_spikes(m, tmp_path / "long.spk")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * m.n_bins
 
 
 def test_load_reports_bad_entry_far_into_row(tmp_path):
