@@ -273,11 +273,6 @@ def _parse_neuron_arg(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _nonoverlapping_windows(m: SpikeMatrix, subset: tuple[int, ...],
-                            t: int) -> np.ndarray:
-    return all_windows(m, WindowSpec(subset, t), stride=t)
-
-
 def _evaluate_windows(gen_windows: np.ndarray, ref_windows: np.ndarray,
                       bin_width: float, max_lag: int):
     gen_report = stats_mod.build_report(gen_windows, bin_width, max_lag)
@@ -311,8 +306,8 @@ def cmd_evaluate(args) -> int:
             f"generated file has {generated.n_neurons} neurons, expected {n}"
         )
     max_lag = args.max_lag if args.max_lag is not None else t - 1
-    gen_windows = _nonoverlapping_windows(generated, tuple(range(n)), t)
-    ref_windows = _nonoverlapping_windows(reference, subset, t)
+    gen_windows = all_windows(generated, first_n_spec(n, t), stride=t)
+    ref_windows = all_windows(reference, WindowSpec(subset, t), stride=t)
     gen_report, ref_report, summary = _evaluate_windows(
         gen_windows, ref_windows, reference.bin_width, max_lag)
     out = Path(args.out)
@@ -367,7 +362,7 @@ def _sweep_cell(data: SpikeMatrix, gen_section: dict, train_section: dict,
     ckpt, rows = train(train_cfg, data, gen_cfg, window)
     z, uniforms = generation_noise(gen_cfg, seed, eval_samples)
     samples = sample_batch(gen_cfg, ckpt.gen_params, z, uniforms)
-    ref = _nonoverlapping_windows(data, window.neuron_subset, t)
+    ref = all_windows(data, window, stride=t)
     *_, summary = _evaluate_windows(samples, ref, data.bin_width, t - 1)
     js_final = rows[-1].js_divergence if rows else None
     return {
@@ -537,6 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# NumPy refuses an array of 2^63 bytes or more with one of these
+# ValueErrors rather than a MemoryError.
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -545,6 +545,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        if not str(exc).startswith(_TOO_BIG):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

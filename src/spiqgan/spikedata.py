@@ -26,6 +26,8 @@ _HEADER_PREFIX = "SPIKES v1"
 # State indices cover 2^(n*t) outcomes; past 20 bits the histogram is
 # intractable and downstream consumers refuse to build it.
 MAX_STATE_BITS = 20
+# Columns of uniforms that synthesize_surrogate draws at a time.
+_SURROGATE_CHUNK = 1 << 16
 
 
 def binary_uint8(arr: np.ndarray, what: str) -> np.ndarray:
@@ -208,24 +210,18 @@ def sample_windows(m: SpikeMatrix, spec: WindowSpec, batch: int,
 
 
 def all_windows(m: SpikeMatrix, spec: WindowSpec, stride: int = 1) -> np.ndarray:
-    """Every window at the given stride, as a read-only (W, n, t) uint8 array.
+    """Every window at the given stride, as a read-only (W, n, t) uint8 view.
 
-    At ``stride == window_len`` the windows tile the rows, so the result is a
-    reshaped view of the chosen rows trimmed to a whole number of windows,
-    not a copy of each window.
+    The view is of the raster itself when the subset is consecutive rows in
+    increasing order, and of one copy of the chosen rows otherwise.
     """
     spec.validate_for(m)
-    t = spec.window_len
-    sub = m.data[list(spec.neuron_subset)]
-    if stride == t:
-        usable = (m.n_bins // t) * t
-        out = sub[:, :usable].reshape(len(sub), -1, t).transpose(1, 0, 2)
-    else:
-        starts = np.arange(0, m.n_bins - t + 1, stride)
-        cols = starts[:, None] + np.arange(t)[None, :]
-        out = sub[:, cols].transpose(1, 0, 2)
-    out.flags.writeable = False
-    return out
+    subset = spec.neuron_subset
+    run = range(subset[0], subset[0] + len(subset))
+    rows = (m.data[run.start:run.stop] if subset == tuple(run)
+            else m.data[list(subset)])
+    return np.lib.stride_tricks.sliding_window_view(
+        rows, spec.window_len, axis=1)[:, ::stride].transpose(1, 0, 2)
 
 
 def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
@@ -256,20 +252,26 @@ def synthesize_surrogate(n: int, cols: int, rates, burst_prob: float,
         )
     if not 0 <= burst_prob <= 1:
         raise ConfigurationError("burst_prob must lie in [0, 1]")
-    start = rng.random() < 0.5
-    switches = rng.random(cols - 1) >= burst_prob
+    # Uniforms are drawn _SURROGATE_CHUNK columns at a time into one reused
+    # buffer: Philox yields them in the order whole-row draws would, without
+    # a float64 array as long as the raster's rows.
+    u = np.empty(min(cols, _SURROGATE_CHUNK))
+    threshold = np.empty_like(u)
     bursting = np.empty(cols, dtype=bool)
-    bursting[0] = start
-    np.logical_xor.accumulate(switches, out=bursting[1:])
-    bursting[1:] ^= start
-    # One row at a time: Philox fills each row's uniforms in the order a
-    # single (n, cols) draw would, without an (n, cols) float64 array.
+    bursting[0] = rng.random() < 0.5
+    for c0 in range(1, cols, _SURROGATE_CHUNK):
+        c1 = min(c0 + _SURROGATE_CHUNK, cols)
+        switches = rng.random(out=u[:c1 - c0]) >= burst_prob
+        np.logical_xor.accumulate(switches, out=bursting[c0:c1])
+        bursting[c0:c1] ^= bursting[c0 - 1]
     data = np.empty((n, cols), dtype=np.uint8)
-    u, threshold = np.empty(cols), np.empty(cols)
     for i in range(n):
-        threshold.fill(rates[i])
-        threshold[bursting] = burst_gain * rates[i]
-        np.less(rng.random(out=u), threshold, out=data[i])
+        for c0 in range(0, cols, _SURROGATE_CHUNK):
+            c1 = min(c0 + _SURROGATE_CHUNK, cols)
+            thr = threshold[:c1 - c0]
+            thr.fill(rates[i])
+            thr[bursting[c0:c1]] = burst_gain * rates[i]
+            np.less(rng.random(out=u[:c1 - c0]), thr, out=data[i, c0:c1])
     return SpikeMatrix(data, bin_width=bin_width)
 
 

@@ -251,13 +251,20 @@ def generator_step(state: Checkpoint, real_batch: np.ndarray,
     Returns (loss, mean absolute expected-spike-count gap).
     """
     tcfg = state.train_cfg
-    loss, grad, gap = generator_loss_and_grad(
-        state.gen_cfg, state.gen_params, state.critic, z, real_batch,
-        tcfg.k_coeff, tcfg.penalty_mode, fake)
-    if not np.isfinite(loss):
-        raise NumericalError(f"generator loss is not finite: {loss}")
-    (theta,), state.adam_gen = adam_step(
-        (state.gen_params.theta,), (grad,), state.adam_gen, tcfg.lr_gen)
+    # The loss and the updated angles are checked, so an overflow fails the
+    # step with one NumericalError instead of warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grad, gap = generator_loss_and_grad(
+            state.gen_cfg, state.gen_params, state.critic, z, real_batch,
+            tcfg.k_coeff, tcfg.penalty_mode, fake)
+        if not np.isfinite(loss):
+            raise NumericalError(f"generator loss is not finite: {loss}")
+        (theta,), state.adam_gen = adam_step(
+            (state.gen_params.theta,), (grad,), state.adam_gen, tcfg.lr_gen)
+    if not np.isfinite(theta).all():
+        raise NumericalError(
+            f"generator update left {np.count_nonzero(~np.isfinite(theta))} "
+            f"of {theta.size} angles not finite")
     state.gen_params = GeneratorParams(theta)
     return loss, gap
 
@@ -513,6 +520,10 @@ def _checkpoint_from(text: bytes, blob: bytes, offset: int) -> Checkpoint:
     if offset != len(blob) - 4:
         raise CheckpointFormatError("checkpoint tensor block size mismatch")
     theta, w1, b1, w2, b2, m_gen, v_gen, *critic_moments = arrays
+    if not np.isfinite(theta).all():
+        raise CheckpointFormatError(
+            f"checkpoint gen_theta has {np.count_nonzero(~np.isfinite(theta))} "
+            f"of {theta.size} angles not finite")
     bin_width = _header_value(header["bin_width"], float, "bin_width")
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise CheckpointFormatError(

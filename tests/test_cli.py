@@ -1,18 +1,20 @@
 import concurrent.futures
 import csv
 import dataclasses
+import itertools
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spiqgan import cli
 from spiqgan import training as tr
 from spiqgan.errors import CheckpointFormatError, ConfigurationError
-from spiqgan.generator import GeneratorConfig
+from spiqgan.generator import MAX_QUBITS, GeneratorConfig
 from spiqgan.spikedata import load_spikes
 
 
@@ -130,6 +132,10 @@ def test_surrogate_via_config_file(tmp_path):
      "generator.layers=100000000000000"],
     # 0.0 <= -0.0, but NumPy's uniform refuses the pair.
     ["train", "--config", "{cfg}", "--set", "generator.noise_high=-0.0"],
+    # Past 2^63 bytes NumPy raises ValueError, not MemoryError.
+    ["train", "--config", "{cfg}", "--set", f"generator.layers={2**200}"],
+    ["surrogate", "--neurons", "2", "--cols", str(2**63), "--rates", "0.1",
+     "--out", "{out}"],
 ], ids=["infinite-noise-bound", "unparsable-rates", "rates-per-neuron-mismatch",
         "unparsable-neuron-list", "non-utf8-config", "non-utf8-spikes",
         "train-seed-2^128", "generate-seed-2^128", "oversized-spikes-header",
@@ -137,7 +143,7 @@ def test_surrogate_via_config_file(tmp_path):
         "generate-noise-range-overflow", "nan-clip-c", "nan-k-coeff",
         "infinite-lr-gen", "infinite-k-coeff", "infinite-clip-c",
         "infinite-lr-critic", "nan-burst-gain", "out-of-memory",
-        "negative-zero-noise-high"])
+        "negative-zero-noise-high", "layers-2^200", "surrogate-cols-2^63"])
 def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
     data = make_surrogate(tmp_path, cols=100)
     ckpt = (trained_checkpoint(tmp_path)
@@ -333,6 +339,19 @@ def test_generate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     m = load_spikes(a)
     assert m.data.shape == (2, 50)
+
+
+def test_generate_refuses_non_finite_angles(tmp_path, capsys):
+    ckpt = tr.load_checkpoint(trained_checkpoint(tmp_path))
+    ckpt.gen_params.theta[0, 0, 0, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    tr.save_checkpoint(ckpt, bad)
+    capsys.readouterr()
+    assert run_cli("generate", "--checkpoint", bad, "--count", 5,
+                   "--out", tmp_path / "gen.spk") == 1
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint gen_theta has 1 of 16 angles not finite\n"
+    assert not (tmp_path / "gen.spk").exists()
 
 
 def test_generate_version_mismatch_exits_1(tmp_path):
@@ -746,6 +765,27 @@ def test_sweep_parallel_matches_sequential(tmp_path):
         (par_out / "sweep_results.csv").read_bytes()
 
 
+def test_overflowing_generator_update_exits_3_without_a_checkpoint(
+        tmp_path, capsys):
+    """An update that leaves an angle non-finite stops training before any
+    log or checkpoint is written, with one line and no NumPy warnings."""
+    data = make_surrogate(tmp_path, neurons=3, cols=300, rates="0.1")
+    out = tmp_path / "run"
+    cfg = write_train_config(tmp_path, data, out, steps=2)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("train", "--config", cfg, "--set",
+                       "generator.timesteps=2", "--set",
+                       "training.batch_size=4", "--set",
+                       "training.lr_gen=1e308")
+    assert code == 3 and not caught
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: generator update left ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     from spiqgan.errors import NumericalError
 
@@ -775,3 +815,136 @@ def test_sweep_loss_diff_sign_convention(tmp_path):
                       - np.mean([float(r["mse_kprob"]) for r in by_k[1.0]]))
     assert float(diff_rows[0]["kprob_mse_diff"]) == pytest.approx(
         expected_kprob, rel=1e-12)
+
+
+# --- fuzz ----------------------------------------------------------------------
+
+# A valid run config and surrogate config, as INI sections; the run's
+# [paths] section is filled in per draw.
+_FUZZ_RUN = {
+    "generator": {"neurons": "2", "timesteps": "2", "layers": "2"},
+    "training": {"total_gen_steps": "2", "batch_size": "4",
+                 "js_log_interval": "1", "js_noise_draws": "16"},
+    "window": {"neuron_subset": "0,1"},
+}
+_FUZZ_SURROGATE = {"neurons": "2", "cols": "50", "rates": "0.1,0.2",
+                   "bin_width": "0.02"}
+_FUZZ_KEYS = sorted(
+    {f"generator.{key}" for key in cli._GENERATOR_SCHEMA}
+    | {f"training.{key}" for key in cli._TRAINING_SCHEMA}
+    | {"window.neuron_subset", "paths.data"}
+    | {f"surrogate.{key}" for key in cli._SURROGATE_SCHEMA})
+_FUZZ_REQUIRED = ["generator.neurons", "generator.timesteps",
+                  "training.total_gen_steps", "paths.data",
+                  "surrogate.neurons", "surrogate.cols", "surrogate.rates"]
+_FUZZ_VALUES = ["", "0", "-1", "-0.0", "nan", "inf", "1e308", str(2**200),
+                "spike", "1,2"]
+_FUZZ_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_FUZZ_KEYS),
+              st.sampled_from(_FUZZ_VALUES)),
+    st.tuples(st.just("drop"), st.sampled_from(_FUZZ_REQUIRED)),
+    st.tuples(st.just("add"), st.sampled_from(
+        ["generator.colour", "surrogate.colour", "extra.colour"])),
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(st.just("insert"), st.integers(0, 2**16),
+              st.binary(min_size=1, max_size=3)),
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+)
+
+
+def _mutate(sections, spikes, mutation):
+    """Apply one mutation to the INI ``sections`` (section -> key -> text)
+    or to the spike file's bytes; returns the new bytes."""
+    kind, *args = mutation
+    if kind in ("set", "drop", "add"):
+        section, key = args[0].split(".")
+        values = sections.setdefault(section, {})
+        if kind == "drop":
+            values.pop(key, None)
+        else:
+            values[key] = args[1] if kind == "set" else "blue"
+        return spikes
+    at = args[0] % (len(spikes) + 1)
+    if kind == "truncate":
+        return spikes[:at]
+    if kind == "insert":
+        return spikes[:at] + args[1] + spikes[at:]
+    at = min(at, len(spikes) - 1)
+    if at < 0:
+        return spikes
+    return spikes[:at] + bytes([spikes[at] ^ args[1]]) + spikes[at + 1:]
+
+
+def _cheap(sections) -> bool:
+    """Whether a draw's run config, if valid, trains in well under a second:
+    at most 4 qubits, 3 generator steps and 3 critic steps per step."""
+    def count(section, key, default):
+        try:
+            return int(sections.get(section, {}).get(key, default))
+        except ValueError:
+            return default
+    qubits = (count("generator", "neurons", 2)
+              + count("generator", "aux_qubits", 0))
+    return (not 4 < qubits <= MAX_QUBITS
+            and count("training", "total_gen_steps", 2) <= 3
+            and count("training", "critic_steps_per_gen", 2) <= 3)
+
+
+def _write_ini(path, sections):
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n"
+                                   for key, value in values.items())
+        for section, values in sections.items()))
+
+
+def test_cli_never_raises_on_mutated_inputs(tmp_path, capsys):
+    """``train``, ``generate``, ``evaluate`` and ``surrogate`` on a valid
+    config and spike file with one to three mutations each return 0-3, and
+    a nonzero code comes with exactly one stderr line and no warnings."""
+    data = make_surrogate(tmp_path, neurons=3, cols=300, rates="0.1")
+    spikes = data.read_bytes()
+    fallback_ckpt = trained_checkpoint(tmp_path)
+    draws = itertools.count()
+
+    def run(*argv):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code:
+            assert err.count("\n") == 1 and not caught, (argv, err, caught)
+        return code
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_FUZZ_MUTATIONS, min_size=1, max_size=3))
+    @example([("set", "training.lr_gen", "1e308")])
+    def check(mutations):
+        work = tmp_path / f"draw{next(draws)}"
+        work.mkdir()
+        sections = {**{s: dict(v) for s, v in _FUZZ_RUN.items()},
+                    "paths": {"data": str(work / "data.spk"),
+                              "out": str(work / "run")},
+                    "surrogate": dict(_FUZZ_SURROGATE)}
+        mutated = spikes
+        for mutation in mutations:
+            mutated = _mutate(sections, mutated, mutation)
+        assume(_cheap(sections))
+        (work / "data.spk").write_bytes(mutated)
+        _write_ini(work / "surrogate.ini",
+                   {"surrogate": sections.pop("surrogate")})
+        _write_ini(work / "run.ini", sections)
+        run("surrogate", "--config", work / "surrogate.ini",
+            "--out", work / "surrogate.spk")
+        trained = run("train", "--config", work / "run.ini") == 0
+        ckpt = work / "run" / "checkpoint.ckpt" if trained else fallback_ckpt
+        generated = work / "generated.spk"
+        if run("generate", "--checkpoint", ckpt, "--count", 8,
+               "--out", generated):
+            generated = work / "data.spk"
+        run("evaluate", "--generated", generated,
+            "--reference", work / "data.spk", "--neurons", 2,
+            "--timesteps", 2, "--out", work / "eval")
+
+    check()

@@ -351,6 +351,36 @@ def test_surrogate_bytes_are_pinned():
         "dfcfd0549a9e6eea04ea3e1a7da5c94397d17f0df18140328b04209d1e969547")
 
 
+@pytest.mark.parametrize("burst_gain", [0.5, 2.5])
+def test_surrogate_chunks_match_whole_row_draws(burst_gain):
+    """Rows longer than a few draw chunks equal the raster drawn from one
+    uniform per switch and one (n, cols) block, in that order."""
+    n, cols, burst_prob, rates = 3, 2 * sd._SURROGATE_CHUNK + 3, 0.9, [0.1, 0.2, 0.3]
+    m = sd.synthesize_surrogate(n, cols, rates, burst_prob, burst_gain,
+                                substream(5, PURPOSE_SURROGATE))
+    rng = substream(5, PURPOSE_SURROGATE)
+    start = rng.random() < 0.5
+    switches = rng.random(cols - 1) >= burst_prob
+    bursting = np.concatenate(
+        [[start], start ^ np.logical_xor.accumulate(switches)])
+    thresholds = np.array(rates)[:, None] * np.where(bursting, burst_gain, 1.0)
+    np.testing.assert_array_equal(m.data, rng.random((n, cols)) < thresholds)
+
+
+def test_surrogate_holds_no_float_copy_of_its_rows():
+    """Synthesis allocates the raster plus its burst state and two draw
+    chunks, not float64 arrays as long as its rows."""
+    n, cols = 4, 400_000
+    tracemalloc.start()
+    try:
+        sd.synthesize_surrogate(n, cols, [0.1], 0.9, 2.0,
+                                substream(3, PURPOSE_SURROGATE))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * cols + 2_000_000
+
+
 def test_surrogate_validation():
     rng = np.random.default_rng(6)
     with pytest.raises(ConfigurationError):
@@ -410,17 +440,22 @@ def test_all_windows_counts_and_stride():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 7), st.integers(0, 2**31),
+@given(st.integers(1, 40), st.integers(1, 7), st.data(), st.integers(0, 2**31),
        st.sampled_from([(1, 2), (3, 0, 2)]))
 def test_all_windows_tiling_matches_oracle_and_is_read_only(
-        n_bins, t, seed, subset):
+        n_bins, t, data, seed, subset):
+    stride = data.draw(st.integers(1, t + 1), label="stride")
     rng = np.random.default_rng(seed)
     m = sd.SpikeMatrix((rng.random((4, max(n_bins, t))) < 0.5)
                        .astype(np.uint8))
     spec = sd.WindowSpec(subset, t)
-    windows = sd.all_windows(m, spec, stride=t)
-    expected = brute_windows(m.data, subset, t, t)
-    assert windows.shape == expected.shape == (m.n_bins // t, len(subset), t)
+    windows = sd.all_windows(m, spec, stride=stride)
+    expected = brute_windows(m.data, subset, t, stride)
+    assert windows.shape == expected.shape == (
+        (m.n_bins - t) // stride + 1, len(subset), t)
     np.testing.assert_array_equal(windows, expected)
+    # Consecutive rows in order are windowed in place; any other subset
+    # through one copy of its rows.
+    assert np.shares_memory(windows, m.data) == (subset == (1, 2))
     with pytest.raises(ValueError):
         windows[0, 0, 0] = 1
