@@ -33,7 +33,7 @@ from .generator import GeneratorConfig, sample_batch
 from .spikedata import (MAX_STATE_BITS, SpikeMatrix, WindowSpec, all_windows,
                         first_n_spec, load_spikes, save_spikes,
                         synthesize_surrogate)
-from .training import (PURPOSE_SURROGATE, TrainConfig, generation_noise,
+from .training import (PURPOSE_SURROGATE, TrainConfig, generation_blocks,
                        load_checkpoint, save_checkpoint, substream, train,
                        write_train_log)
 
@@ -239,18 +239,29 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _generate(cfg: GeneratorConfig, params, seed: int,
+              count: int) -> np.ndarray:
+    """``count`` windows sampled from the generator as an (n, count, t)
+    raster, one block of ``generation_blocks`` at a time."""
+    raster = np.empty((cfg.n_feature, count, cfg.n_patches), dtype=np.uint8)
+    start = 0
+    for z, uniforms in generation_blocks(cfg, seed, count):
+        stop = start + len(z)
+        raster[:, start:stop] = sample_batch(
+            cfg, params, z, uniforms).transpose(1, 0, 2)
+        start = stop
+    return raster
+
+
 def cmd_generate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     if args.count < 1:
         raise ConfigurationError(
             "count must be >= 1 (an empty spike file is not writable)"
         )
-    cfg = ckpt.gen_cfg
-    z, uniforms = generation_noise(cfg, args.seed, args.count)
-    windows = sample_batch(cfg, ckpt.gen_params, z, uniforms)
-    matrix = windows.transpose(1, 0, 2).reshape(
-        cfg.n_feature, args.count * cfg.n_patches)
-    save_spikes(SpikeMatrix(matrix, bin_width=ckpt.bin_width), args.out_file)
+    raster = _generate(ckpt.gen_cfg, ckpt.gen_params, args.seed, args.count)
+    save_spikes(SpikeMatrix(raster.reshape(len(raster), -1),
+                            bin_width=ckpt.bin_width), args.out_file)
     _write_snapshot(Path(str(args.out_file) + ".config.ini"), {
         "generate": {
             "checkpoint": args.checkpoint,
@@ -274,20 +285,31 @@ def _parse_neuron_arg(text: str) -> tuple[int, ...]:
 
 
 def _evaluate_windows(gen_windows: np.ndarray, ref_windows: np.ndarray,
-                      bin_width: float, max_lag: int):
-    gen_report = stats_mod.build_report(gen_windows, bin_width, max_lag)
-    ref_report = stats_mod.build_report(ref_windows, bin_width, max_lag)
+                      bin_width: float):
+    """Reports of both window stacks, lags 0..t-1, and their summary.
+
+    Raises NumericalError, with no warnings, when a firing rate or an MSE
+    overflows, as a subnormal ``bin_width`` makes them do."""
     n, t = gen_windows.shape[1], gen_windows.shape[2]
-    summary = {
-        "mse_k_probability": stats_mod.stats_mse(
-            gen_report.k_probability, ref_report.k_probability),
-        "mse_firing_rate": stats_mod.stats_mse(
-            gen_report.firing_rate, ref_report.firing_rate),
-        "mse_pairwise_cov": (stats_mod.stats_mse(
-            gen_report.pairwise_cov, ref_report.pairwise_cov)
-            if n >= 2 else None),
-        "js_divergence": None,
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen_report = stats_mod.build_report(gen_windows, bin_width, t - 1)
+        ref_report = stats_mod.build_report(ref_windows, bin_width, t - 1)
+        summary = {
+            "mse_k_probability": stats_mod.stats_mse(
+                gen_report.k_probability, ref_report.k_probability),
+            "mse_firing_rate": stats_mod.stats_mse(
+                gen_report.firing_rate, ref_report.firing_rate),
+            "mse_pairwise_cov": (stats_mod.stats_mse(
+                gen_report.pairwise_cov, ref_report.pairwise_cov)
+                if n >= 2 else None),
+            "js_divergence": None,
+        }
+    checked = {"generated firing_rate": gen_report.firing_rate,
+               "reference firing_rate": ref_report.firing_rate, **summary}
+    for name, value in checked.items():
+        if value is not None and not np.isfinite(value).all():
+            raise NumericalError(
+                f"{name} is not finite at bin_width {bin_width!r}")
     if n * t <= MAX_STATE_BITS:
         summary["js_divergence"] = stats_mod.js_divergence(
             stats_mod.state_histogram(gen_windows),
@@ -305,11 +327,10 @@ def cmd_evaluate(args) -> int:
         raise ConfigurationError(
             f"generated file has {generated.n_neurons} neurons, expected {n}"
         )
-    max_lag = args.max_lag if args.max_lag is not None else t - 1
     gen_windows = all_windows(generated, first_n_spec(n, t), stride=t)
     ref_windows = all_windows(reference, WindowSpec(subset, t), stride=t)
     gen_report, ref_report, summary = _evaluate_windows(
-        gen_windows, ref_windows, reference.bin_width, max_lag)
+        gen_windows, ref_windows, reference.bin_width)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stats_mod.write_report_csvs(gen_report, out / "generated")
@@ -323,7 +344,6 @@ def cmd_evaluate(args) -> int:
             "reference": args.reference,
             "neurons": subset,
             "timesteps": t,
-            "max_lag": max_lag,
             "out": str(out),
         },
     })
@@ -360,10 +380,10 @@ def _sweep_cell(data: SpikeMatrix, gen_section: dict, train_section: dict,
     train_cfg = TrainConfig(**train_section, seed=seed, k_coeff=k)
     window = first_n_spec(n, t)
     ckpt, rows = train(train_cfg, data, gen_cfg, window)
-    z, uniforms = generation_noise(gen_cfg, seed, eval_samples)
-    samples = sample_batch(gen_cfg, ckpt.gen_params, z, uniforms)
+    samples = _generate(gen_cfg, ckpt.gen_params, seed,
+                        eval_samples).transpose(1, 0, 2)
     ref = all_windows(data, window, stride=t)
-    *_, summary = _evaluate_windows(samples, ref, data.bin_width, t - 1)
+    *_, summary = _evaluate_windows(samples, ref, data.bin_width)
     js_final = rows[-1].js_divergence if rows else None
     return {
         "n": n, "t": t, "K": k, "seed": seed,
@@ -499,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--neurons", required=True,
                         help="count (first N reference rows) or index list")
     p_eval.add_argument("--timesteps", type=int, required=True)
-    p_eval.add_argument("--max-lag", type=int, default=None)
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(func=cmd_evaluate)
 

@@ -13,6 +13,11 @@ from .errors import ConfigurationError
 
 HIDDEN_UNITS = 64
 
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class CriticParams:
@@ -101,9 +106,7 @@ def adam_init(tensors) -> AdamState:
     )
 
 
-def adam_step(tensors, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+def adam_step(tensors, grads, state: AdamState, lr: float):
     """One bias-corrected Adam update over a tuple of tensors.
 
     Returns (updated tensors, updated state); inputs are left untouched.
@@ -116,12 +119,12 @@ def adam_step(tensors, grads, state: AdamState, lr: float,
                 f"gradient shape {np.shape(g)} != parameter shape {np.shape(t)}"
             )
     step = state.step_count + 1
-    bc1 = 1.0 - beta1**step
-    bc2 = 1.0 - beta2**step
-    new_m = tuple(beta1 * m + (1.0 - beta1) * g
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    new_m = tuple(ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
                   for m, g in zip(state.m, grads))
-    new_v = tuple(beta2 * v + (1.0 - beta2) * g**2
+    new_v = tuple(ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
                   for v, g in zip(state.v, grads))
-    updated = tuple(t - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    updated = tuple(t - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
                     for t, m, v in zip(tensors, new_m, new_v))
     return updated, AdamState(new_m, new_v, step)

@@ -158,12 +158,11 @@ def init_params(cfg: GeneratorConfig, rng: np.random.Generator) -> GeneratorPara
 
 
 def sample_noise(cfg: GeneratorConfig, rng: np.random.Generator,
-                 batch: int | None = None) -> np.ndarray:
-    """Draw noise angles uniform in [noise_low, noise_high)."""
-    shape = cfg.noise_shape()
-    if batch is not None:
-        shape = (batch,) + shape
-    return rng.uniform(cfg.noise_low, cfg.noise_high, shape)
+                 batch: int) -> np.ndarray:
+    """Draw a (batch, t, q) block of noise angles uniform in [noise_low,
+    noise_high)."""
+    return rng.uniform(cfg.noise_low, cfg.noise_high,
+                       (batch,) + cfg.noise_shape())
 
 
 # --- vectorized many-circuit kernels -------------------------------------

@@ -52,12 +52,12 @@ class _Counts:
 
     n_samples: int
     n_bins: int
-    pairs: np.ndarray       # (n, n): bins where neurons i and j both spike
-    population: np.ndarray  # (n+1,): bins where exactly k neurons spike
-    # Only when lags were asked for: spikes of neuron i at offset u, and
-    # within-sample pairs of neuron i's spikes l offsets apart, l <= max_lag.
-    per_offset: np.ndarray | None = None    # (n, t)
-    lag_products: np.ndarray | None = None  # (n, max_lag+1)
+    pairs: np.ndarray         # (n, n): bins where neurons i and j both spike
+    population: np.ndarray    # (n+1,): bins where exactly k neurons spike
+    per_offset: np.ndarray    # (n, t): spikes of neuron i at offset u
+    # (n, max_lag+1): within-sample pairs of neuron i's spikes l offsets
+    # apart, l <= max_lag.
+    lag_products: np.ndarray
 
     @property
     def n_neurons(self) -> int:
@@ -85,29 +85,27 @@ def _stack(samples) -> np.ndarray:
     return binary_uint8(arr, "samples")
 
 
-def _count(samples, max_lag: int | None = None) -> _Counts:
-    """Pair and population counts, and lag counts up to ``max_lag`` if given.
+def _count(samples, max_lag: int) -> _Counts:
+    """Pair and population counts, and lag counts up to ``max_lag``.
 
-    Windows of up to _BLOCK_ELEMS entries go through float32 blocks of whole
-    samples: one pair-count matmul, one batched t x t lag-product matmul
-    (row u, column v of neuron i's matrix counts samples where it spikes at
-    both offsets) and one population bincount per block.  When lags are
-    counted the n t x t lag matrices must fit in _BLOCK_ELEMS entries too.
-    Larger windows use integer reductions over the uint8 stack, one per pair
-    and per lag.
+    Windows whose n t x t lag matrices fit in _BLOCK_ELEMS entries go
+    through float32 blocks of whole samples: one pair-count matmul, one
+    batched t x t lag-product matmul (row u, column v of neuron i's matrix
+    counts samples where it spikes at both offsets) and one population
+    bincount per block.  Larger windows use integer reductions over the
+    uint8 stack, one per pair and per lag.
     """
     arr = _stack(samples)
     b, n, t = arr.shape
-    if max_lag is not None and not 0 <= max_lag < t:
+    if not 0 <= max_lag < t:
         raise ConfigurationError(
             f"max_lag must satisfy 0 <= max_lag < {t}, got {max_lag}"
         )
-    lag_range = range(0 if max_lag is None else max_lag + 1)
-    per_offset = products = None
-    if n * t * (t if lag_range else 1) <= _BLOCK_ELEMS:
+    lag_range = range(max_lag + 1)
+    if n * t * t <= _BLOCK_ELEMS:
         pairs = np.zeros((n, n), dtype=np.int64)
         population = np.zeros(n + 1, dtype=np.int64)
-        lag_matrix = np.zeros((n, t, t), dtype=np.int64) if lag_range else None
+        lag_matrix = np.zeros((n, t, t), dtype=np.int64)
         rows = _BLOCK_ELEMS // (n * t)
         for start in range(0, b, rows):
             block = np.array(arr[start:start + rows].transpose(1, 0, 2),
@@ -116,23 +114,19 @@ def _count(samples, max_lag: int | None = None) -> _Counts:
             pairs += (flat @ flat.T).astype(np.int64)
             population += np.bincount(
                 block.sum(axis=0).astype(np.intp).ravel(), minlength=n + 1)
-            if lag_matrix is not None:
-                lag_matrix += (block.transpose(0, 2, 1) @ block).astype(np.int64)
-        if lag_matrix is not None:
-            per_offset = np.diagonal(lag_matrix, axis1=1, axis2=2)
-            products = [np.trace(lag_matrix, offset=lag, axis1=1, axis2=2)
-                        for lag in lag_range]
+            lag_matrix += (block.transpose(0, 2, 1) @ block).astype(np.int64)
+        per_offset = np.diagonal(lag_matrix, axis1=1, axis2=2)
+        products = [np.trace(lag_matrix, offset=lag, axis1=1, axis2=2)
+                    for lag in lag_range]
     else:
         pairs = np.array([[np.count_nonzero(arr[:, i] & arr[:, j])
                            for j in range(n)] for i in range(n)])
         population = np.bincount(arr.sum(axis=1, dtype=np.intp).ravel(),
                                  minlength=n + 1)
-        if lag_range:
-            per_offset = arr.sum(axis=0, dtype=np.int64)
-            products = [[np.count_nonzero(arr[:, i, :t - lag] & arr[:, i, lag:])
-                         for i in range(n)] for lag in lag_range]
-    if products is not None:
-        products = np.array(products, dtype=np.int64).T
+        per_offset = arr.sum(axis=0, dtype=np.int64)
+        products = [[np.count_nonzero(arr[:, i, :t - lag] & arr[:, i, lag:])
+                     for i in range(n)] for lag in lag_range]
+    products = np.array(products, dtype=np.int64).T
     return _Counts(b, t, pairs, population, per_offset, products)
 
 
@@ -188,17 +182,17 @@ def _lag_correlations(counts: _Counts) -> np.ndarray | None:
 
 def firing_rate(samples, bin_width: float) -> np.ndarray:
     """Spikes per second per neuron, pooled over all samples and bins."""
-    return _firing_rate(_count(samples), bin_width)
+    return _firing_rate(_count(samples, 0), bin_width)
 
 
 def pairwise_covariance(samples) -> np.ndarray:
     """cov(i, j) = E[s_i s_j] - E[s_i] E[s_j] over pooled bins, for i < j."""
-    return _pairwise_covariance(_count(samples))
+    return _pairwise_covariance(_count(samples, 0))
 
 
 def k_probability(samples) -> np.ndarray:
     """P(exactly k neurons spike in a bin), pooled over samples; length n+1."""
-    return _k_probability(_count(samples))
+    return _k_probability(_count(samples, 0))
 
 
 def autocorrelogram(samples, max_lag: int) -> np.ndarray:

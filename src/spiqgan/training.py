@@ -29,7 +29,10 @@ from .generator import GeneratorConfig, GeneratorParams
 from .spikedata import (MAX_STATE_BITS, SpikeMatrix, WindowSpec, all_windows,
                         bit_reverse_permutation, first_n_spec, sample_windows)
 
-PENALTY_MODES = ("absolute", "signed")
+# One mode.  The key and the ``mode`` parameters of the generator losses
+# stay because benchmark/checks.py passes ``train_cfg.penalty_mode`` to them
+# positionally.
+PENALTY_MODES = ("absolute",)
 
 # Sub-stream purposes.  Values are part of the checkpoint/reproducibility
 # contract: changing them changes every seeded run.
@@ -43,6 +46,10 @@ PURPOSE_JS_EVAL = 7
 PURPOSE_GENERATE_NOISE = 8
 PURPOSE_GENERATE_PICK = 9
 PURPOSE_SURROGATE = 10
+
+# Substream counter words are uint64, so a step or a lane index is below
+# 2**64.
+MAX_STEPS = 2**64
 
 CHECKPOINT_MAGIC = b"SPIQGAN-CKPT"
 CHECKPOINT_VERSION = 1
@@ -76,8 +83,10 @@ class TrainConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(
                     f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.total_gen_steps < 0:
-            raise ConfigurationError("total_gen_steps must be >= 0")
+        if not 0 <= self.total_gen_steps <= MAX_STEPS:
+            raise ConfigurationError(
+                f"total_gen_steps must be >= 0 and <= 2**64, "
+                f"got {self.total_gen_steps}")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
         if self.batch_size < 1:
@@ -86,8 +95,10 @@ class TrainConfig:
             raise ConfigurationError("learning rates must be > 0")
         if self.k_coeff < 0:
             raise ConfigurationError("k_coeff must be >= 0")
-        if self.critic_steps_per_gen < 1:
-            raise ConfigurationError("critic_steps_per_gen must be >= 1")
+        if not 1 <= self.critic_steps_per_gen <= MAX_STEPS:
+            raise ConfigurationError(
+                f"critic_steps_per_gen must be >= 1 and <= 2**64, "
+                f"got {self.critic_steps_per_gen}")
         if self.clip_c <= 0:
             raise ConfigurationError("clip_c must be > 0")
         if self.js_log_interval < 1:
@@ -117,11 +128,7 @@ def critic_loss(c_fake, c_real) -> float:
 
 def generator_loss(c_fake, fake_counts, real_counts, k_coeff: float,
                    mode: str = "absolute") -> float:
-    """-(1/B) sum_j [C(fake_j) - K * penalty(count gap_j)].
-
-    ``mode="absolute"`` penalizes |gap|; ``mode="signed"`` keeps the raw
-    signed difference (unbounded below, available for comparison only).
-    """
+    """-(1/B) sum_j [C(fake_j) - K * |count gap_j|]."""
     c_fake = np.asarray(c_fake, dtype=float)
     fake_counts = np.asarray(fake_counts, dtype=float)
     real_counts = np.asarray(real_counts, dtype=float)
@@ -129,10 +136,9 @@ def generator_loss(c_fake, fake_counts, real_counts, k_coeff: float,
         raise ConfigurationError("batch length mismatch in generator loss")
     if mode not in PENALTY_MODES:
         raise ConfigurationError(f"unknown penalty mode {mode!r}")
-    gap = fake_counts - real_counts
-    penalty = np.abs(gap) if mode == "absolute" else gap
     b = c_fake.size
-    return float(-(c_fake - k_coeff * penalty).sum() / b)
+    return float(-(c_fake - k_coeff * np.abs(fake_counts - real_counts)).sum()
+                 / b)
 
 
 # --- trainer state --------------------------------------------------------
@@ -234,11 +240,7 @@ def generator_loss_and_grad(gen_cfg: GeneratorConfig,
     _, input_grads = critic_mod.critic_backward_batch(
         critic, marg, np.full(b, -1.0 / b))
     gap = fake_counts - real_counts
-    if mode == "absolute":
-        penalty_grad = (k_coeff / b) * np.sign(gap)[:, None]
-    else:
-        penalty_grad = np.full((b, 1), k_coeff / b)
-    upstream = input_grads + penalty_grad
+    upstream = input_grads + (k_coeff / b) * np.sign(gap)[:, None]
     grad = gen_mod.param_shift_batch(gen_cfg, params, z_block, upstream)
     return loss, grad, float(np.abs(gap).mean())
 
@@ -288,14 +290,28 @@ def model_state_distribution(gen_cfg: GeneratorConfig,
     return reduce(np.kron, patches[:, bit_reverse_permutation(n)])
 
 
+# Windows per block when sampling from a checkpoint.
+GENERATE_BLOCK = 4096
+
+
+def generation_blocks(gen_cfg: GeneratorConfig, seed: int, count: int,
+                      block: int = GENERATE_BLOCK):
+    """Noise and inverse-CDF uniforms for sampling ``count`` >= 1 windows
+    from a checkpoint, yielded as (z, uniforms) for each run of at most
+    ``block`` windows in order.  Each comes from its own substream, so the
+    concatenated blocks are the same draws for every ``block``."""
+    noise = substream(seed, PURPOSE_GENERATE_NOISE)
+    picks = substream(seed, PURPOSE_GENERATE_PICK)
+    for start in range(0, count, block):
+        size = min(block, count - start)
+        yield (gen_mod.sample_noise(gen_cfg, noise, size),
+               picks.random((size, gen_cfg.n_patches)))
+
+
 def generation_noise(gen_cfg: GeneratorConfig, seed: int, count: int):
-    """Noise block and inverse-CDF uniforms used when sampling from a
-    checkpoint; exposed so tests can reconstruct the exact draws."""
-    z = gen_mod.sample_noise(
-        gen_cfg, substream(seed, PURPOSE_GENERATE_NOISE), batch=count)
-    uniforms = substream(seed, PURPOSE_GENERATE_PICK).random(
-        (count, gen_cfg.n_patches))
-    return z, uniforms
+    """All of ``generation_blocks``' draws as one block; exposed so tests
+    can reconstruct the exact draws."""
+    return next(generation_blocks(gen_cfg, seed, count, count))
 
 
 # --- the training loop ----------------------------------------------------
@@ -351,15 +367,16 @@ def train(train_cfg: TrainConfig, data: SpikeMatrix, gen_cfg: GeneratorConfig,
 
     rows: list[LogRow] = []
     b, subs = train_cfg.batch_size, train_cfg.critic_steps_per_gen
+    z = np.empty(((subs + 1) * b,) + gen_cfg.noise_shape())
     for step in range(train_cfg.total_gen_steps):
         # The critic steps leave theta as it is, so one forward pass gives
         # the marginals of every fake batch of the step: each critic step's
         # noise block, then the generator step's.
-        rngs = [substream(seed, PURPOSE_CRITIC_NOISE, step, sub)
-                for sub in range(subs)]
-        rngs.append(substream(seed, PURPOSE_GEN_NOISE, step))
-        z = np.concatenate([gen_mod.sample_noise(gen_cfg, rng, batch=b)
-                            for rng in rngs])
+        for sub in range(subs):
+            z[sub * b:(sub + 1) * b] = gen_mod.sample_noise(
+                gen_cfg, substream(seed, PURPOSE_CRITIC_NOISE, step, sub), b)
+        z[subs * b:] = gen_mod.sample_noise(
+            gen_cfg, substream(seed, PURPOSE_GEN_NOISE, step), b)
         fake = gen_mod.forward_batch(gen_cfg, state.gen_params, z)
         for sub in range(subs):
             real = sample_windows(

@@ -5,6 +5,7 @@ import itertools
 import multiprocessing
 import os
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -136,6 +137,13 @@ def test_surrogate_via_config_file(tmp_path):
     ["train", "--config", "{cfg}", "--set", f"generator.layers={2**200}"],
     ["surrogate", "--neurons", "2", "--cols", str(2**63), "--rates", "0.1",
      "--out", "{out}"],
+    ["train", "--config", "{cfg}", "--set", "training.penalty_mode=signed"],
+    # Above 2**64 the substream counter cannot index the steps; refused
+    # before any step runs or any noise block is allocated.
+    ["train", "--config", "{cfg}", "--set",
+     f"training.critic_steps_per_gen={2**200}"],
+    ["train", "--config", "{cfg}", "--set",
+     f"training.total_gen_steps={2**200}"],
 ], ids=["infinite-noise-bound", "unparsable-rates", "rates-per-neuron-mismatch",
         "unparsable-neuron-list", "non-utf8-config", "non-utf8-spikes",
         "train-seed-2^128", "generate-seed-2^128", "oversized-spikes-header",
@@ -143,7 +151,8 @@ def test_surrogate_via_config_file(tmp_path):
         "generate-noise-range-overflow", "nan-clip-c", "nan-k-coeff",
         "infinite-lr-gen", "infinite-k-coeff", "infinite-clip-c",
         "infinite-lr-critic", "nan-burst-gain", "out-of-memory",
-        "negative-zero-noise-high", "layers-2^200", "surrogate-cols-2^63"])
+        "negative-zero-noise-high", "layers-2^200", "surrogate-cols-2^63",
+        "signed-penalty-mode", "critic-steps-2^200", "gen-steps-2^200"])
 def test_bad_input_exits_1_with_one_line_diagnostic(tmp_path, capsys, argv):
     data = make_surrogate(tmp_path, cols=100)
     ckpt = (trained_checkpoint(tmp_path)
@@ -404,6 +413,8 @@ def rewrite_checkpoint_header(ckpt_path, out_path, edit):
      "gen_cfg.noise_high must be float"),
     (lambda h: h["train_cfg"].update(penalty_mode=1),
      "train_cfg.penalty_mode must be str, got 1"),
+    (lambda h: h["train_cfg"].update(penalty_mode="signed"),
+     "penalty_mode must be one of ('absolute',), got 'signed'"),
     (lambda h: h["train_cfg"].update(k_coeff=float("nan")),
      "k_coeff must be finite, got nan"),
     (lambda h: h["train_cfg"].update(clip_enabled=True),
@@ -419,8 +430,8 @@ def rewrite_checkpoint_header(ckpt_path, out_path, edit):
         "string_bin_width", "list_bin_width", "dict_bin_width",
         "bool_bin_width", "zero_bin_width", "infinite_bin_width",
         "float_n_layers", "bool_n_aux", "string_noise_high",
-        "int_penalty_mode", "nan_k_coeff", "removed_clip_enabled",
-        "removed_resample", "other_rng_seed", "string_rng_seed",
+        "int_penalty_mode", "removed_signed_penalty", "nan_k_coeff",
+        "removed_clip_enabled", "removed_resample", "other_rng_seed", "string_rng_seed",
         "extra_top_level_key", "extra_window_key"])
 def test_generate_inconsistent_checkpoint_header_exits_1(tmp_path, capsys,
                                                          edit, needle):
@@ -552,6 +563,26 @@ def test_load_checkpoint_neuron_subset_is_a_list(tmp_path, saved_checkpoint,
         tr.load_checkpoint(ckpt)
 
 
+def test_generate_in_blocks_equals_one_draw(tmp_path):
+    """A count that spans three sampling blocks gives the windows of one
+    ``sample_batch`` over ``generation_noise``'s whole draw, and a smaller
+    count gives their first windows."""
+    from spiqgan import generator as gen
+    ckpt_path = trained_checkpoint(tmp_path)
+    count = 2 * tr.GENERATE_BLOCK + 5
+    for name, n in (("big.spk", count), ("small.spk", 100)):
+        assert run_cli("generate", "--checkpoint", ckpt_path, "--count", n,
+                       "--seed", 3, "--out", tmp_path / name) == 0
+    ckpt = tr.load_checkpoint(ckpt_path)
+    windows = gen.sample_batch(ckpt.gen_cfg, ckpt.gen_params,
+                               *tr.generation_noise(ckpt.gen_cfg, 3, count))
+    big = load_spikes(tmp_path / "big.spk").data
+    np.testing.assert_array_equal(
+        big, windows.transpose(1, 0, 2).reshape(2, count))
+    np.testing.assert_array_equal(
+        load_spikes(tmp_path / "small.spk").data, big[:, :100])
+
+
 def test_generate_frequencies_match_model_distribution(tmp_path):
     ckpt_path = trained_checkpoint(tmp_path)
     out = tmp_path / "big.spk"
@@ -600,6 +631,33 @@ def test_evaluate_disjoint_distributions_js_one(tmp_path):
     assert float(rows["js_divergence"]) == pytest.approx(1.0)
 
 
+def test_overflowing_statistics_exit_3_without_output(tmp_path, capsys):
+    """A subnormal bin width overflows the firing rates: evaluate exits 3
+    with one line, no warning and no output, and the sweep records the
+    cell as failed."""
+    data = tmp_path / "tiny.spk"
+    assert run_cli("surrogate", "--neurons", 2, "--cols", 100,
+                   "--rates", 0.2, "--bin-width", 1e-320, "--out", data) == 0
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("evaluate", "--generated", data, "--reference", data,
+                       "--neurons", 2, "--timesteps", 2, "--out", out)
+    assert code == 3 and not caught
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: generated firing_rate is not finite "
+                   "at bin_width 1e-320\n")
+    assert not out.exists()
+    sweep_out = tmp_path / "sweep"
+    cfg = write_sweep_config(tmp_path, data, sweep_out, k_values="1",
+                             steps=1)
+    assert run_cli("sweep", "--config", cfg) == 1
+    assert read_csv(sweep_out / "sweep_results.csv") == []
+    (failure,) = read_csv(sweep_out / "sweep_failures.csv")
+    assert failure["error"].startswith("generated firing_rate is not finite")
+
+
 def test_evaluate_shape_mismatch_exits_1(tmp_path):
     data = make_surrogate(tmp_path, cols=100)
     out = tmp_path / "eval"
@@ -630,6 +688,17 @@ def test_evaluate_one_neuron_round_trip(tmp_path):
         assert len(read_csv(out / side / "autocorrelogram.csv")) == 3
     rows = {r["metric"]: r["value"] for r in read_csv(out / "summary.csv")}
     assert rows["mse_pairwise_cov"] == ""
+    assert "max_lag" not in (out / "resolved_config.ini").read_text()
+
+
+def test_evaluate_has_no_max_lag_flag(tmp_path, capsys):
+    """Evaluate always scores lags 0..t-1; the parser refuses --max-lag."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", "--generated", "g.spk", "--reference", "r.spk",
+                "--neurons", 2, "--timesteps", 5, "--max-lag", 3,
+                "--out", tmp_path / "eval")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-lag 3" in capsys.readouterr().err
 
 
 # --- sweep --------------------------------------------------------------------------
@@ -839,17 +908,43 @@ _FUZZ_REQUIRED = ["generator.neurons", "generator.timesteps",
                   "surrogate.neurons", "surrogate.cols", "surrogate.rates"]
 _FUZZ_VALUES = ["", "0", "-1", "-0.0", "nan", "inf", "1e308", str(2**200),
                 "spike", "1,2"]
-_FUZZ_MUTATIONS = st.one_of(
-    st.tuples(st.just("set"), st.sampled_from(_FUZZ_KEYS),
-              st.sampled_from(_FUZZ_VALUES)),
-    st.tuples(st.just("drop"), st.sampled_from(_FUZZ_REQUIRED)),
-    st.tuples(st.just("add"), st.sampled_from(
-        ["generator.colour", "surrogate.colour", "extra.colour"])),
-    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
-    st.tuples(st.just("insert"), st.integers(0, 2**16),
-              st.binary(min_size=1, max_size=3)),
-    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
-)
+
+
+def _mutations(keys, required, unknown):
+    """One mutation: a config key set to a fuzz value, a required key
+    dropped, an unknown key added, or the spike file's bytes edited."""
+    return st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(keys),
+                  st.sampled_from(_FUZZ_VALUES)),
+        st.tuples(st.just("drop"), st.sampled_from(required)),
+        st.tuples(st.just("add"), st.sampled_from(unknown)),
+        st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+        st.tuples(st.just("insert"), st.integers(0, 2**16),
+                  st.binary(min_size=1, max_size=3)),
+        st.tuples(st.just("flip"), st.integers(0, 2**16),
+                  st.integers(1, 255)),
+    )
+
+
+_FUZZ_MUTATIONS = _mutations(
+    _FUZZ_KEYS, _FUZZ_REQUIRED,
+    ["generator.colour", "surrogate.colour", "extra.colour"])
+
+# A valid one-cell sweep config; its [paths] section is filled in per draw.
+_FUZZ_SWEEP = {
+    "sweep": {"neurons": "2", "timesteps": "2", "k_values": "1",
+              "seeds": "0", "eval_samples": "16"},
+    "generator": {"layers": "2"},
+    "training": dict(_FUZZ_RUN["training"]),
+}
+_FUZZ_SWEEP_MUTATIONS = _mutations(
+    sorted({f"generator.{key}" for key in cli._GENERATOR_SCHEMA}
+           | {f"training.{key}" for key in cli._TRAINING_SCHEMA}
+           | {f"sweep.{key}" for key in cli._SWEEP_SCHEMA}
+           | {"paths.data"}),
+    ["sweep.neurons", "sweep.timesteps", "training.total_gen_steps",
+     "paths.data"],
+    ["generator.colour", "sweep.colour", "extra.colour"])
 
 
 def _mutate(sections, spikes, mutation):
@@ -877,17 +972,21 @@ def _mutate(sections, spikes, mutation):
 
 def _cheap(sections) -> bool:
     """Whether a draw's run config, if valid, trains in well under a second:
-    at most 4 qubits, 3 generator steps and 3 critic steps per step."""
+    at most 4 qubits, 3 generator steps and 3 critic steps per step.  Step
+    counts above 2**64 are refused before training starts."""
     def count(section, key, default):
         try:
             return int(sections.get(section, {}).get(key, default))
         except ValueError:
             return default
+
+    def few(key, default):
+        steps = count("training", key, default)
+        return steps <= 3 or steps > tr.MAX_STEPS
     qubits = (count("generator", "neurons", 2)
               + count("generator", "aux_qubits", 0))
     return (not 4 < qubits <= MAX_QUBITS
-            and count("training", "total_gen_steps", 2) <= 3
-            and count("training", "critic_steps_per_gen", 2) <= 3)
+            and few("total_gen_steps", 2) and few("critic_steps_per_gen", 2))
 
 
 def _write_ini(path, sections):
@@ -895,6 +994,20 @@ def _write_ini(path, sections):
         f"[{section}]\n" + "".join(f"{key} = {value}\n"
                                    for key, value in values.items())
         for section, values in sections.items()))
+
+
+def _run_fuzzed(capsys, *argv) -> int:
+    """Exit code of one command, which must be 0-3; a nonzero one must come
+    with exactly one stderr line and no warnings."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code:
+        assert err.count("\n") == 1 and not caught, (argv, err, caught)
+    return code
 
 
 def test_cli_never_raises_on_mutated_inputs(tmp_path, capsys):
@@ -905,17 +1018,7 @@ def test_cli_never_raises_on_mutated_inputs(tmp_path, capsys):
     spikes = data.read_bytes()
     fallback_ckpt = trained_checkpoint(tmp_path)
     draws = itertools.count()
-
-    def run(*argv):
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run_cli(*argv)
-        err = capsys.readouterr().err
-        assert code in (0, 1, 2, 3), (argv, code)
-        if code:
-            assert err.count("\n") == 1 and not caught, (argv, err, caught)
-        return code
+    run = partial(_run_fuzzed, capsys)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_FUZZ_MUTATIONS, min_size=1, max_size=3))
@@ -946,5 +1049,35 @@ def test_cli_never_raises_on_mutated_inputs(tmp_path, capsys):
         run("evaluate", "--generated", generated,
             "--reference", work / "data.spk", "--neurons", 2,
             "--timesteps", 2, "--out", work / "eval")
+
+    check()
+
+
+def test_sweep_never_raises_on_mutated_inputs(tmp_path, capsys):
+    """``sweep`` of a one-cell grid, with one to three mutations of its
+    config or spike file, returns 0-3, and a nonzero code comes with
+    exactly one stderr line and no warnings."""
+    spikes = make_surrogate(tmp_path, neurons=3, cols=300,
+                            rates="0.1").read_bytes()
+    draws = itertools.count()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_FUZZ_SWEEP_MUTATIONS, min_size=1, max_size=3))
+    @example([("set", "training.lr_gen", "1e308")])
+    @example([("set", "sweep.eval_samples", str(2**200))])
+    @example([("set", "sweep.neurons", "1,2")])
+    def check(mutations):
+        work = tmp_path / f"draw{next(draws)}"
+        work.mkdir()
+        sections = {**{s: dict(v) for s, v in _FUZZ_SWEEP.items()},
+                    "paths": {"data": str(work / "data.spk"),
+                              "out": str(work / "sweep")}}
+        mutated = spikes
+        for mutation in mutations:
+            mutated = _mutate(sections, mutated, mutation)
+        assume(_cheap(sections))
+        (work / "data.spk").write_bytes(mutated)
+        _write_ini(work / "sweep.ini", sections)
+        _run_fuzzed(capsys, "sweep", "--config", work / "sweep.ini")
 
     check()

@@ -295,7 +295,7 @@ def test_sample_frequencies_match_exact_distribution():
     cfg = cfg_for(2, 1)
     rng = np.random.default_rng(8)
     params = gen.init_params(cfg, rng)
-    z = gen.sample_noise(cfg, rng)
+    z = gen.sample_noise(cfg, rng, 1)[0]
     probs = ansatz_probs(params.theta[0], z[0])
     draws = 100_000
     noise = np.broadcast_to(z, (draws,) + z.shape)

@@ -93,7 +93,7 @@ def test_norm_preserved(n, aux, layers, seed):
     cfg = cfg_for(n, layers=layers, aux=aux)
     rng = np.random.default_rng(seed)
     theta = gen.init_params(cfg, rng).theta[0]
-    z = gen.sample_noise(cfg, rng)[0]
+    z = gen.sample_noise(cfg, rng, 1)[0, 0]
     probs = readout(cfg, theta, z)
     assert (probs >= 0).all()
     assert abs(probs.sum() - 1.0) < 1e-10
@@ -105,7 +105,7 @@ def test_four_pi_identity_two_pi_phase(kind):
     cfg = cfg_for(2, layers=2)
     rng = np.random.default_rng(6)
     theta = gen.init_params(cfg, rng).theta[0]
-    z = gen.sample_noise(cfg, rng)[0]
+    z = gen.sample_noise(cfg, rng, 1)[0, 0]
     base = readout(cfg, theta, z)
     for turn in (2 * np.pi, 4 * np.pi):
         theta2, z2 = theta.copy(), z.copy()

@@ -157,15 +157,16 @@ def test_autocorrelogram_matches_brute_force():
 def test_estimators_match_brute_force_on_random_stacks(b, n, t, kinds, block,
                                                        seed):
     """Every estimator against its brute oracle, with all-zero and constant
-    neurons mixed in, on blocks of many samples, of one sample, and on the
-    integer path for windows longer than a block."""
+    neurons mixed in, on blocks of many samples, on the smallest blocks the
+    lag counts take, n t^2 entries, and on the integer path for windows
+    longer than a block."""
     rng = np.random.default_rng(seed)
     stack = (rng.random((b, n, t)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
     for k, kind in enumerate(kinds[:n]):
         if kind != "random":
             stack[:, k] = kind == "one"
     samples = list(stack)
-    block_elems = {"default": stats._BLOCK_ELEMS, "one_sample": n * t,
+    block_elems = {"default": stats._BLOCK_ELEMS, "one_sample": n * t * t,
                    "long_window": n * t - 1}[block]
     with mock.patch.object(stats, "_BLOCK_ELEMS", block_elems):
         np.testing.assert_allclose(stats.firing_rate(stack, 0.02),
@@ -190,8 +191,8 @@ def test_estimators_match_brute_force_on_random_stacks(b, n, t, kinds, block,
 
 
 def test_estimators_match_brute_force_past_the_lag_block_bound():
-    """n*t fits a block but the n t x t lag matrices do not, so the lag
-    counts take the integer path; every estimator still equals its oracle."""
+    """n*t fits a block but the n t x t lag matrices do not, so the counts
+    take the integer path; every estimator still equals its oracle."""
     b, n, t = 3, 2, 200
     assert n * t <= stats._BLOCK_ELEMS < n * t * t
     rng = np.random.default_rng(21)

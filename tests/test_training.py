@@ -48,11 +48,6 @@ def test_generator_loss_examples():
         tr.generator_loss([0.3], [1.0], [1.0], 1.0, mode="quadratic")
 
 
-def test_generator_loss_signed_mode_reproduces_raw_formula():
-    out = tr.generator_loss([0.3], [2.0], [5.0], 1.0, mode="signed")
-    assert out == pytest.approx(-(0.3 - 1.0 * (2.0 - 5.0)))
-
-
 def test_generator_loss_k0_is_negated_mean():
     rng = np.random.default_rng(0)
     c_fake = rng.normal(size=8)
@@ -277,6 +272,25 @@ def test_train_step_fakes_equal_separate_forward_calls(monkeypatch, n, t):
                                       gen.forward_batch(gen_cfg, params, z))
         if z_seen is not None:
             np.testing.assert_array_equal(z_seen, z)
+
+
+def test_step_counts_are_bounded_by_the_substream_counter():
+    """Steps and critic lanes index uint64 counter words of the substream,
+    so each count is at most 2**64."""
+    tr.TrainConfig(total_gen_steps=2**64, critic_steps_per_gen=2**64)
+    for key in ("total_gen_steps", "critic_steps_per_gen"):
+        with pytest.raises(ConfigurationError, match=f"{key} must be"):
+            tr.TrainConfig(**{"total_gen_steps": 1, key: 2**64 + 1})
+
+
+def test_generation_blocks_are_one_draw_cut_in_runs():
+    cfg = gen.GeneratorConfig(n_feature=2, n_patches=3)
+    z, uniforms = tr.generation_noise(cfg, 7, 10)
+    blocks = list(tr.generation_blocks(cfg, 7, 10, 4))
+    assert [len(bz) for bz, _ in blocks] == [4, 4, 2]
+    np.testing.assert_array_equal(np.concatenate([bz for bz, _ in blocks]), z)
+    np.testing.assert_array_equal(
+        np.concatenate([bu for _, bu in blocks]), uniforms)
 
 
 def test_train_rejects_small_data():
