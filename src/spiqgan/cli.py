@@ -445,6 +445,18 @@ def cmd_sweep(args) -> int:
     if sweep["eval_samples"] < 1:
         raise ConfigurationError(
             f"sweep.eval_samples must be >= 1, got {sweep['eval_samples']}")
+    # Every cell samples an (n, eval_samples, t) raster after it trains;
+    # allocating the largest one here, untouched, refuses a count that
+    # cannot be sampled before any cell trains.
+    largest = (max(max(sweep["neurons"]), 0), sweep["eval_samples"],
+               max(max(sweep["timesteps"]), 0))
+    try:
+        np.empty(largest, dtype=np.uint8)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigurationError(
+            f"sweep.eval_samples = {sweep['eval_samples']} windows do not "
+            f"fit in memory at n={largest[0]}, t={largest[2]}: {exc}"
+        ) from exc
     data = load_spikes(cfg["paths"]["data"])
     out = Path(cfg["paths"]["out"])
     out.mkdir(parents=True, exist_ok=True)

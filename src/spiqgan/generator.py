@@ -30,7 +30,8 @@ matmul per row assembles its terms into the rows, which run the remaining
 chain and layers dense.  Narrower rows leave the product form after the
 first layer.
 A block's d(z) comes from a table of each angle's pair (e^{-iz/2},
-e^{iz/2}), contiguous along the samples, with one cos and one sin per angle.
+e^{iz/2}), contiguous along the samples, with one tan per angle
+(``_phases``); each qubit's gates are computed once per call.
 Sampling reads each row's inverse CDF: as a running sum over contiguous rows
 in blocks of at least ``_RUNNING_SUM_SAMPLES`` samples, by ``np.cumsum``
 over the state axis in shorter ones, with the same draws either way.
@@ -191,11 +192,21 @@ def _phases(z: np.ndarray, split: int) -> list:
     qubits, for angles z (..., q, S), as contiguous (..., 2^hi, S) and
     (..., 2^lo, S).  Each angle's cos and sin of z/2 fill a table
     (..., q, 2, S) of its pair (e^{-iz/2}, e^{iz/2}) along the samples, and
-    a half's diagonal multiplies its qubits' pairs, lowest qubit fastest."""
-    half = np.multiply(z, 0.5, out=np.empty(z.shape))
+    a half's diagonal multiplies its qubits' pairs, lowest qubit fastest.
+    Both come from one t = tan(z/4) per angle, as cos(z/2) = 2/(1+t^2) - 1
+    and sin(z/2) = 2t/(1+t^2): NumPy's float64 ``np.tan`` is vectorized
+    where ``np.cos`` and ``np.sin`` are scalar calls, several times slower
+    each.  No double lies within 2^-61 of an odd multiple of pi/2, so
+    |t| < 2^61 and t^2 stays finite for every finite z.  Each call fills a
+    table of its own, as a caller may hold several blocks at once."""
+    tan = np.multiply(z, 0.25, out=np.empty(z.shape))
+    np.tan(tan, out=tan)
+    scale = np.square(tan)
+    scale += 1.0
+    np.divide(2.0, scale, out=scale)
     pairs = np.empty(z.shape[:-1] + (2,) + z.shape[-1:], dtype=complex)
-    np.cos(half, out=pairs.real[..., 1, :])
-    np.sin(half, out=pairs.imag[..., 1, :])
+    np.subtract(scale, 1.0, out=pairs.real[..., 1, :])
+    np.multiply(tan, scale, out=pairs.imag[..., 1, :])
     np.conjugate(pairs[..., 1, :], out=pairs[..., 0, :])
     halves = []
     for f in (pairs[..., split:, :, :], pairs[..., :split, :, :]):
@@ -221,14 +232,13 @@ def _kron(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_factors(theta: np.ndarray, split: int, layer=slice(None)):
-    """Each layer's gates for angles ``theta`` (P, L, q, 2), as Kronecker
-    factors (L, P, ., .) over qubits split .. q-1 and 0 .. split-1, or one
-    ``layer``'s, (P, ., .).  With e = e^{-i phi/2} and u, w = cos(theta/2)
-    -+ sin(theta/2), a qubit's gate is H RZ RY H = [[e u + e* w, e w - e* u],
-    [e u - e* w, e w + e* u]] / 2, and on the last layer sqrt(2) RZ RY H =
-    [[e u, e w], [e* w, -e* u]], whose sqrt(2) undoes the start's extra
-    2^{-1/2} per qubit."""
+def _layer_gates(theta: np.ndarray) -> np.ndarray:
+    """Each qubit's gate for angles ``theta`` (P, L, q, 2), as (L, P, q, 2,
+    2).  With e = e^{-i phi/2} and u, w = cos(theta/2) -+ sin(theta/2), a
+    qubit's gate is H RZ RY H = [[e u + e* w, e w - e* u], [e u - e* w,
+    e w + e* u]] / 2, and on the last layer sqrt(2) RZ RY H = [[e u, e w],
+    [e* w, -e* u]], whose sqrt(2) undoes the start's extra 2^{-1/2} per
+    qubit."""
     half = 0.5 * theta
     cos, sin = np.cos(half[..., 0]), np.sin(half[..., 0])
     phase = np.exp(-1j * half[..., 1])
@@ -236,8 +246,14 @@ def _layer_factors(theta: np.ndarray, split: int, layer=slice(None)):
     cu, cw = phase.conj() * (cos - sin), phase.conj() * (cos + sin)
     gates = 0.5 * np.stack([eu + cw, ew - cu, eu - cw, ew + cu], axis=-1)
     gates[:, -1] = np.stack([eu, ew, cw, -cu], axis=-1)[:, -1]
-    gates = gates.reshape(theta.shape[:-1] + (2, 2)).swapaxes(0, 1)[layer]
-    return _kron(gates[..., split:, :, :]), _kron(gates[..., :split, :, :])
+    return gates.reshape(theta.shape[:-1] + (2, 2)).swapaxes(0, 1)
+
+
+def _layer_kron(hi: np.ndarray, lo: np.ndarray, layer=slice(None)):
+    """Each layer's Kronecker factors (L, P, ., .) of the gates hi and lo
+    (L, P, ., 2, 2) of the top and bottom qubits, or one ``layer``'s,
+    (P, ., .)."""
+    return _kron(hi[layer]), _kron(lo[layer])
 
 
 class _Block(NamedTuple):
@@ -257,8 +273,10 @@ def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
     fit in ``_CHUNK_ELEMS`` amplitudes, with ``slots`` scratch rows each in
     ``_SCRATCH_CHUNKS`` chunks, or whole patches when their whole batch
     fits and so do their factors; at least one row.  Factors that outgrow a
-    chunk are built per layer.  The noise must hold one angle per qubit of
-    each of ``theta``'s patches."""
+    chunk are built per layer.  Every patch's per-qubit gates are computed
+    once per call (``_layer_gates``); a group of patches only takes the
+    Kronecker products of its own.  The noise must hold one angle per qubit
+    of each of ``theta``'s patches."""
     q, split = cfg.n_qubits, cfg.n_qubits // 2
     if noise_batch.ndim != 3 or noise_batch.shape[1:] != (len(theta), q):
         raise ConfigurationError(
@@ -272,9 +290,11 @@ def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
              if samples == batch else 1)
     flat = np.empty(group * samples * amps, dtype=complex)
     z = np.moveaxis(noise_batch, 0, -1)
+    gates = _layer_gates(theta)
     for p0 in range(0, patches, group):
         part = slice(p0, min(p0 + group, patches))
-        factors = partial(_layer_factors, theta[part], split)
+        factors = partial(_layer_kron, gates[:, part, split:],
+                          gates[:, part, :split])
         if held <= _CHUNK_ELEMS:  # every layer's (hi, lo), built once
             factors = list(zip(*factors())).__getitem__
         for s0 in range(0, batch, samples):

@@ -775,16 +775,26 @@ def test_sweep_partial_failure_keeps_valid_rows(tmp_path):
         assert failures[0]["t"] == "600"
 
 
+# An eval_samples of 2^200 overflows NumPy's dimension limit and one of
+# 10^15 asks for 1.8 PiB per cell; neither may cost a cell's training.
 @pytest.mark.parametrize("override", [
     "sweep.eval_samples=0", "sweep.eval_samples=-1", "sweep.neurons=",
     "sweep.timesteps=", "sweep.k_values=", "sweep.seeds=",
+    pytest.param(f"sweep.eval_samples={2**200}",
+                 id="sweep.eval_samples=2**200"),
+    pytest.param(f"sweep.eval_samples={10**15}",
+                 id="sweep.eval_samples=10**15"),
 ])
-def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys, override):
+def test_sweep_rejects_bad_grid_before_training(tmp_path, capsys,
+                                                monkeypatch, override):
     data = make_surrogate(tmp_path, cols=500)
     out = tmp_path / "sweep"
     cfg = write_sweep_config(tmp_path, data, out)
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
     capsys.readouterr()
     assert run_cli("sweep", "--config", cfg, "--set", override) == 1
+    assert not trained
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert override.split("=", 1)[0] in err

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiqgan import generator as gen
 from spiqgan.errors import ConfigurationError
@@ -170,14 +172,24 @@ def test_frame_chain_splits_at_the_cut(q):
                                   gen._chain_permutation(q, True))
 
 
+def dense_layer_gates(theta, p, layer, q, layers):
+    """Patch p's gates on one layer as a dense matrix: H RZ RY H per qubit,
+    or on the last layer sqrt(2) RZ RY H (the kernel starts the frame at
+    2^{-q/2} times the uniform state, which that factor restores)."""
+    gates = [rotation_matrix("RZ", theta[p, layer, k, 1])
+             @ rotation_matrix("RY", theta[p, layer, k, 0])
+             @ DENSE_H for k in range(q)]
+    if layer < layers - 1:
+        return dense_kron([DENSE_H @ g for g in gates])
+    return dense_kron([np.sqrt(2.0) * g for g in gates])
+
+
 @pytest.mark.parametrize("q", range(1, 11))
 def test_layer_factors_match_dense_gates(monkeypatch, q):
     """Each (patch, layer) pair of Kronecker factors, top x bottom, is the
-    dense product over qubits of H RZ RY H, and on the last layer of
-    RZ RY H times sqrt(2) per qubit (the kernel starts the frame at
-    2^{-q/2} times the uniform state, which that factor restores).  Both
-    ways of building them are checked: once per call, and, with one-
-    amplitude blocks that a patch's factors outgrow, once per layer."""
+    dense product over qubits of the layer's gates.  Both ways of building
+    them are checked: once per call, and, with one-amplitude blocks that a
+    patch's factors outgrow, once per layer."""
     layers = 3
     cfg = cfg_for(q, 2, layers=layers)
     theta = np.random.default_rng(60 + q).uniform(0, 2 * np.pi,
@@ -191,18 +203,101 @@ def test_layer_factors_match_dense_gates(monkeypatch, q):
         for i, p in enumerate(range(blk.patches.start, blk.patches.stop)):
             seen.append(p)
             for layer in range(layers):
-                gates = [rotation_matrix("RZ", theta[p, layer, k, 1])
-                         @ rotation_matrix("RY", theta[p, layer, k, 0])
-                         @ DENSE_H for k in range(q)]
-                if layer < layers - 1:
-                    gates = [DENSE_H @ g for g in gates]
-                else:
-                    gates = [np.sqrt(2.0) * g for g in gates]
                 hi, lo = blk.factors(layer)
-                np.testing.assert_allclose(np.kron(hi[i], lo[i]),
-                                           dense_kron(gates), rtol=0,
-                                           atol=1e-12)
+                np.testing.assert_allclose(
+                    np.kron(hi[i], lo[i]),
+                    dense_layer_gates(theta, p, layer, q, layers), rtol=0,
+                    atol=1e-12)
     assert seen == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6])
+def test_each_patch_group_builds_its_own_factors_once(monkeypatch, q):
+    """With chunks of twice one patch's factors, five patches fall into
+    groups of two, two and one.  The per-qubit gates are computed once per
+    call, each group takes the Kronecker products of its own patches' gates
+    once (one ``_kron`` per half), and each patch's factors, all from
+    distinct angles, are its own dense gates."""
+    layers = 3
+    cfg = cfg_for(q, 5, layers=layers)
+    split = q // 2
+    held = layers * (4**(q - split) + 4**split)
+    monkeypatch.setattr(gen, "_CHUNK_ELEMS", 2 * held)
+    theta = np.random.default_rng(70 + q).uniform(0, 2 * np.pi,
+                                                  (5, layers, q, 2))
+    assert len(np.unique(theta)) == theta.size
+    z = gen.sample_noise(cfg, np.random.default_rng(1), batch=1)
+    calls = {"_layer_gates": 0, "_kron": 0}
+
+    def counted(name):
+        inner = getattr(gen, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(gen, name, counted(name))
+    blocks = list(gen._blocks(cfg, theta, z))
+    assert [(blk.patches.start, blk.patches.stop) for blk in blocks] == [
+        (0, 2), (2, 4), (4, 5)]
+    assert calls == {"_layer_gates": 1, "_kron": 2 * len(blocks)}
+    for blk in blocks:
+        for i, p in enumerate(range(blk.patches.start, blk.patches.stop)):
+            for layer in range(layers):
+                hi, lo = blk.factors(layer)
+                np.testing.assert_allclose(
+                    np.kron(hi[i], lo[i]),
+                    dense_layer_gates(theta, p, layer, q, layers), rtol=0,
+                    atol=1e-12)
+    # Reading a block's factors builds none.
+    assert calls["_kron"] == 2 * len(blocks)
+
+
+# Angles where the phase table's t = tan(z/4) is exact, tiny or at its
+# extremes: signed zeros, subnormals, multiples of 2 pi (at 2 pi, z/4 sits
+# next to pi/2 and |t| ~ 1.6e16), large and huge angles, the largest double,
+# and 6381956970095103 * 2^799, whose quarter is the double closest to an
+# odd multiple of pi/2 (|t| ~ 2.1e18, the largest tan of any double).
+PHASE_ANGLES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-20,
+                np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 4 * np.pi, -4 * np.pi,
+                6 * np.pi, -6 * np.pi, 2e3 * np.pi, -2e6 * np.pi, 1e12,
+                -1e12, 1e300, -1e300, np.finfo(float).max,
+                6381956970095103 * 2.0**799]
+
+
+def phase_table(z):
+    """The kernel's (e^{-iz/2}, e^{iz/2}) for angles z (S,): a one-qubit
+    patch's top half."""
+    return gen._phases(np.asarray(z, dtype=float)[None], 0)[0]
+
+
+def check_phase_table(z):
+    minus, plus = phase_table(z)
+    assert np.isfinite(plus).all()
+    np.testing.assert_array_equal(minus, plus.conj())
+    np.testing.assert_allclose(plus.real, np.cos(np.divide(z, 2)), rtol=0,
+                               atol=1e-15)
+    np.testing.assert_allclose(plus.imag, np.sin(np.divide(z, 2)), rtol=0,
+                               atol=1e-15)
+    assert np.abs(np.square(plus.real) + np.square(plus.imag) - 1).max() \
+        <= 1e-15
+
+
+def test_phase_table_matches_cos_and_sin():
+    rng = np.random.default_rng(80)
+    check_phase_table(PHASE_ANGLES)
+    check_phase_table(rng.uniform(-4 * np.pi, 4 * np.pi, 100_000))
+    check_phase_table(rng.uniform(-1e15, 1e15, 10_000))
+    finite = rng.integers(-2**63, 2**63 - 1, 100_000).view(float)
+    check_phase_table(finite[np.isfinite(finite)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_phase_table_is_finite_for_every_finite_angle(z):
+    check_phase_table([z, -z])
 
 
 def patch_marginals(cfg, theta_patch, z_patch):
