@@ -5,11 +5,13 @@ All moments use divisor N (population form), pooled over every bin of every
 sample, so each estimator has one fixed definition an oracle can replicate.
 
 The four moment estimators come from exact integer counts of the 0/1 bins,
-taken in one pass over the stack (``_count``): the neuron x neuron pair-count
-matrix, each neuron's t x t within-sample lag-product matrix and the
-histogram of per-bin population counts.  Each moment then follows from the
-counts in closed form, so no float copy or centered copy of the whole stack
-is made, and the integer counts do not depend on BLAS summation order.
+taken in one pass over the stack (``_count``): the neuron x neuron pair
+counts, each neuron's within-sample lag-product counts and spikes per
+offset, and the histogram of per-bin population counts.  The pass packs each
+block of samples into bits, one bit per sample, and takes every count as a
+popcount of word ANDs, so no float copy of the stack is made and no count
+depends on a summation order.  Each moment then follows from the counts in
+closed form.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .errors import ConfigurationError
 from .fileio import write_csv
 from .spikedata import binary_uint8, state_indices
 
-# Entries per float32 block of the count pass.  A block holds whole
-# samples, so its products and sums of 0/1 entries are integers of at most
-# _BLOCK_ELEMS < 2^24, which float32 BLAS computes exactly in any order.
-_BLOCK_ELEMS = 1 << 16
+# Bytes of the (n, t, samples) uint8 copy that the count pass packs per
+# block; a block holds a whole number of 64-sample words, at least one.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass
@@ -88,12 +89,14 @@ def _stack(samples) -> np.ndarray:
 def _count(samples, max_lag: int) -> _Counts:
     """Pair and population counts, and lag counts up to ``max_lag``.
 
-    Windows whose n t x t lag matrices fit in _BLOCK_ELEMS entries go
-    through float32 blocks of whole samples: one pair-count matmul, one
-    batched t x t lag-product matmul (row u, column v of neuron i's matrix
-    counts samples where it spikes at both offsets) and one population
-    bincount per block.  Larger windows use integer reductions over the
-    uint8 stack, one per pair and per lag.
+    Each block of whole samples is copied to one (n, t, samples) uint8
+    array, padded with all-zero samples to a multiple of 64, and packed
+    along the sample axis into uint64 words ``w[i, u]``: bit s of neuron
+    i's words at offset u is sample s's bin.  Every count is a popcount:
+    pairs (i, j) of ``w[i] & w[j]``, lag-l products of
+    ``w[:, :t-l] & w[:, l:]`` and spikes per offset of ``w``.  The
+    population histogram counts each k among the block's per-bin neuron
+    sums, padding excluded.
     """
     arr = _stack(samples)
     b, n, t = arr.shape
@@ -101,33 +104,36 @@ def _count(samples, max_lag: int) -> _Counts:
         raise ConfigurationError(
             f"max_lag must satisfy 0 <= max_lag < {t}, got {max_lag}"
         )
-    lag_range = range(max_lag + 1)
-    if n * t * t <= _BLOCK_ELEMS:
-        pairs = np.zeros((n, n), dtype=np.int64)
-        population = np.zeros(n + 1, dtype=np.int64)
-        lag_matrix = np.zeros((n, t, t), dtype=np.int64)
-        rows = _BLOCK_ELEMS // (n * t)
-        for start in range(0, b, rows):
-            block = np.array(arr[start:start + rows].transpose(1, 0, 2),
-                             dtype=np.float32, order="C")   # (n, rows, t)
-            flat = block.reshape(n, -1)
-            pairs += (flat @ flat.T).astype(np.int64)
-            population += np.bincount(
-                block.sum(axis=0).astype(np.intp).ravel(), minlength=n + 1)
-            lag_matrix += (block.transpose(0, 2, 1) @ block).astype(np.int64)
-        per_offset = np.diagonal(lag_matrix, axis1=1, axis2=2)
-        products = [np.trace(lag_matrix, offset=lag, axis1=1, axis2=2)
-                    for lag in lag_range]
-    else:
-        pairs = np.array([[np.count_nonzero(arr[:, i] & arr[:, j])
-                           for j in range(n)] for i in range(n)])
-        population = np.bincount(arr.sum(axis=1, dtype=np.intp).ravel(),
-                                 minlength=n + 1)
-        per_offset = arr.sum(axis=0, dtype=np.int64)
-        products = [[np.count_nonzero(arr[:, i, :t - lag] & arr[:, i, lag:])
-                     for i in range(n)] for lag in lag_range]
-    products = np.array(products, dtype=np.int64).T
+    rows = 64 * min(max(1, _BLOCK_BYTES // (64 * n * t)), -(-b // 64))
+    bits = np.empty((n, t, rows), dtype=np.uint8)
+    pairs = np.zeros((n, n), dtype=np.int64)
+    population = np.zeros(n + 1, dtype=np.int64)
+    per_offset = np.zeros((n, t), dtype=np.int64)
+    products = np.zeros((n, max_lag + 1), dtype=np.int64)
+    for start in range(0, b, rows):
+        block = arr[start:start + rows].transpose(1, 2, 0)
+        size = block.shape[2]
+        np.copyto(bits[..., :size], block)
+        bits[..., size:] = 0
+        sums = bits[..., :size].sum(axis=0, dtype=np.min_scalar_type(n))
+        population += [np.count_nonzero(sums == k) for k in range(n + 1)]
+        words = np.packbits(bits, axis=-1).view(np.uint64)
+        per_offset += _popcount(words, axis=2)
+        for i in range(n - 1):
+            pairs[i, i + 1:] += _popcount(words[i] & words[i + 1:],
+                                          axis=(1, 2))
+        for lag in range(1, max_lag + 1):
+            products[:, lag] += _popcount(
+                words[:, :t - lag] & words[:, lag:], axis=(1, 2))
+    spikes = per_offset.sum(axis=1)
+    pairs += pairs.T + np.diag(spikes)
+    products[:, 0] = spikes
     return _Counts(b, t, pairs, population, per_offset, products)
+
+
+def _popcount(words: np.ndarray, axis) -> np.ndarray:
+    """Set bits of uint64 ``words``, summed over ``axis``, as int64."""
+    return np.bitwise_count(words).sum(axis=axis, dtype=np.int64)
 
 
 def _firing_rate(counts: _Counts, bin_width: float) -> np.ndarray:

@@ -6,6 +6,7 @@ a spike-file reader that parses decoded text one character at a time.
 None of it shares code with the package.
 """
 
+import math
 import os
 
 import numpy as np
@@ -199,7 +200,7 @@ def brute_firing_rate(samples, bin_width):
         bins = 0
         for s in samples:
             for t in range(s.shape[1]):
-                total += s[i, t]
+                total += int(s[i, t])
                 bins += 1
         rates.append(total / (bins * bin_width))
     return np.array(rates)
@@ -277,6 +278,17 @@ def brute_state_histogram(samples):
                 bits += "1" if s[k, p] else "0"
         hist[int(bits, 2)] += 1
     return hist / len(samples)
+
+
+def brute_js_divergence(p, q):
+    """Jensen-Shannon divergence in bits, term by term; 0 log 0 is 0."""
+    total = 0.0
+    for a, b in zip(p, q):
+        mid = (a + b) / 2
+        for x in (a, b):
+            if x > 0:
+                total += 0.5 * x * math.log2(x / mid)
+    return total
 
 
 def brute_windows(data, subset, window_len, stride):

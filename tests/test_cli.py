@@ -18,6 +18,11 @@ from spiqgan.errors import CheckpointFormatError, ConfigurationError
 from spiqgan.generator import MAX_QUBITS, GeneratorConfig
 from spiqgan.spikedata import load_spikes
 
+from _oracles import (brute_autocorrelogram, brute_firing_rate,
+                      brute_js_divergence, brute_k_probability,
+                      brute_pairwise_cov, brute_state_histogram,
+                      brute_windows, reference_load_spikes)
+
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
@@ -617,6 +622,59 @@ def test_evaluate_self_comparison_is_exact_zero(tmp_path):
     assert float(rows["js_divergence"]) == 0.0
     assert (out / "generated" / "k_probability.csv").exists()
     assert (out / "reference" / "firing_rate.csv").exists()
+
+
+def test_evaluate_csvs_equal_brute_force_oracles(tmp_path):
+    """Every statistic evaluate writes, on both sides, equals its
+    brute-force oracle over windows copied bin by bin from the text-parsed
+    files, and so does every summary value.  The reference has 201
+    four-bin windows and 3 spare columns and is read through rows 3, 0, 2;
+    the generated file has 70 windows and 1 spare column."""
+    t, subset = 4, [3, 0, 2]
+    generated = make_surrogate(tmp_path, "gen.spk", neurons=3,
+                               cols=70 * t + 1, seed=1, rates="0.1,0.3,0.2")
+    reference = make_surrogate(tmp_path, "ref.spk", neurons=4,
+                               cols=201 * t + 3, seed=2,
+                               rates="0.2,0.1,0.3,0.25")
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", "--generated", generated,
+                   "--reference", reference, "--neurons", "3,0,2",
+                   "--timesteps", t, "--out", out) == 0
+    bin_width = reference_load_spikes(reference)[1]
+    oracles, histograms = {}, {}
+    for side, path, rows, count in (("generated", generated, [0, 1, 2], 70),
+                                    ("reference", reference, subset, 201)):
+        samples = list(brute_windows(reference_load_spikes(path)[0], rows,
+                                     t, t))
+        assert len(samples) == count
+        oracles[side] = {
+            "firing_rate": brute_firing_rate(samples, bin_width),
+            "pairwise_covariance": brute_pairwise_cov(samples),
+            "k_probability": brute_k_probability(samples),
+            "autocorrelogram": brute_autocorrelogram(samples, t - 1),
+        }
+        histograms[side] = brute_state_histogram(samples)
+        for name, expected in oracles[side].items():
+            got = [float(r["value"])
+                   for r in read_csv(out / side / f"{name}.csv")]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        meta = read_csv(out / side / "meta.csv")
+        assert {r["key"]: r["value"] for r in meta}["samples"] == str(count)
+    gen, ref = oracles["generated"], oracles["reference"]
+
+    def mse(name):
+        return np.mean((gen[name] - ref[name]) ** 2)
+
+    expected = {"mse_k_probability": mse("k_probability"),
+                "mse_firing_rate": mse("firing_rate"),
+                "mse_pairwise_cov": mse("pairwise_covariance"),
+                "js_divergence": brute_js_divergence(
+                    histograms["generated"], histograms["reference"])}
+    summary = {r["metric"]: float(r["value"])
+               for r in read_csv(out / "summary.csv")}
+    assert summary.keys() == expected.keys()
+    for key, value in expected.items():
+        assert summary[key] == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
 def test_evaluate_disjoint_distributions_js_one(tmp_path):

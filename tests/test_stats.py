@@ -3,11 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spiqgan import stats
 from spiqgan.errors import ConfigurationError
+from spiqgan.spikedata import SpikeMatrix, all_windows, first_n_spec
 
 from _oracles import (brute_autocorrelogram, brute_firing_rate,
                       brute_k_probability, brute_pairwise_cov,
@@ -149,26 +150,39 @@ def test_autocorrelogram_matches_brute_force():
 # --- count pass ------------------------------------------------------------------
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 20), st.integers(1, 6), st.integers(1, 12),
+@given(st.integers(1, 6), st.integers(1, 12),
        st.lists(st.sampled_from(["random", "zero", "one"]), min_size=6,
                 max_size=6),
-       st.sampled_from(["default", "one_sample", "long_window"]),
+       st.integers(0, 3),
+       st.one_of(st.integers(1, 20).map(lambda b: (0, b)), st.sampled_from(
+           [(0, 63), (0, 64), (0, 65), (1, -1), (1, 0), (1, 1), (2, 1)])),
        st.integers(0, 2**31))
-def test_estimators_match_brute_force_on_random_stacks(b, n, t, kinds, block,
-                                                       seed):
+@example(n=3, t=5, kinds=["random"] * 6, words=1, size=(0, 1), seed=0)
+@example(n=3, t=5, kinds=["random"] * 6, words=1, size=(0, 63), seed=1)
+@example(n=3, t=5, kinds=["random"] * 6, words=0, size=(0, 64), seed=2)
+@example(n=3, t=5, kinds=["random"] * 6, words=0, size=(0, 65), seed=3)
+@example(n=3, t=5, kinds=["random"] * 6, words=2, size=(1, -1), seed=4)
+@example(n=3, t=5, kinds=["random"] * 6, words=2, size=(1, 0), seed=5)
+@example(n=3, t=5, kinds=["random"] * 6, words=2, size=(1, 1), seed=6)
+@example(n=3, t=5, kinds=["random"] * 6, words=1, size=(2, 1), seed=7)
+def test_estimators_match_brute_force_on_random_stacks(n, t, kinds, words,
+                                                       size, seed):
     """Every estimator against its brute oracle, with all-zero and constant
-    neurons mixed in, on blocks of many samples, on the smallest blocks the
-    lag counts take, n t^2 entries, and on the integer path for windows
-    longer than a block."""
+    neurons mixed in, on stacks that end inside a 64-sample word, exactly
+    on one or one sample past one, and on either side of a block boundary.
+    ``size`` is (blocks, extra samples).  A block is ``words`` words of
+    samples, or one word when ``words`` is 0 and the block budget holds
+    less than a word."""
+    blocks, extra = size
+    b = blocks * 64 * max(words, 1) + extra
     rng = np.random.default_rng(seed)
     stack = (rng.random((b, n, t)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
     for k, kind in enumerate(kinds[:n]):
         if kind != "random":
             stack[:, k] = kind == "one"
     samples = list(stack)
-    block_elems = {"default": stats._BLOCK_ELEMS, "one_sample": n * t * t,
-                   "long_window": n * t - 1}[block]
-    with mock.patch.object(stats, "_BLOCK_ELEMS", block_elems):
+    budget = 64 * words * n * t if words else 64 * n * t - 1
+    with mock.patch.object(stats, "_BLOCK_BYTES", budget):
         np.testing.assert_allclose(stats.firing_rate(stack, 0.02),
                                    brute_firing_rate(samples, 0.02),
                                    rtol=0, atol=1e-12)
@@ -180,21 +194,24 @@ def test_estimators_match_brute_force_on_random_stacks(b, n, t, kinds, block,
                                        brute_pairwise_cov(samples),
                                        rtol=0, atol=1e-12)
         constant = (stack == stack[:1, :, :1]).all(axis=(0, 2))
+        # The oracle computes each lag on its own, so every max_lag's curve
+        # is a prefix of the longest one.
+        curve = None if constant.all() else brute_autocorrelogram(samples,
+                                                                  t - 1)
         for max_lag in range(t):
-            if constant.all():
+            if curve is None:
                 with pytest.raises(ConfigurationError, match="undefined"):
                     stats.autocorrelogram(stack, max_lag)
                 continue
-            np.testing.assert_allclose(
-                stats.autocorrelogram(stack, max_lag),
-                brute_autocorrelogram(samples, max_lag), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stats.autocorrelogram(stack, max_lag),
+                                       curve[:max_lag + 1], rtol=0,
+                                       atol=1e-12)
 
 
-def test_estimators_match_brute_force_past_the_lag_block_bound():
-    """n*t fits a block but the n t x t lag matrices do not, so the counts
-    take the integer path; every estimator still equals its oracle."""
+def test_estimators_match_brute_force_on_long_windows():
+    """Three 200-bin windows of two neurons, every lag: each estimator
+    equals its oracle."""
     b, n, t = 3, 2, 200
-    assert n * t <= stats._BLOCK_ELEMS < n * t * t
     rng = np.random.default_rng(21)
     samples = random_samples(rng, count=b, n=n, t=t, p=0.3)
     report = stats.build_report(np.stack(samples), 0.02, t - 1)
@@ -213,8 +230,8 @@ def test_estimators_match_brute_force_past_the_lag_block_bound():
 
 
 def test_lag_counts_of_long_windows_stay_small():
-    """A 4000-bin window's lag counts need no t x t matrix: one float32 and
-    one int64 4000 x 4000 matrix alone would take 192 MB."""
+    """A 4000-bin window's counts at all 4000 lags hold no t x t matrix: a
+    4000 x 4000 int64 one alone would take 128 MB."""
     rng = np.random.default_rng(22)
     stack = (rng.random((2, 1, 4000)) < 0.3).astype(np.uint8)
     tracemalloc.start()
@@ -227,8 +244,27 @@ def test_lag_counts_of_long_windows_stay_small():
     assert report.autocorrelogram[0] == 1.0
 
 
+def test_count_pass_holds_one_block():
+    """The count pass over 300 000 non-overlapping 8 x 2 windows of one
+    raster (a strided view, not a copy) allocates at most 256 KiB at once,
+    whatever the number of blocks."""
+    rng = np.random.default_rng(23)
+    raster = SpikeMatrix((rng.random((8, 600_000)) < 0.1).astype(np.uint8))
+    windows = all_windows(raster, first_n_spec(8, 2), stride=2)
+    assert windows.shape == (300_000, 8, 2) and windows.base is not None
+    tracemalloc.start()
+    try:
+        counts = stats._count(windows, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 2**10
+    np.testing.assert_array_equal(counts.spikes,
+                                  raster.data.sum(axis=1, dtype=np.int64))
+
+
 def test_estimators_exact_on_two_million_bins():
-    """At 2^21 bins per neuron the float32 blocks still give exact counts:
+    """At 2^21 bins per neuron, over many blocks, the counts are exact:
     each moment equals its formula over Python-int counts."""
     rng = np.random.default_rng(9)
     b, n, t = 2**17, 3, 16
