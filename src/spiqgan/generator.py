@@ -28,13 +28,18 @@ a bottom vector and each layer doubles r.  The prefix stops at the last
 layer or at the rank bound 2^min(hi, lo), whichever comes first, and one
 matmul per row assembles its terms into the rows, which run the remaining
 chain and layers dense.  Narrower rows leave the product form after the
-first layer.
+first layer.  Up to ``_DENSE_QUBITS`` qubits the forward pass, though not
+the adjoint's, runs each layer as one dense operator P' V, the chain folded
+into its rows and built once per call for a group of patches
+(``_dense_layers``): x <- P' V d(z) x is then one matmul per patch.
 A block's d(z) comes from a table of each angle's pair (e^{-iz/2},
 e^{iz/2}), contiguous along the samples, with one tan per angle
 (``_phases``); each qubit's gates are computed once per call.
 Sampling reads each row's inverse CDF: as a running sum over contiguous rows
 in blocks of at least ``_RUNNING_SUM_SAMPLES`` samples, by ``np.cumsum``
 over the state axis in shorter ones, with the same draws either way.
+Each block writes its states to its contiguous rows of one (t, B) array,
+and the feature bits are read off it once per call.
 ``_feature_bits`` serves only the forward marginals and the adjoint.
 """
 
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -78,6 +83,15 @@ _RUNNING_SUM_SAMPLES = 512
 # broke even at q = 4-6 (by up to 66 % at q=4) and won from q = 7, with 2, 4
 # and 8 layers (one CPU of a 2-vCPU Xeon, BENCH_factored_prefix.json).
 _PREFIX_QUBITS = 7
+
+# Up to this width the forward pass without ``keep`` runs each layer as one
+# dense operator with its chain folded in (``_dense_layers``): one batched
+# zgemm and one diagonal multiply per layer, where the Kronecker factors
+# take two zgemms and a gather.  Against the factors, ``sample_batch`` of
+# 4096 windows at t = 2 and 30 gained 1.06-1.49x at q = 1-4 and lost 0.90-
+# 0.94x at q=5 and 0.67-0.68x at q=6; ``forward_batch`` of 32 samples lost
+# 0.66-0.92x at q=5 (one CPU of a 2-vCPU Xeon, BENCH_narrow_dense.json).
+_DENSE_QUBITS = 4
 
 
 @dataclass(frozen=True)
@@ -256,12 +270,27 @@ def _layer_kron(hi: np.ndarray, lo: np.ndarray, layer=slice(None)):
     return _kron(hi[layer]), _kron(lo[layer])
 
 
+def _dense_layers(gates: np.ndarray) -> np.ndarray:
+    """Each layer's operator W_l = P'_l (hi_l (x) lo_l), (L, P, 2^q, 2^q),
+    for the gates (L, P, q, 2, 2) of a group of patches: the Kronecker
+    product of the layer's gates with its chain, in the frame or on the
+    last layer in the computational basis, folded into the rows.  W_0
+    carries the start's 2^{-q}, an exact power of two."""
+    q = gates.shape[2]
+    ops = _kron(gates)
+    ops[:-1] = ops[:-1, :, _chain_permutation(q, True)]
+    ops[-1] = ops[-1][:, _chain_permutation(q)]
+    ops[0] *= 2.0**-q
+    return ops
+
+
 class _Block(NamedTuple):
     """Rows ``patches`` x ``samples``, their factors, phases and scratch."""
 
     patches: slice
     samples: slice
     factors: Callable     # layer -> its (P, 2^hi, 2^hi), (P, 2^lo, 2^lo)
+    dense: Callable       # () -> (L, P, 2^q, 2^q) ``_dense_layers``, cached
     phase_hi: np.ndarray  # (P, 2^hi, S) noise phases
     phase_lo: np.ndarray  # (P, 2^lo, S)
     work: np.ndarray      # (slots, P, 2^q, S) scratch
@@ -275,8 +304,9 @@ def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
     fits and so do their factors; at least one row.  Factors that outgrow a
     chunk are built per layer.  Every patch's per-qubit gates are computed
     once per call (``_layer_gates``); a group of patches only takes the
-    Kronecker products of its own.  The noise must hold one angle per qubit
-    of each of ``theta``'s patches."""
+    Kronecker products of its own, and its dense layer operators on their
+    first use.  The noise must hold one angle per qubit of each of
+    ``theta``'s patches."""
     q, split = cfg.n_qubits, cfg.n_qubits // 2
     if noise_batch.ndim != 3 or noise_batch.shape[1:] != (len(theta), q):
         raise ConfigurationError(
@@ -297,11 +327,12 @@ def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
                           gates[:, part, :split])
         if held <= _CHUNK_ELEMS:  # every layer's (hi, lo), built once
             factors = list(zip(*factors())).__getitem__
+        dense = cache(partial(_dense_layers, gates[:, part]))
         for s0 in range(0, batch, samples):
             cols = slice(s0, min(s0 + samples, batch))
             zb = z[part, ..., cols]
             size = (part.stop - p0) * amps * (cols.stop - cols.start)
-            yield _Block(part, cols, factors, *_phases(zb, split), flat[
+            yield _Block(part, cols, factors, dense, *_phases(zb, split), flat[
                 :size].reshape(slots, part.stop - p0, 2**q, -1))
 
 
@@ -423,8 +454,20 @@ def _forward(cfg: GeneratorConfig, blk: _Block, keep: bool = False):
     the prefix layers' terms, top rows in order, in slot 5 (``_terms``),
     and the rows of layer m + i in slot 5 + (m > 0) + i, whose chain
     gathers them into the next layer's slot; the output goes to slot 3 and
-    d(z) is always built."""
+    d(z) is always built.
+
+    Without ``keep``, rows of at most ``_DENSE_QUBITS`` qubits take x <-
+    W_l (d(z) x) per layer (``_dense_layers``), from x = W_0 d(z) as W_0
+    holds the start's 2^{-q}: one batched matmul and one multiply, in
+    slots 0 and 1 with d(z) in slot 2."""
     q, layers = cfg.n_qubits, cfg.n_layers
+    if not keep and q <= _DENSE_QUBITS:
+        ops, diag = blk.dense(), _diag(blk)
+        rows = np.matmul(ops[0], diag, out=blk.work[0])
+        for layer in range(1, layers):
+            rows *= diag
+            rows = np.matmul(ops[layer], rows, out=blk.work[layer % 2])
+        return rows, diag
     last = _prefix_end(cfg)
     (p, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[1]
     work = blk.work
@@ -497,12 +540,13 @@ def _probs(cfg: GeneratorConfig, blk: _Block) -> np.ndarray:
     return np.square(psi.real) + np.square(psi.imag)
 
 
-@lru_cache(maxsize=None)
-def _feature_bits(cfg: GeneratorConfig) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _feature_bits(n_qubits: int, n_feature: int) -> np.ndarray:
     """Feature bits (2^q, n) of each basis state; ``bits.T @ probs`` are
-    the marginals P(qubit k reads 1)."""
-    basis = np.arange(2**cfg.n_qubits)[:, None]
-    bits = ((basis >> np.arange(cfg.n_feature)) & 1).astype(float)
+    the marginals P(qubit k reads 1).  The cache holds the latest few
+    widths, as at q=24 one table takes 3.2 GB."""
+    basis = np.arange(2**n_qubits)[:, None]
+    bits = ((basis >> np.arange(n_feature)) & 1).astype(float)
     bits.setflags(write=False)
     return bits
 
@@ -527,7 +571,7 @@ def forward_batch(cfg: GeneratorConfig, params: GeneratorParams,
     """Marginals for a batch of samples, flattened patch-major: (B, n*t)."""
     out = np.empty((noise_batch.shape[0], cfg.output_dim))
     rows = out.reshape(len(out), cfg.n_patches, cfg.n_feature)
-    bits = _feature_bits(cfg)
+    bits = _feature_bits(cfg.n_qubits, cfg.n_feature)
     for blk in _blocks(cfg, params.theta, noise_batch):
         rows[blk.samples, blk.patches] = (
             bits.T @ _probs(cfg, blk)).transpose(2, 0, 1)
@@ -538,17 +582,22 @@ def sample_batch(cfg: GeneratorConfig, params: GeneratorParams,
                  noise_batch: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws for a batch; ``uniforms`` has shape (B, t).
 
-    Returns a (B, n_feature, n_patches) uint8 view of the per-row bits.  Row
-    j of patch p reads the first basis state whose cumulative probability
-    exceeds ``uniforms[j, p]``; auxiliary bits are discarded.
+    Returns the bits as (B, n_feature, n_patches) uint8, a transposed view
+    of a contiguous (n_feature, n_patches, B) array.  Row j of patch p reads
+    the first basis state whose cumulative probability exceeds ``uniforms[j,
+    p]``; auxiliary bits are discarded.  Each block writes its states to
+    its contiguous rows of a (t, B) array of the smallest unsigned type that
+    holds 2^q - 1, and the feature bits are read off it once.
     """
-    out = np.empty((noise_batch.shape[0], cfg.n_patches, cfg.n_feature),
-                   dtype=np.uint8)
-    shifts = np.arange(cfg.n_feature)
+    states = np.empty((cfg.n_patches, noise_batch.shape[0]),
+                      dtype=np.min_scalar_type(2**cfg.n_qubits - 1))
     for blk in _blocks(cfg, params.theta, noise_batch):
-        basis = _draws(_probs(cfg, blk), uniforms[blk.samples, blk.patches].T)
-        out[blk.samples, blk.patches] = (basis.T[..., None] >> shifts) & 1
-    return out.transpose(0, 2, 1)
+        states[blk.patches, blk.samples] = _draws(
+            _probs(cfg, blk), uniforms[blk.samples, blk.patches].T)
+    shifts = np.arange(cfg.n_feature, dtype=states.dtype)[:, None, None]
+    bits = np.right_shift(states, shifts)
+    bits &= 1
+    return bits.astype(np.uint8, copy=False).transpose(2, 0, 1)
 
 
 def _draws(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -634,7 +683,7 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
     last = _prefix_end(cfg)
     upstream = np.moveaxis(upstream_batch.reshape(
         len(noise_batch), cfg.n_patches, cfg.n_feature), 0, -1)
-    bits = _feature_bits(cfg)
+    bits = _feature_bits(cfg.n_qubits, cfg.n_feature)
     undo = [np.argsort(_chain_permutation(q, f)) for f in (False, True)]
     rz_phase = np.exp(1j * params.theta[..., 1])
     grad = np.zeros(params.theta.shape)

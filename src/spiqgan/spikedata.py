@@ -280,7 +280,9 @@ def state_indices(windows: np.ndarray) -> np.ndarray:
 
     Bits are read patch-major with neuron 0 of timestep 0 as the most
     significant bit, so for n=2, t=1 the states 00,01,10,11 carry indices
-    0,1,2,3 with index 2 meaning "neuron 0 fired".
+    0,1,2,3 with index 2 meaning "neuron 0 fired".  The indices come in the
+    smallest unsigned type that holds 2^(n*t) - 1, so each of the n*t
+    shift-or passes moves as few bytes as it can.
     """
     w = np.asarray(windows)
     b, n, t = w.shape
@@ -288,11 +290,11 @@ def state_indices(windows: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"state space 2^{n * t} too large (max {MAX_STATE_BITS} bits)"
         )
-    idx = np.zeros(b, dtype=np.int64)
+    idx = np.zeros(b, dtype=np.min_scalar_type(2**(n * t) - 1))
     for p in range(t):
         for k in range(n):
             idx <<= 1
-            idx |= w[:, k, p]
+            np.bitwise_or(idx, w[:, k, p], out=idx, casting="unsafe")
     return idx
 
 

@@ -211,6 +211,18 @@ def test_layer_factors_match_dense_gates(monkeypatch, q):
     assert seen == [0, 1, 0, 1]
 
 
+def counting(monkeypatch, name):
+    """Replace generator function ``name`` by a wrapper that counts its
+    calls; returns the count, a one-entry list."""
+    inner, calls = getattr(gen, name), [0]
+
+    def call(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(gen, name, call)
+    return calls
+
+
 @pytest.mark.parametrize("q", [1, 2, 3, 6])
 def test_each_patch_group_builds_its_own_factors_once(monkeypatch, q):
     """With chunks of twice one patch's factors, five patches fall into
@@ -227,22 +239,12 @@ def test_each_patch_group_builds_its_own_factors_once(monkeypatch, q):
                                                   (5, layers, q, 2))
     assert len(np.unique(theta)) == theta.size
     z = gen.sample_noise(cfg, np.random.default_rng(1), batch=1)
-    calls = {"_layer_gates": 0, "_kron": 0}
-
-    def counted(name):
-        inner = getattr(gen, name)
-
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(gen, name, counted(name))
+    gates, krons = (counting(monkeypatch, name)
+                    for name in ("_layer_gates", "_kron"))
     blocks = list(gen._blocks(cfg, theta, z))
     assert [(blk.patches.start, blk.patches.stop) for blk in blocks] == [
         (0, 2), (2, 4), (4, 5)]
-    assert calls == {"_layer_gates": 1, "_kron": 2 * len(blocks)}
+    assert (gates[0], krons[0]) == (1, 2 * len(blocks))
     for blk in blocks:
         for i, p in enumerate(range(blk.patches.start, blk.patches.stop)):
             for layer in range(layers):
@@ -252,7 +254,7 @@ def test_each_patch_group_builds_its_own_factors_once(monkeypatch, q):
                     dense_layer_gates(theta, p, layer, q, layers), rtol=0,
                     atol=1e-12)
     # Reading a block's factors builds none.
-    assert calls["_kron"] == 2 * len(blocks)
+    assert krons[0] == 2 * len(blocks)
 
 
 # Angles where the phase table's t = tan(z/4) is exact, tiny or at its
@@ -596,41 +598,140 @@ def test_rows_keep_their_patch_table_across_chunks(monkeypatch, n, aux, t,
 # Sampling blocks on both sides of the readout's shape rule: at q=2, blocks
 # of 512 samples take the running sum and the batch's last, short block
 # ``np.cumsum``; at q=8 every block has 128 samples and takes ``np.cumsum``.
-@pytest.mark.parametrize("n, t, batch, block_samples, running", [
-    (2, 3, 1100, 512, True), (8, 2, 300, 128, False)])
+# At q=4 two aux qubits lie above the features, and at q=9 and 10 the
+# states need 16 bits; at n=9 feature bit 8 lies in their upper byte.  The
+# ids of the aux-free cases name them as before the aux field.
+@pytest.mark.parametrize("n, aux, t, batch, block_samples, running", [
+    pytest.param(2, 0, 3, 1100, 512, True, id="2-3-1100-512-True"),
+    pytest.param(8, 0, 2, 300, 128, False, id="8-2-300-128-False"),
+    (2, 2, 3, 700, 512, True), (9, 0, 2, 200, 64, False),
+    (8, 2, 2, 100, 32, False)])
 def test_sample_batch_is_the_inverse_cdf_of_the_kernel_probs(
-        monkeypatch, n, t, batch, block_samples, running):
+        monkeypatch, n, aux, t, batch, block_samples, running):
     """Every draw is bit for bit the first state whose cumulative kernel
     probability, as ``np.cumsum`` adds it up, exceeds the uniform, also for
     uniforms equal to a cumulative value, 0, or past the last one (which
     read the last state)."""
-    cfg = cfg_for(n, t)
+    cfg = cfg_for(n, t, aux=aux)
+    q = cfg.n_qubits
     rng = np.random.default_rng(31)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng, batch=batch)
-    monkeypatch.setattr(gen, "_CHUNK_ELEMS", block_samples * 2**n)
+    monkeypatch.setattr(gen, "_CHUNK_ELEMS", block_samples * 2**q)
     blocks = list(gen._blocks(cfg, params.theta, z))
     sizes = [blk.samples.stop - blk.samples.start for blk in blocks]
     assert (max(sizes) >= gen._RUNNING_SUM_SAMPLES) == running
     assert min(sizes) < gen._RUNNING_SUM_SAMPLES
-    cum = np.empty((batch, t, 2**n))
+    cum = np.empty((batch, t, 2**q))
     for blk in blocks:
         cum[blk.samples, blk.patches] = np.cumsum(
             gen._probs(cfg, blk), axis=1).transpose(2, 0, 1)
-    picks = rng.integers(0, 2**n, size=(batch, t, 1))
+    picks = rng.integers(0, 2**q, size=(batch, t, 1))
     uniforms = np.take_along_axis(cum, picks, axis=2)[..., 0]
     uniforms[::4] = rng.random((len(uniforms[::4]), t))
     uniforms[1::4, 0] = 0.0
     uniforms[2::4, -1] = np.nextafter(cum[2::4, -1, -1], 2.0)
     sampled = gen.sample_batch(cfg, params, z, uniforms)
     assert sampled.dtype == np.uint8
+    assert sampled.shape == (batch, n, t)
     basis = np.array([[np.searchsorted(cum[j, p], uniforms[j, p],
                                        side="right") for p in range(t)]
                       for j in range(batch)])
-    assert (basis[2::4, -1] == 2**n).all()
-    basis = np.minimum(basis, 2**n - 1)
+    assert (basis[2::4, -1] == 2**q).all()
+    basis = np.minimum(basis, 2**q - 1)
     np.testing.assert_array_equal(
         sampled, (basis[:, None, :] >> np.arange(n)[:, None]) & 1)
+
+
+# (features, aux qubits) from one to five qubits: across ``_DENSE_QUBITS``
+# by the features alone (1-5 features) and with one or two aux qubits.
+NARROW = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (1, 1), (3, 1), (4, 1),
+          (1, 2), (2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("layers", [1, 2, 4])
+@pytest.mark.parametrize("n, aux", NARROW)
+def test_narrow_circuits_match_dense_oracle(monkeypatch, n, aux, layers,
+                                            rows):
+    """Up to ``_DENSE_QUBITS`` qubits the rows run each layer as one dense
+    operator, with one layer (the first also the last) or more; past it
+    they do not.  Marginals and patch laws equal the dense unitary's to
+    1e-12 and every draw follows the inverse-CDF rule, in whole-batch
+    blocks and, with ``rows`` set, in blocks of three samples and two."""
+    cfg = cfg_for(n, 2, layers=layers, aux=aux)
+    q = cfg.n_qubits
+    rng = np.random.default_rng(100 + 10 * q + layers + aux)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=5)
+    uniforms = rng.random((5, 2))
+    if rows:
+        monkeypatch.setattr(gen, "_CHUNK_ELEMS", rows * 2**q)
+        assert [blk.samples.stop - blk.samples.start
+                for blk in gen._blocks(cfg, params.theta, z)] == [3, 2] * 2
+    built = counting(monkeypatch, "_dense_layers")
+    forward = gen.forward_batch(cfg, params, z)
+    sampled = gen.sample_batch(cfg, params, z, uniforms)
+    laws = gen.patch_distributions(cfg, params, z)
+    # Once per patch group and call: each patch is a group of its own in
+    # blocks of three rows, and both patches are one group otherwise.
+    assert built[0] == (3 * (2 if rows else 1) if q <= gen._DENSE_QUBITS
+                        else 0)
+    for p in range(2):
+        exact = [ansatz_probs(params.theta[p], z[j, p]) for j in range(5)]
+        for j in range(5):
+            basis = min(int(np.searchsorted(np.cumsum(exact[j]),
+                                            uniforms[j, p], side="right")),
+                        2**q - 1)
+            np.testing.assert_array_equal(sampled[j, :, p],
+                                          (basis >> np.arange(n)) & 1)
+        np.testing.assert_allclose(
+            laws[p], np.mean(exact, axis=0).reshape(2**aux, 2**n).sum(axis=0),
+            rtol=0, atol=1e-12)
+    for j in range(5):
+        np.testing.assert_allclose(
+            forward[j], oracle_forward(params.theta, z[j], n), rtol=0,
+            atol=1e-12)
+
+
+@pytest.mark.parametrize("q", range(1, gen._DENSE_QUBITS + 1))
+def test_dense_layers_fold_in_the_chain(q):
+    """Each layer's dense operator is its chain after the dense product of
+    its gates: the frame chain before the last layer, the computational
+    one on it; the first layer also carries the start's 2^-q."""
+    layers = 3
+    theta = np.random.default_rng(90 + q).uniform(0, 2 * np.pi,
+                                                  (2, layers, q, 2))
+    ops = gen._dense_layers(gen._layer_gates(theta))
+    assert ops.shape == (layers, 2, 2**q, 2**q)
+    for p in range(2):
+        for layer in range(layers):
+            chain = np.eye(2**q)[gen._chain_permutation(q,
+                                                        layer < layers - 1)]
+            expected = chain @ dense_layer_gates(theta, p, layer, q, layers)
+            np.testing.assert_allclose(
+                ops[layer, p], expected * 2.0**-(q * (layer == 0)), rtol=0,
+                atol=1e-12)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 4])
+@pytest.mark.parametrize("n, aux", [(1, 0), (2, 0), (4, 0), (1, 1), (2, 2)])
+def test_adjoint_of_narrow_circuits_matches_shift_rule_oracle(
+        monkeypatch, n, aux, layers):
+    """The gradient of circuits up to ``_DENSE_QUBITS`` qubits runs the
+    Kronecker factors, not the dense operators, and stays the shift-rule
+    oracle's to 1e-10."""
+    cfg = cfg_for(n, 2, layers=layers, aux=aux)
+    rng = np.random.default_rng(120 + 10 * n + layers + aux)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=3)
+    upstream = rng.normal(size=(3, cfg.output_dim))
+    built = counting(monkeypatch, "_dense_layers")
+    grad = gen.param_shift_batch(cfg, params, z, upstream)
+    assert built[0] == 0
+    np.testing.assert_allclose(
+        grad, param_shift_oracle(params.theta, z, upstream), rtol=0,
+        atol=1e-10)
 
 
 # (call, n, t, batch, layers).  At 32 layers the adjoint keeps 28 dense

@@ -423,6 +423,22 @@ def test_state_indices_vectorized_matches_scalar():
         assert vec[j] == state_index(windows[j])
 
 
+@pytest.mark.parametrize("n, t", [(2, 4), (3, 3), (4, 4), (1, 17), (4, 5)])
+def test_state_indices_at_every_index_width(n, t):
+    """At 8, 9, 16, 17 and 20 state bits the indices come in the smallest
+    unsigned type that holds 2^(n t) - 1 and equal the scalar oracle's,
+    from uint8 and int windows alike, the all-ones window included."""
+    rng = np.random.default_rng(n * t)
+    windows = (rng.random((40, n, t)) < 0.5).astype(np.uint8)
+    windows[0] = 1
+    expected = [state_index(w) for w in windows]
+    assert expected[0] == 2**(n * t) - 1
+    for stack in (windows, windows.astype(int)):
+        idx = sd.state_indices(stack)
+        assert idx.dtype == np.min_scalar_type(2**(n * t) - 1)
+        assert idx.tolist() == expected
+
+
 def test_bit_reverse_permutation():
     rev = sd.bit_reverse_permutation(3)
     assert rev[0b001] == 0b100

@@ -324,6 +324,16 @@ def test_state_histogram_matches_brute_force():
                                brute_state_histogram(samples), atol=1e-12)
 
 
+@pytest.mark.parametrize("n, t", [(2, 4), (3, 3), (4, 4), (1, 17)])
+def test_state_histogram_matches_brute_force_past_a_byte(n, t):
+    """Indices of 8, 9, 16 and 17 bits, in uint8, uint16 and uint32."""
+    rng = np.random.default_rng(16 + n * t)
+    samples = random_samples(rng, count=30, n=n, t=t)
+    samples[0] = np.ones((n, t), dtype=samples[0].dtype)
+    np.testing.assert_array_equal(stats.state_histogram(samples),
+                                  brute_state_histogram(samples))
+
+
 # --- JS divergence --------------------------------------------------------------
 
 def test_js_identical_is_zero():
