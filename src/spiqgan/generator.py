@@ -29,9 +29,9 @@ layer or at the rank bound 2^min(hi, lo), whichever comes first, and one
 matmul per row assembles its terms into the rows, which run the remaining
 chain and layers dense.  Narrower rows leave the product form after the
 first layer.  Up to ``_DENSE_QUBITS`` qubits the forward pass, though not
-the adjoint's, runs each layer as one dense operator P' V, the chain folded
-into its rows and built once per call for a group of patches
-(``_dense_layers``): x <- P' V d(z) x is then one matmul per patch.
+the adjoint's, runs each layer as one dense operator P' V, built per block
+as the product of the layer's two Kronecker factors with the chain folded
+into its rows: x <- P' V d(z) x is then one matmul per patch.
 A block's d(z) comes from a table of each angle's pair (e^{-iz/2},
 e^{iz/2}), contiguous along the samples, with one tan per angle
 (``_phases``); each qubit's gates are computed once per call.
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -85,12 +85,13 @@ _RUNNING_SUM_SAMPLES = 512
 _PREFIX_QUBITS = 7
 
 # Up to this width the forward pass without ``keep`` runs each layer as one
-# dense operator with its chain folded in (``_dense_layers``): one batched
-# zgemm and one diagonal multiply per layer, where the Kronecker factors
-# take two zgemms and a gather.  Against the factors, ``sample_batch`` of
-# 4096 windows at t = 2 and 30 gained 1.06-1.49x at q = 1-4 and lost 0.90-
-# 0.94x at q=5 and 0.67-0.68x at q=6; ``forward_batch`` of 32 samples lost
-# 0.66-0.92x at q=5 (one CPU of a 2-vCPU Xeon, BENCH_narrow_dense.json).
+# dense operator, built per block as the product of its two Kronecker
+# factors with its chain folded in: one batched zgemm and one diagonal
+# multiply per layer, where the factors take two zgemms and a gather.
+# Against the factors, ``sample_batch`` of 4096 windows at t = 2 and 30
+# gained 1.06-1.49x at q = 1-4 and lost 0.90-0.94x at q=5 and 0.67-0.68x at
+# q=6; ``forward_batch`` of 32 samples lost 0.66-0.92x at q=5 (one CPU of a
+# 2-vCPU Xeon, BENCH_narrow_dense.json).
 _DENSE_QUBITS = 4
 
 
@@ -270,27 +271,14 @@ def _layer_kron(hi: np.ndarray, lo: np.ndarray, layer=slice(None)):
     return _kron(hi[layer]), _kron(lo[layer])
 
 
-def _dense_layers(gates: np.ndarray) -> np.ndarray:
-    """Each layer's operator W_l = P'_l (hi_l (x) lo_l), (L, P, 2^q, 2^q),
-    for the gates (L, P, q, 2, 2) of a group of patches: the Kronecker
-    product of the layer's gates with its chain, in the frame or on the
-    last layer in the computational basis, folded into the rows.  W_0
-    carries the start's 2^{-q}, an exact power of two."""
-    q = gates.shape[2]
-    ops = _kron(gates)
-    ops[:-1] = ops[:-1, :, _chain_permutation(q, True)]
-    ops[-1] = ops[-1][:, _chain_permutation(q)]
-    ops[0] *= 2.0**-q
-    return ops
-
-
 class _Block(NamedTuple):
-    """Rows ``patches`` x ``samples``, their factors, phases and scratch."""
+    """Rows ``patches`` x ``samples``, their factors, phases and scratch.
+    The factors are the group's one operator table: the narrow forward
+    pass builds its dense layers from them per block."""
 
     patches: slice
     samples: slice
     factors: Callable     # layer -> its (P, 2^hi, 2^hi), (P, 2^lo, 2^lo)
-    dense: Callable       # () -> (L, P, 2^q, 2^q) ``_dense_layers``, cached
     phase_hi: np.ndarray  # (P, 2^hi, S) noise phases
     phase_lo: np.ndarray  # (P, 2^lo, S)
     work: np.ndarray      # (slots, P, 2^q, S) scratch
@@ -304,9 +292,8 @@ def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
     fits and so do their factors; at least one row.  Factors that outgrow a
     chunk are built per layer.  Every patch's per-qubit gates are computed
     once per call (``_layer_gates``); a group of patches only takes the
-    Kronecker products of its own, and its dense layer operators on their
-    first use.  The noise must hold one angle per qubit of each of
-    ``theta``'s patches."""
+    Kronecker products of its own.  The noise must hold one angle per qubit
+    of each of ``theta``'s patches."""
     q, split = cfg.n_qubits, cfg.n_qubits // 2
     if noise_batch.ndim != 3 or noise_batch.shape[1:] != (len(theta), q):
         raise ConfigurationError(
@@ -327,12 +314,11 @@ def _blocks(cfg: GeneratorConfig, theta: np.ndarray,
                           gates[:, part, :split])
         if held <= _CHUNK_ELEMS:  # every layer's (hi, lo), built once
             factors = list(zip(*factors())).__getitem__
-        dense = cache(partial(_dense_layers, gates[:, part]))
         for s0 in range(0, batch, samples):
             cols = slice(s0, min(s0 + samples, batch))
             zb = z[part, ..., cols]
             size = (part.stop - p0) * amps * (cols.stop - cols.start)
-            yield _Block(part, cols, factors, dense, *_phases(zb, split), flat[
+            yield _Block(part, cols, factors, *_phases(zb, split), flat[
                 :size].reshape(slots, part.stop - p0, 2**q, -1))
 
 
@@ -457,16 +443,24 @@ def _forward(cfg: GeneratorConfig, blk: _Block, keep: bool = False):
     d(z) is always built.
 
     Without ``keep``, rows of at most ``_DENSE_QUBITS`` qubits take x <-
-    W_l (d(z) x) per layer (``_dense_layers``), from x = W_0 d(z) as W_0
-    holds the start's 2^{-q}: one batched matmul and one multiply, in
-    slots 0 and 1 with d(z) in slot 2."""
+    W_l (d(z) x) per layer, from x = W_0 d(z): one batched matmul and one
+    multiply, in slots 0 and 1 with d(z) in slot 2.  W_l = P'_l (hi (x) lo)
+    is one broadcast product of the layer's factors, its rows gathered by
+    the chain (the frame's, or on the last layer the computational one),
+    and W_0 also carries the start's 2^{-q}, an exact power of two."""
     q, layers = cfg.n_qubits, cfg.n_layers
     if not keep and q <= _DENSE_QUBITS:
-        ops, diag = blk.dense(), _diag(blk)
-        rows = np.matmul(ops[0], diag, out=blk.work[0])
-        for layer in range(1, layers):
-            rows *= diag
-            rows = np.matmul(ops[layer], rows, out=blk.work[layer % 2])
+        rows = diag = _diag(blk)
+        for layer in range(layers):
+            hi, lo = blk.factors(layer)
+            op = hi[:, :, None, :, None] * lo[:, None, :, None]
+            op = op.reshape(len(hi), 2**q, 2**q)[
+                :, _chain_permutation(q, layer < layers - 1)]
+            if layer:
+                rows *= diag
+            else:
+                op *= 2.0**-q
+            rows = np.matmul(op, rows, out=blk.work[layer % 2])
         return rows, diag
     last = _prefix_end(cfg)
     (p, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[1]

@@ -656,8 +656,10 @@ def test_narrow_circuits_match_dense_oracle(monkeypatch, n, aux, layers,
                                             rows):
     """Up to ``_DENSE_QUBITS`` qubits the rows run each layer as one dense
     operator, with one layer (the first also the last) or more; past it
-    they do not.  Marginals and patch laws equal the dense unitary's to
-    1e-12 and every draw follows the inverse-CDF rule, in whole-batch
+    they do not.  Either way every operator comes from the groups'
+    Kronecker factors: each ``_layer_kron`` takes two ``_kron`` and no
+    other caller does.  Marginals and patch laws equal the dense unitary's
+    to 1e-12 and every draw follows the inverse-CDF rule, in whole-batch
     blocks and, with ``rows`` set, in blocks of three samples and two."""
     cfg = cfg_for(n, 2, layers=layers, aux=aux)
     q = cfg.n_qubits
@@ -669,14 +671,13 @@ def test_narrow_circuits_match_dense_oracle(monkeypatch, n, aux, layers,
         monkeypatch.setattr(gen, "_CHUNK_ELEMS", rows * 2**q)
         assert [blk.samples.stop - blk.samples.start
                 for blk in gen._blocks(cfg, params.theta, z)] == [3, 2] * 2
-    built = counting(monkeypatch, "_dense_layers")
+    krons = counting(monkeypatch, "_kron")
+    factored = counting(monkeypatch, "_layer_kron")
     forward = gen.forward_batch(cfg, params, z)
     sampled = gen.sample_batch(cfg, params, z, uniforms)
     laws = gen.patch_distributions(cfg, params, z)
-    # Once per patch group and call: each patch is a group of its own in
-    # blocks of three rows, and both patches are one group otherwise.
-    assert built[0] == (3 * (2 if rows else 1) if q <= gen._DENSE_QUBITS
-                        else 0)
+    assert factored[0] > 0
+    assert krons[0] == 2 * factored[0]
     for p in range(2):
         exact = [ansatz_probs(params.theta[p], z[j, p]) for j in range(5)]
         for j in range(5):
@@ -694,41 +695,18 @@ def test_narrow_circuits_match_dense_oracle(monkeypatch, n, aux, layers,
             atol=1e-12)
 
 
-@pytest.mark.parametrize("q", range(1, gen._DENSE_QUBITS + 1))
-def test_dense_layers_fold_in_the_chain(q):
-    """Each layer's dense operator is its chain after the dense product of
-    its gates: the frame chain before the last layer, the computational
-    one on it; the first layer also carries the start's 2^-q."""
-    layers = 3
-    theta = np.random.default_rng(90 + q).uniform(0, 2 * np.pi,
-                                                  (2, layers, q, 2))
-    ops = gen._dense_layers(gen._layer_gates(theta))
-    assert ops.shape == (layers, 2, 2**q, 2**q)
-    for p in range(2):
-        for layer in range(layers):
-            chain = np.eye(2**q)[gen._chain_permutation(q,
-                                                        layer < layers - 1)]
-            expected = chain @ dense_layer_gates(theta, p, layer, q, layers)
-            np.testing.assert_allclose(
-                ops[layer, p], expected * 2.0**-(q * (layer == 0)), rtol=0,
-                atol=1e-12)
-
-
 @pytest.mark.parametrize("layers", [1, 2, 4])
 @pytest.mark.parametrize("n, aux", [(1, 0), (2, 0), (4, 0), (1, 1), (2, 2)])
-def test_adjoint_of_narrow_circuits_matches_shift_rule_oracle(
-        monkeypatch, n, aux, layers):
-    """The gradient of circuits up to ``_DENSE_QUBITS`` qubits runs the
-    Kronecker factors, not the dense operators, and stays the shift-rule
-    oracle's to 1e-10."""
+def test_adjoint_of_narrow_circuits_matches_shift_rule_oracle(n, aux,
+                                                             layers):
+    """The gradient of circuits up to ``_DENSE_QUBITS`` qubits stays the
+    shift-rule oracle's to 1e-10."""
     cfg = cfg_for(n, 2, layers=layers, aux=aux)
     rng = np.random.default_rng(120 + 10 * n + layers + aux)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng, batch=3)
     upstream = rng.normal(size=(3, cfg.output_dim))
-    built = counting(monkeypatch, "_dense_layers")
     grad = gen.param_shift_batch(cfg, params, z, upstream)
-    assert built[0] == 0
     np.testing.assert_allclose(
         grad, param_shift_oracle(params.theta, z, upstream), rtol=0,
         atol=1e-10)
