@@ -17,7 +17,7 @@ import argparse
 import configparser
 import sys
 from contextlib import nullcontext
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -189,25 +189,17 @@ def _write_snapshot(path: Path, sections: dict[str, dict]) -> None:
         fh.write("\n".join(lines))
 
 
-# --- resolved run configuration ---------------------------------------------
+# --- commands ---------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    gen_cfg: GeneratorConfig
-    train_cfg: TrainConfig
-    window: WindowSpec
-    sections: dict[str, dict]  # the resolved config, as its snapshot
-
-
-def load_run_config(config_path: str | None, overrides: list[str],
-                    flags: dict | None = None) -> RunConfig:
+def cmd_train(args) -> int:
     allowed = {
         "generator": _GENERATOR_SCHEMA,
         "training": _TRAINING_SCHEMA,
         "window": _WINDOW_SCHEMA,
         "paths": _PATHS_SCHEMA,
     }
-    cfg = _read_config(config_path, overrides, allowed, flags)
+    cfg = _read_config(args.config, args.set, allowed,
+                       {"training.seed": args.seed, "paths.out": args.out})
     gen_cfg = GeneratorConfig(**_fields_of(cfg["generator"]))
     train_cfg = TrainConfig(**cfg["training"])
     subset = cfg["window"]["neuron_subset"]
@@ -220,22 +212,14 @@ def load_run_config(config_path: str | None, overrides: list[str],
             f"generator.neurons is {gen_cfg.n_feature}"
         )
     cfg["window"]["neuron_subset"] = window.neuron_subset
-    return RunConfig(gen_cfg, train_cfg, window, cfg)
-
-
-# --- commands ---------------------------------------------------------------
-
-def cmd_train(args) -> int:
-    run = load_run_config(args.config, args.set,
-                          {"training.seed": args.seed, "paths.out": args.out})
-    data = load_spikes(run.sections["paths"]["data"])
-    ckpt, rows = train(run.train_cfg, data, run.gen_cfg, run.window)
-    out = Path(run.sections["paths"]["out"])
+    data = load_spikes(cfg["paths"]["data"])
+    ckpt, rows = train(train_cfg, data, gen_cfg, window)
+    out = Path(cfg["paths"]["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_train_log(rows, out / "train_log.csv")
     save_checkpoint(ckpt, out / "checkpoint.ckpt")
-    _write_snapshot(out / "resolved_config.ini", run.sections)
-    print(f"trained {run.train_cfg.total_gen_steps} generator steps -> {out}")
+    _write_snapshot(out / "resolved_config.ini", cfg)
+    print(f"trained {train_cfg.total_gen_steps} generator steps -> {out}")
     return 0
 
 
@@ -429,6 +413,8 @@ def _write_loss_diff(path: Path, results: list[dict]) -> None:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     allowed = {
         "sweep": _SWEEP_SCHEMA,
         "generator": {k: v for k, v in _GENERATOR_SCHEMA.items()
@@ -468,7 +454,8 @@ def cmd_sweep(args) -> int:
     results: list[dict] = []
     failures: list[tuple] = []
     from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+    workers = min(args.jobs, len(cells))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         jobs = [partial(_sweep_cell, *task) if pool is None
                 else _submit(pool, task) for task in tasks]
@@ -541,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--set", action="append", default=[],
                          metavar="SECTION.KEY=VALUE")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="run cells in parallel processes")
+                         help="run cells in up to this many processes, "
+                         "at most one per cell (>= 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_surr = sub.add_parser("surrogate",

@@ -114,18 +114,6 @@ class TrainConfig:
 
 # --- losses ---------------------------------------------------------------
 
-def critic_loss(c_fake, c_real) -> float:
-    """(1 / 2B) * sum_j (C(fake_j) - C(real_j))."""
-    c_fake = np.asarray(c_fake, dtype=float)
-    c_real = np.asarray(c_real, dtype=float)
-    if c_fake.shape != c_real.shape:
-        raise ConfigurationError(
-            f"length mismatch: {c_fake.shape} vs {c_real.shape}"
-        )
-    b = c_fake.size
-    return float((c_fake - c_real).sum() / (2.0 * b))
-
-
 def generator_loss(c_fake, fake_counts, real_counts, k_coeff: float,
                    mode: str = "absolute") -> float:
     """-(1/B) sum_j [C(fake_j) - K * |count gap_j|]."""
@@ -181,20 +169,19 @@ def init_trainer(train_cfg: TrainConfig, gen_cfg: GeneratorConfig,
 def critic_step(state: Checkpoint, real_batch: np.ndarray,
                 fake: np.ndarray) -> float:
     """One critic update on the generator's marginals ``fake`` against
-    ``real_batch``; the generator stays frozen."""
+    ``real_batch``; the generator stays frozen.
+
+    The Wasserstein loss (1 / 2B) * sum_j (C(fake_j) - C(real_j)) is one
+    weighted sum over the stacked batch, so one forward and one backward
+    pass give its value and its gradient."""
     tcfg = state.train_cfg
     b = real_batch.shape[0]
-    c_fake = critic_mod.critic_forward_batch(state.critic, fake)
-    c_real = critic_mod.critic_forward_batch(state.critic, real_batch)
-    loss = critic_loss(c_fake, c_real)
+    batch = np.concatenate((fake, real_batch))
+    coeff = np.repeat((0.5 / b, -0.5 / b), b)
+    loss = float(coeff @ critic_mod.critic_forward_batch(state.critic, batch))
     if not np.isfinite(loss):
         raise NumericalError(f"critic loss is not finite: {loss}")
-    coeff = 1.0 / (2.0 * b)
-    grads_fake, _ = critic_mod.critic_backward_batch(
-        state.critic, fake, np.full(b, coeff))
-    grads_real, _ = critic_mod.critic_backward_batch(
-        state.critic, real_batch, np.full(b, -coeff))
-    grads = tuple(gf + gr for gf, gr in zip(grads_fake, grads_real))
+    grads, _ = critic_mod.critic_backward_batch(state.critic, batch, coeff)
     tensors, state.adam_critic = adam_step(
         state.critic.tensors(), grads, state.adam_critic, tcfg.lr_critic)
     state.critic = clip_weights(CriticParams(*tensors), tcfg.clip_c)

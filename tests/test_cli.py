@@ -902,6 +902,61 @@ def test_sweep_parallel_matches_sequential(tmp_path):
         (par_out / "sweep_results.csv").read_bytes()
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count it is
+    asked for and runs each cell in this process, so no process starts."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_sweep_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    data = make_surrogate(tmp_path, cols=500)
+    outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 64)}
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InlinePool)
+    for jobs, out in outs.items():
+        cfg = write_sweep_config(tmp_path, data, out, k_values="0,1",
+                                 seeds="0", steps=2)
+        assert run_cli("sweep", "--config", cfg, "--jobs", jobs) == 0
+    assert _InlinePool.max_workers == [2]
+    assert len(read_csv(outs[1] / "sweep_results.csv")) == 2
+    for name in ("sweep_results.csv", "loss_diff.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[64] / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    data = make_surrogate(tmp_path, cols=500)
+    out = tmp_path / "sweep"
+    cfg = write_sweep_config(tmp_path, data, out)
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    # --jobs is checked before the config is read.
+    monkeypatch.setattr(cli, "_read_config", None)
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg, "--jobs", jobs) == 1
+    assert not trained
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--jobs" in err
+    assert not out.exists()
+
+
 def test_overflowing_generator_update_exits_3_without_a_checkpoint(
         tmp_path, capsys):
     """An update that leaves an angle non-finite stops training before any

@@ -29,15 +29,6 @@ def make_state(seed=0, n=2, t=1, layers=2, **train_kw):
 
 # --- losses -----------------------------------------------------------------
 
-def test_critic_loss_examples():
-    v = np.array([0.3, -0.2])
-    assert tr.critic_loss(v, v) == 0.0
-    assert tr.critic_loss([0.3], [0.5]) == pytest.approx(-0.1)
-    assert tr.critic_loss([1.0, 1.0], [0.0, 0.0]) == pytest.approx(0.5)
-    with pytest.raises(ConfigurationError):
-        tr.critic_loss([1.0], [1.0, 2.0])
-
-
 def test_generator_loss_examples():
     assert tr.generator_loss([0.3], [1.0], [1.0], 0.0) == pytest.approx(-0.3)
     assert tr.generator_loss([0.3], [5.0], [3.0], 1.0,
@@ -108,27 +99,45 @@ def test_critic_step_clips_weights():
         assert (np.abs(t) <= 0.01 + 1e-12).all()
 
 
+def test_critic_step_is_one_weighted_pass(monkeypatch):
+    """One update scores and differentiates its stacked fake and real
+    batch in one forward and one backward pass, and returns the
+    Wasserstein loss (mean C(fake) - mean C(real)) / 2."""
+    state = make_state(seed=8)
+    real = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    fake = fake_batch(state, tr.substream(8, 50))[1]
+    expected = (cr.critic_forward_batch(state.critic, fake).mean()
+                - cr.critic_forward_batch(state.critic, real).mean()) / 2
+    calls = {"critic_forward_batch": 0, "critic_backward_batch": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(cr, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(cr, name, counted)
+    loss = tr.critic_step(state, real, fake)
+    assert calls == {"critic_forward_batch": 1, "critic_backward_batch": 1}
+    assert expected != 0.0
+    assert loss == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 def test_critic_loss_gradient_matches_finite_differences():
     state = make_state(seed=5)
     b = 2
     real = np.array([[1.0, 0.0], [0.0, 1.0]])
     z = gen.sample_noise(state.gen_cfg, tr.substream(5, 60), batch=b)
     fake = gen.forward_batch(state.gen_cfg, state.gen_params, z)
-    coeff = 1.0 / (2 * b)
-    grads_fake, _ = cr.critic_backward_batch(state.critic, fake,
-                                             np.full(b, coeff))
-    grads_real, _ = cr.critic_backward_batch(state.critic, real,
-                                             np.full(b, -coeff))
-    grads = [a + bb for a, bb in zip(grads_fake, grads_real)]
+    # critic_step's stacked batch and weights.
+    grads, _ = cr.critic_backward_batch(
+        state.critic, np.concatenate((fake, real)),
+        np.repeat((0.5 / b, -0.5 / b), b))
 
     names = ("w1", "b1", "w2", "b2")
     for name, grad in zip(names, grads):
         def loss_fn(tensor, name=name):
             q = state.critic.copy()
             setattr(q, name, tensor.reshape(np.shape(getattr(q, name))))
-            c_fake = cr.critic_forward_batch(q, fake)
-            c_real = cr.critic_forward_batch(q, real)
-            return tr.critic_loss(c_fake, c_real)
+            return (cr.critic_forward_batch(q, fake).mean()
+                    - cr.critic_forward_batch(q, real).mean()) / 2
         fd = central_difference(loss_fn,
                                 np.asarray(getattr(state.critic, name), float))
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
