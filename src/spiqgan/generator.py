@@ -28,10 +28,12 @@ a bottom vector and each layer doubles r.  The prefix stops at the last
 layer or at the rank bound 2^min(hi, lo), whichever comes first, and one
 matmul per row assembles its terms into the rows, which run the remaining
 chain and layers dense.  Narrower rows leave the product form after the
-first layer.  Up to ``_DENSE_QUBITS`` qubits the forward pass, though not
-the adjoint's, runs each layer as one dense operator P' V, built per block
-as the product of the layer's two Kronecker factors with the chain folded
-into its rows: x <- P' V d(z) x is then one matmul per patch.
+first layer.  Up to ``_DENSE_QUBITS`` qubits every forward pass, the
+adjoint's too, runs each layer as one dense operator W = P' V, built per
+block as the product of the layer's two Kronecker factors with the chain
+folded into its rows: x <- W d(z) x is then one matmul per patch.  The
+adjoint there applies W^T and takes each layer's pair sums from one Gram
+matrix per patch through a fixed table (``_gram_table``).
 A block's d(z) comes from a table of each angle's pair (e^{-iz/2},
 e^{iz/2}), contiguous along the samples, with one tan per angle
 (``_phases``); each qubit's gates are computed once per call.
@@ -84,14 +86,17 @@ _RUNNING_SUM_SAMPLES = 512
 # and 8 layers (one CPU of a 2-vCPU Xeon, BENCH_factored_prefix.json).
 _PREFIX_QUBITS = 7
 
-# Up to this width the forward pass without ``keep`` runs each layer as one
+# Up to this width the forward pass and the adjoint run each layer as one
 # dense operator, built per block as the product of its two Kronecker
 # factors with its chain folded in: one batched zgemm and one diagonal
 # multiply per layer, where the factors take two zgemms and a gather.
 # Against the factors, ``sample_batch`` of 4096 windows at t = 2 and 30
 # gained 1.06-1.49x at q = 1-4 and lost 0.90-0.94x at q=5 and 0.67-0.68x at
 # q=6; ``forward_batch`` of 32 samples lost 0.66-0.92x at q=5 (one CPU of a
-# 2-vCPU Xeon, BENCH_narrow_dense.json).
+# 2-vCPU Xeon, BENCH_narrow_dense.json).  With the adjoint on the operators
+# too, a training step's generator work (a forward pass of 96 samples and a
+# gradient of 32) gained 1.21-1.39x at q=4 and lost 0.74x at q=5, t=30
+# (BENCH_narrow_adjoint.json).
 _DENSE_QUBITS = 4
 
 
@@ -387,7 +392,9 @@ def _kept_slots(cfg: GeneratorConfig) -> int:
     """Scratch slots per row of the adjoint: 0 and 1 for the forward
     pass's scratch and the pair sums' copies, 2 for d(z), 3 and 4 for bra
     and its spare, 5 for the prefix layers' terms if there is a prefix,
-    then one per layer from the prefix's end (``_forward`` with ``keep``)."""
+    then one per layer from the prefix's end (``_forward`` with ``keep``).
+    Up to ``_DENSE_QUBITS`` qubits the last of these holds the output, so
+    bra starts in slot 3 as a conjugated copy."""
     last = _prefix_end(cfg)
     return 5 + (last > 0) + cfg.n_layers - last
 
@@ -442,26 +449,34 @@ def _forward(cfg: GeneratorConfig, blk: _Block, keep: bool = False):
     gathers them into the next layer's slot; the output goes to slot 3 and
     d(z) is always built.
 
-    Without ``keep``, rows of at most ``_DENSE_QUBITS`` qubits take x <-
-    W_l (d(z) x) per layer, from x = W_0 d(z): one batched matmul and one
-    multiply, in slots 0 and 1 with d(z) in slot 2.  W_l = P'_l (hi (x) lo)
-    is one broadcast product of the layer's factors, its rows gathered by
-    the chain (the frame's, or on the last layer the computational one),
-    and W_0 also carries the start's 2^{-q}, an exact power of two."""
+    Rows of at most ``_DENSE_QUBITS`` qubits take x <- W_l (d(z) x) per
+    layer, from x = W_0 d(z): one batched matmul and one multiply, in slots
+    0 and 1 with d(z) in slot 2.  W_l = P'_l (hi (x) lo) is one broadcast
+    product of the layer's factors, its rows gathered by the chain (the
+    frame's, or on the last layer the computational one), and W_0 also
+    carries the start's 2^{-q}, an exact power of two.  With ``keep`` layer
+    l writes its rows, chain included, to slot 5 + l, d(z) x goes to slot
+    0, and the operators are returned for the adjoint, which applies them
+    transposed; else the third result is empty."""
     q, layers = cfg.n_qubits, cfg.n_layers
-    if not keep and q <= _DENSE_QUBITS:
+    if q <= _DENSE_QUBITS:
         rows = diag = _diag(blk)
+        ops = []
         for layer in range(layers):
             hi, lo = blk.factors(layer)
             op = hi[:, :, None, :, None] * lo[:, None, :, None]
             op = op.reshape(len(hi), 2**q, 2**q)[
                 :, _chain_permutation(q, layer < layers - 1)]
             if layer:
-                rows *= diag
+                rows = np.multiply(rows, diag,
+                                   out=blk.work[0] if keep else rows)
             else:
                 op *= 2.0**-q
-            rows = np.matmul(op, rows, out=blk.work[layer % 2])
-        return rows, diag
+            if keep:
+                ops.append(op)
+            rows = np.matmul(op, rows, out=blk.work[
+                5 + layer if keep else layer % 2])
+        return rows, diag, ops
     last = _prefix_end(cfg)
     (p, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[1]
     work = blk.work
@@ -525,7 +540,7 @@ def _forward(cfg: GeneratorConfig, blk: _Block, keep: bool = False):
             _gates(states, chained, *blk.factors(layer))
         np.take(states, _chain_permutation(q, layer < layers - 1), axis=1,
                 out=chained, mode="clip")
-    return dests[-1], diag
+    return dests[-1], diag, []
 
 
 def _probs(cfg: GeneratorConfig, blk: _Block) -> np.ndarray:
@@ -635,6 +650,56 @@ def _trace_index(n: int):
     return rows, rows ^ (a ^ b) << j
 
 
+@lru_cache(maxsize=None)
+def _gram_table(num_qubits: int, frame: bool) -> np.ndarray:
+    """Real table (4^q, 4q) that maps a flattened Gram matrix ``G = bra
+    psi^T`` of rows after a layer's chain, the frame's or the computational
+    one, to each qubit's pair sums (q, 2, 2) over the rows before it:
+    ``_trace_index``'s entries with both indices through the undone chain.
+    The frame's table also folds in the layer's s <- H s H / 2."""
+    n = 2**num_qubits
+    undo = np.argsort(_chain_permutation(num_qubits, frame))
+    rows, cols = _trace_index(n)
+    table = np.zeros((n * n, num_qubits, 2, 2))
+    j, a, b, _ = np.ogrid[:num_qubits, :2, :2, :n // 2]
+    table[undo[rows] * n + undo[cols], j, a, b] = 1.0
+    if frame:
+        table = np.einsum("ab,xjbc,cd->xjad", _HADAMARD, table, _HADAMARD) / 2
+    table = table.reshape(n * n, -1)
+    table.setflags(write=False)
+    return table
+
+
+def _dense_sums(cfg: GeneratorConfig, blk: _Block,
+                weights: np.ndarray) -> np.ndarray:
+    """Each layer's and qubit's pair sums (P, L, q, 2, 2) of a block of at
+    most ``_DENSE_QUBITS`` qubits, in the frame for all layers but the last,
+    for row weights O (P, 2^q, S).  The forward pass keeps each layer's rows
+    y_l and operator W_l (``_forward`` with ``keep``); bra = conj(y_{L-1})
+    O in slot 3 walks back through them: per layer one batched Gram matrix
+    G_l = bra y_l^T, then bra <- W_l^T bra in slot 4 and bra *= d(z).  Two
+    matmuls by ``_gram_table`` turn the Grams into the pair sums, one for
+    the frame layers and one for the last."""
+    q, layers = cfg.n_qubits, cfg.n_layers
+    work = blk.work
+    out, diag, ops = _forward(cfg, blk, keep=True)
+    bra, spare = np.conjugate(out, out=work[3]), work[4]
+    bra *= weights
+    p, n = out.shape[:2]
+    grams = np.empty((layers, p, n, n), dtype=complex)
+    for layer in reversed(range(layers)):
+        np.matmul(bra, work[5 + layer].swapaxes(1, 2), out=grams[layer])
+        if layer:
+            np.matmul(ops[layer].swapaxes(1, 2), bra, out=spare)
+            bra, spare = spare, bra
+            bra *= diag
+    grams, cut = grams.reshape(layers * p, n * n), (layers - 1) * p
+    sums = np.empty((layers * p, 4 * q), dtype=complex)
+    np.matmul(grams[:cut], _gram_table(q, True), out=sums[:cut])
+    np.matmul(grams[cut:], _gram_table(q, False), out=sums[cut:])
+    return sums.reshape(layers, p, q, 2, 2).swapaxes(0, 1)
+
+
 def _pair_sums(blk: _Block, psi: np.ndarray, bra: np.ndarray) -> np.ndarray:
     """Each qubit's pair sums ``s_ab = sum bra_a psi_b`` over its amplitude
     pairs (a, b its bit values) and all rows, (P, q, 2, 2), for states
@@ -669,7 +734,9 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
     layer's psi is assembled from its kept terms into the slot bra left.
     Partial traces are invariant under unitaries on the other qubits, so
     in the frame s = H s^H H; the frame's psi is 2^{-q/2} of the true one
-    and bra, back through the last layer's factors, 2^{q/2} of it.  With
+    and bra, back through the last layer's factors, 2^{q/2} of it.  Up to
+    ``_DENSE_QUBITS`` qubits the sweep runs on the dense layer operators
+    and the pair sums come from Gram matrices (``_dense_sums``).  With
     phi the RZ angle, d/dphi = Im(s00 - s11) and d/dtheta =
     Re(e^{i phi} s10 - e^{-i phi} s01).
     """
@@ -682,29 +749,34 @@ def param_shift_batch(cfg: GeneratorConfig, params: GeneratorParams,
     rz_phase = np.exp(1j * params.theta[..., 1])
     grad = np.zeros(params.theta.shape)
     for blk in _blocks(cfg, params.theta, noise_batch, _kept_slots(cfg)):
-        (p, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[1]
-        bra, diag = _forward(cfg, blk, keep=True)
-        np.conjugate(bra, out=bra)
-        bra *= bits @ upstream[blk.patches, :, blk.samples]
-        spare = blk.work[4]
-        sums = np.empty((p, layers, q, 2, 2), dtype=complex)
-        for layer in reversed(range(layers)):
-            np.take(bra, undo[layer < layers - 1], axis=1, out=spare,
-                    mode="clip")
-            bra, spare = spare, bra
-            if layer >= last:
-                psi = blk.work[5 + (last > 0) + layer - last]
-            else:
-                psi = spare
-                _assemble(*_terms(blk.work[5], layer, h, n, s), blk.work[0],
-                          psi.reshape((p, h, n, s), copy=False))
-            sums[:, layer] = _pair_sums(blk, psi, bra)
-            if layer:
-                _gates(bra, spare, *(f.swapaxes(1, 2)
-                                     for f in blk.factors(layer)))
-                bra *= diag
-        sums[:, :-1] = np.einsum("ab,plkbc,cd->plkad", _HADAMARD,
-                                 sums[:, :-1], _HADAMARD) / 2
+        weights = bits @ upstream[blk.patches, :, blk.samples]
+        if q <= _DENSE_QUBITS:
+            sums = _dense_sums(cfg, blk, weights)
+        else:
+            (p, h, s), n = blk.phase_hi.shape, blk.phase_lo.shape[1]
+            bra, diag, _ = _forward(cfg, blk, keep=True)
+            np.conjugate(bra, out=bra)
+            bra *= weights
+            spare = blk.work[4]
+            sums = np.empty((p, layers, q, 2, 2), dtype=complex)
+            for layer in reversed(range(layers)):
+                np.take(bra, undo[layer < layers - 1], axis=1, out=spare,
+                        mode="clip")
+                bra, spare = spare, bra
+                if layer >= last:
+                    psi = blk.work[5 + (last > 0) + layer - last]
+                else:
+                    psi = spare
+                    _assemble(*_terms(blk.work[5], layer, h, n, s),
+                              blk.work[0], psi.reshape((p, h, n, s),
+                                                       copy=False))
+                sums[:, layer] = _pair_sums(blk, psi, bra)
+                if layer:
+                    _gates(bra, spare, *(f.swapaxes(1, 2)
+                                         for f in blk.factors(layer)))
+                    bra *= diag
+            sums[:, :-1] = np.einsum("ab,plkbc,cd->plkad", _HADAMARD,
+                                     sums[:, :-1], _HADAMARD) / 2
         phase = rz_phase[blk.patches]
         part = grad[blk.patches]
         part[..., 1] += (sums[..., 0, 0] - sums[..., 1, 1]).imag

@@ -141,6 +141,33 @@ def param_shift_oracle(theta, z, upstream, angles=None):
     return grad
 
 
+def pair_sums_through_chain(bra, psi, frame):
+    """Each qubit's pair sums (q, 2, 2) of row vectors ``bra`` and ``psi``
+    (2^q, S) given after a layer's CNOT chain, by explicit loops.
+
+    The chain, CNOT(k, k+1) for k = 0 .. q-2, or with ``frame`` CNOT(k+1,
+    k), is undone by its dense CNOT matrices in reverse order.  Entry (a, b)
+    of qubit k is then the sum over samples and every basis state i whose
+    bit k is a of bra[i] psi[i with bit k set to b].
+    """
+    dim, samples = bra.shape
+    q = dim.bit_length() - 1
+    undo = np.eye(dim, dtype=complex)
+    for k in range(q - 1):
+        control, target = (k + 1, k) if frame else (k, k + 1)
+        undo = undo @ cnot_unitary(q, control, target)
+    bra, psi = undo @ bra, undo @ psi
+    sums = np.zeros((q, 2, 2), dtype=complex)
+    for k in range(q):
+        for i in range(dim):
+            a = (i >> k) & 1
+            for b in range(2):
+                partner = i ^ ((a ^ b) << k)
+                for s in range(samples):
+                    sums[k, a, b] += bra[i, s] * psi[partner, s]
+    return sums
+
+
 def central_difference(f, x, h=1e-5):
     """Gradient of scalar f at flat array x by central differences."""
     x = np.asarray(x, dtype=float)

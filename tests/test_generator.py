@@ -10,8 +10,9 @@ from spiqgan import generator as gen
 from spiqgan.errors import ConfigurationError
 
 from _oracles import (ansatz_probs, central_difference, cnot_unitary,
-                      dense_readout, oracle_forward, param_shift_oracle,
-                      rotation_matrix, single_qubit_unitary)
+                      dense_readout, oracle_forward, pair_sums_through_chain,
+                      param_shift_oracle, rotation_matrix,
+                      single_qubit_unitary)
 
 
 def cfg_for(n=2, t=1, layers=4, aux=0, **kw):
@@ -695,21 +696,113 @@ def test_narrow_circuits_match_dense_oracle(monkeypatch, n, aux, layers,
             atol=1e-12)
 
 
-@pytest.mark.parametrize("layers", [1, 2, 4])
-@pytest.mark.parametrize("n, aux", [(1, 0), (2, 0), (4, 0), (1, 1), (2, 2)])
-def test_adjoint_of_narrow_circuits_matches_shift_rule_oracle(n, aux,
-                                                             layers):
+# (features, aux qubits, layers, rows): every case in whole-batch blocks
+# and, with ``rows`` set, in chunks of that many rows.
+@pytest.mark.parametrize("n, aux, layers, rows", [
+    pytest.param(n, aux, layers, rows,
+                 id=f"{n}-{aux}-{layers}" + (f"-rows{rows}" if rows else ""))
+    for n, aux in [(1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (3, 1), (2, 2)]
+    for layers in (1, 2, 4, 8) for rows in (None, 4)])
+def test_adjoint_of_narrow_circuits_matches_shift_rule_oracle(
+        monkeypatch, n, aux, layers, rows):
     """The gradient of circuits up to ``_DENSE_QUBITS`` qubits stays the
-    shift-rule oracle's to 1e-10."""
+    shift-rule oracle's to 1e-10, in whole-batch blocks and, with chunks of
+    ``rows`` rows, in one block per patch or, at eight layers, in blocks of
+    two samples and one."""
     cfg = cfg_for(n, 2, layers=layers, aux=aux)
+    q = cfg.n_qubits
     rng = np.random.default_rng(120 + 10 * n + layers + aux)
     params = gen.init_params(cfg, rng)
     z = gen.sample_noise(cfg, rng, batch=3)
+    if rows:
+        monkeypatch.setattr(gen, "_CHUNK_ELEMS", rows * 2**q)
+        assert [blk.samples.stop - blk.samples.start for blk in gen._blocks(
+            cfg, params.theta, z, gen._kept_slots(cfg))] == (
+                [2, 1] * 2 if layers == 8 else [3] * 2)
     upstream = rng.normal(size=(3, cfg.output_dim))
     grad = gen.param_shift_batch(cfg, params, z, upstream)
     np.testing.assert_allclose(
         grad, param_shift_oracle(params.theta, z, upstream), rtol=0,
         atol=1e-10)
+
+
+@pytest.mark.parametrize("rows", [None, 4])
+@pytest.mark.parametrize("layers", [1, 3, 8])
+@pytest.mark.parametrize("n, aux", [(1, 0), (2, 0), (3, 0), (4, 0), (2, 1),
+                                    (1, 3)])
+def test_dense_adjoint_equals_the_factored_one(monkeypatch, n, aux, layers,
+                                               rows):
+    """Up to ``_DENSE_QUBITS`` qubits the gradient runs on the dense layer
+    operators; with the dense regime switched off it runs on the Kronecker
+    factors.  Both give the same gradient to 1e-12."""
+    cfg = cfg_for(n, 3, layers=layers, aux=aux)
+    rng = np.random.default_rng(140 + 10 * n + layers + aux)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=5)
+    upstream = rng.normal(size=(5, cfg.output_dim))
+    if rows:
+        monkeypatch.setattr(gen, "_CHUNK_ELEMS", rows * 2**cfg.n_qubits)
+    dense = gen.param_shift_batch(cfg, params, z, upstream)
+    monkeypatch.setattr(gen, "_DENSE_QUBITS", 0)
+    np.testing.assert_allclose(
+        dense, gen.param_shift_batch(cfg, params, z, upstream), rtol=0,
+        atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_narrow_adjoint_takes_no_factor_path(monkeypatch, q):
+    """Up to ``_DENSE_QUBITS`` qubits the gradient takes its pair sums from
+    Gram matrices through ``_gram_table`` and applies its layers as dense
+    operators: no ``_pair_sums`` or ``_gates`` call.  At five qubits it
+    walks the Kronecker factors and calls both."""
+    cfg = cfg_for(q, 2, layers=3)
+    rng = np.random.default_rng(160 + q)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=4)
+    upstream = rng.normal(size=(4, cfg.output_dim))
+    pairs, gates = (counting(monkeypatch, name)
+                    for name in ("_pair_sums", "_gates"))
+    gen.param_shift_batch(cfg, params, z, upstream)
+    dense = q <= gen._DENSE_QUBITS
+    assert dense == (q < 5)
+    assert (pairs[0] == 0) == dense and (gates[0] == 0) == dense
+
+
+@pytest.mark.parametrize("layers", [1, 4])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_kept_forward_rows_equal_the_plain_ones(q, layers):
+    """``_forward`` with ``keep`` writes each layer's rows to its own slot
+    and returns its dense operators, yet its output rows are those of the
+    plain pass bit for bit, and its last kept slot holds them."""
+    cfg = cfg_for(q, 3, layers=layers)
+    rng = np.random.default_rng(180 + q + layers)
+    params = gen.init_params(cfg, rng)
+    z = gen.sample_noise(cfg, rng, batch=6)
+    [plain] = gen._blocks(cfg, params.theta, z)
+    [kept] = gen._blocks(cfg, params.theta, z, gen._kept_slots(cfg))
+    rows, _, ops = gen._forward(cfg, plain)
+    kept_rows, _, kept_ops = gen._forward(cfg, kept, keep=True)
+    assert ops == [] and len(kept_ops) == layers
+    assert np.shares_memory(kept_rows, kept.work[4 + layers])
+    np.testing.assert_array_equal(kept_rows, rows)
+
+
+@pytest.mark.parametrize("frame", [False, True])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_gram_table_matches_pair_sums_through_the_chain(q, frame):
+    """``_gram_table`` maps the Gram matrix of two row stacks, given after
+    a layer's chain, to each qubit's pair sums over the rows before it, as
+    explicit loops over the undone chain give them; the frame's table also
+    takes s <- H s H / 2."""
+    rng = np.random.default_rng(200 + q + 10 * frame)
+    bra, psi = rng.normal(size=(2, 2**q, 3, 2)) @ [1, 1j]
+    sums = ((bra @ psi.T).reshape(-1) @ gen._gram_table(q, frame)).reshape(
+        q, 2, 2)
+    expected = pair_sums_through_chain(bra, psi, frame)
+    if frame:
+        hadamard = np.array([[1, 1], [1, -1]])
+        expected = hadamard @ expected @ hadamard / 2
+    np.testing.assert_allclose(sums, expected, rtol=0, atol=1e-13)
 
 
 # (call, n, t, batch, layers).  At 32 layers the adjoint keeps 28 dense
@@ -720,6 +813,8 @@ def test_adjoint_of_narrow_circuits_matches_shift_rule_oracle(n, aux,
         ("sample_batch", 2, 30, 25_000),
         ("sample_batch", 10, 2, 1000),
         ("sample_batch", 10, 30, 1),
+        ("param_shift_batch", 2, 30, 32),
+        ("param_shift_batch", 4, 30, 2000),
         ("param_shift_batch", 8, 2, 32),
         ("param_shift_batch", 10, 2, 32),
         ("param_shift_batch", 10, 30, 32),
